@@ -93,6 +93,41 @@ class IntEchelon:
         _, col = self._residual(row)
         return col is None
 
+    def copy(self):
+        ech = IntEchelon(self.width)
+        ech.pivots = dict(self.pivots)
+        return ech
+
+    def reduce(self, row):
+        """``row`` modulo the row space: a primitive row that is zero in every
+        pivot column, all zero exactly when ``row`` lies in the row space.
+
+        Two rows outside the row space span the same line modulo it exactly
+        when their reductions are equal.
+        """
+        row = list(row)
+        for col, piv in sorted(self.pivots.items()):
+            b = row[col]
+            if b:
+                a = piv[col]
+                row = _strip_content([a * r - b * p for r, p in zip(row, piv)])
+        return row
+
+    def reduced_rows(self):
+        """Integer rows of the reduced row echelon form, ordered by pivot
+        column: each row is primitive, its first nonzero entry (the pivot) is
+        positive, and every other pivot column is zero in it."""
+        cols = sorted(self.pivots)
+        work = {c: list(self.pivots[c]) for c in cols}
+        for i, c in enumerate(cols):
+            for c2 in cols[i + 1:]:
+                row = work[c]
+                if row[c2]:
+                    piv = work[c2]
+                    a, b = piv[c2], row[c2]
+                    work[c] = _strip_content([a * r - b * p for r, p in zip(row, piv)])
+        return [work[c] for c in cols]
+
 
 def rank(rows, width):
     ech = IntEchelon(width)
@@ -111,18 +146,8 @@ def rref(rows, width):
     ech = IntEchelon(width)
     for row in rows:
         ech.add(int_row(row))
-    cols = sorted(ech.pivots)
-    work = {c: list(ech.pivots[c]) for c in cols}
-    for i, c in enumerate(cols):
-        for c2 in cols[i + 1:]:
-            row = work[c]
-            if row[c2]:
-                piv = work[c2]
-                a, b = piv[c2], row[c2]
-                work[c] = _strip_content([a * r - b * p for r, p in zip(row, piv)])
     out = []
-    for c in cols:
-        row = work[c]
-        lead = row[c]
+    for row in ech.reduced_rows():
+        lead = row[_first_nonzero(row, 0)]
         out.append(tuple(Fraction(v, lead) for v in row))
     return tuple(out)

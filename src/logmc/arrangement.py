@@ -3,8 +3,9 @@
 An arrangement is a finite set of integer linear forms in ``ambient_dim``
 variables, each cutting out a hyperplane through the origin of the affine
 cone space.  This module builds the intersection lattice (all intersections
-of subsets of hyperplanes, deduplicated by canonical row echelon form),
-evaluates its Möbius function top-down, forms the characteristic polynomial
+of subsets of hyperplanes, each flat keyed by the bitmask of the hyperplanes
+containing it), evaluates its Möbius function rank by rank, forms the
+characteristic polynomial
 
     chi(t) = sum over lattice nodes x of mobius(x) * t^dim(x),
 
@@ -19,6 +20,7 @@ All arithmetic is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from ._linalg import IntEchelon, int_row, rref
@@ -182,22 +184,28 @@ class IntersectionLattice:
     """Intersection lattice of a central arrangement.
 
     ``nodes`` are sorted by (descending dimension, lexicographic matrix
-    order); ``mobius[i]`` is the Möbius value of ``nodes[i]``.
+    order); ``mobius[i]`` is the Möbius value of ``nodes[i]``.  ``masks[i]``,
+    when given, is the bitmask of the hyperplanes containing ``nodes[i]``
+    (bit k for form k), which turns the order relation into a mask test.
     """
 
-    __slots__ = ("ambient_dim", "nodes", "mobius")
+    __slots__ = ("ambient_dim", "nodes", "mobius", "masks")
 
-    def __init__(self, ambient_dim, nodes, mobius):
+    def __init__(self, ambient_dim, nodes, mobius, masks=None):
         self.ambient_dim = ambient_dim
         self.nodes = tuple(nodes)
         self.mobius = tuple(mobius)
+        self.masks = None if masks is None else tuple(masks)
 
     def __len__(self):
         return len(self.nodes)
 
     def contains(self, i, j):
         """Order relation: node i contains node j as point sets."""
-        return self.nodes[i].contains(self.nodes[j])
+        if self.masks is None:
+            return self.nodes[i].contains(self.nodes[j])
+        # every hyperplane through node i also passes through node j
+        return not self.masks[i] & ~self.masks[j]
 
     def __repr__(self):
         dims = [node.dim for node in self.nodes]
@@ -207,43 +215,90 @@ class IntersectionLattice:
 def build_lattice(arr, max_nodes=None):
     """Intersection lattice of ``arr`` with Möbius values.
 
-    Closure of {ambient space} and the hyperplanes under intersection with
-    hyperplanes, deduplicated via canonical echelon matrices.  Möbius values
-    are computed top-down: the ambient space gets 1, then every node gets
-    minus the sum over nodes strictly containing it.
+    A flat is the set of hyperplanes containing it, kept as a bitmask with a
+    cached integer echelon basis of those forms (Orlik–Terao, §2.1).  The
+    closure runs rank by rank.  The covers of a flat F are the lines spanned
+    by the forms outside F modulo F's forms: each such form is reduced by F's
+    echelon, and forms with equal reductions cut out the same cover.
 
-    ``max_nodes`` optionally caps the closure size (rejected with a
-    validation error when exceeded).
+    Möbius values follow Weisner's theorem for geometric lattices: with a the
+    lowest hyperplane of a flat G, mu(G) is minus the sum of mu(F) over the
+    flats F covered by G that a does not contain.  The Fraction RREF of each
+    flat is built once, to key and sort the returned nodes.
+
+    ``max_nodes`` optionally caps the number of flats; the closure stops with
+    a validation error as soon as one more flat would exceed it.
     """
-    ambient = Subspace.ambient(arr.ambient_dim)
-    seen = {ambient}
-    frontier = [ambient]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for form in arr.forms:
-                cut = node.intersect_form(form)
-                if cut is node or cut in seen:
-                    continue
-                seen.add(cut)
-                nxt.append(cut)
-        if max_nodes is not None and len(seen) > max_nodes:
-            raise ValidationError(
-                f"intersection lattice exceeds the node cap ({max_nodes})")
-        frontier = nxt
+    width = arr.ambient_dim
+    forms = arr.forms
+    every = (1 << len(forms)) - 1
+    flats = {0: IntEchelon(width)}
+    mobius = {0: 1}
+    _check_node_cap(flats, max_nodes)
+    layer = [0]
+    while layer:
+        weisner = {}
+        for mask in layer:
+            ech = flats[mask]
+            # the one cover of a line is the origin, on every hyperplane
+            is_line = ech.rank == width - 1
+            lines = {}
+            for k, form in enumerate(forms):
+                if not mask >> k & 1:
+                    key = tuple(ech.reduce(form))
+                    if is_line:
+                        lines[key] = every & ~mask
+                        break
+                    lines[key] = lines.get(key, 0) | 1 << k
+            mu = mobius[mask]
+            for residual, bits in lines.items():
+                cover = mask | bits
+                if cover not in flats:
+                    child = ech.copy()
+                    child.add(residual)
+                    flats[cover] = child
+                    weisner[cover] = 0
+                    _check_node_cap(flats, max_nodes)
+                if not mask & (cover & -cover):
+                    weisner[cover] += mu
+        for cover, total in weisner.items():
+            mobius[cover] = -total
+        layer = list(weisner)
 
-    nodes = sorted(seen, key=Subspace.sort_key)
-    mobius = []
-    for i, node in enumerate(nodes):
-        if node.dim == arr.ambient_dim:
-            mobius.append(1)
-            continue
-        total = 0
-        for j in range(i):
-            if nodes[j].dim > node.dim and nodes[j].contains(node):
-                total += mobius[j]
-        mobius.append(-total)
-    return IntersectionLattice(arr.ambient_dim, nodes, mobius)
+    return _render(width, flats, mobius)
+
+
+def _render(width, flats, mobius):
+    """The lattice with each flat as a Subspace, in ``Subspace.sort_key`` order.
+
+    Every RREF entry v / lead is one shared Fraction per (v, lead), so equal
+    leading entries of two matrices are mostly the same object and the sort
+    compares them by identity.
+    """
+    fractions = {}
+    nodes = {}
+    for mask, ech in flats.items():
+        matrix = []
+        for row in ech.reduced_rows():
+            lead = next(v for v in row if v)
+            entries = []
+            for v in row:
+                value = fractions.get((v, lead))
+                if value is None:
+                    value = fractions[v, lead] = Fraction(v, lead)
+                entries.append(value)
+            matrix.append(tuple(entries))
+        node = nodes[mask] = Subspace(width, tuple(matrix))
+        node._ech = ech
+    order = sorted(nodes, key=lambda mask: nodes[mask].sort_key())
+    return IntersectionLattice(width, [nodes[mask] for mask in order],
+                               [mobius[mask] for mask in order], order)
+
+
+def _check_node_cap(flats, max_nodes):
+    if max_nodes is not None and len(flats) > max_nodes:
+        raise ValidationError(
+            f"intersection lattice exceeds the node cap ({max_nodes})")
 
 
 class IntPolynomial:

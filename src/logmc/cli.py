@@ -49,6 +49,10 @@ TERAO_NOTE = ("candidate exponents only: a split characteristic polynomial does 
 
 _ROUTE_ORDER = ("lattice", "charpoly", "exponents")
 
+# Default of LOGMC_MAX_LATTICE: admits the braid arrangement on 9 points
+# (21147 flats); README.md records the measured build time at the cap.
+DEFAULT_MAX_LATTICE = 25000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -58,7 +62,7 @@ class RunConfig:
     mc_route: str = "all"
     exponents_override: tuple = None
     basis: str = None
-    max_lattice_nodes: int = 100000
+    max_lattice_nodes: int = DEFAULT_MAX_LATTICE
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -114,7 +118,7 @@ def config_from_args(argv=None):
         if not exps:
             raise ValidationError("--exponents is empty")
     try:
-        max_nodes = int(os.environ.get("LOGMC_MAX_LATTICE", "100000"))
+        max_nodes = int(os.environ.get("LOGMC_MAX_LATTICE", DEFAULT_MAX_LATTICE))
     except ValueError:
         raise ValidationError("LOGMC_MAX_LATTICE must be an integer") from None
     return RunConfig(command=args.command,
@@ -189,9 +193,24 @@ def _resolve_exponents(arr, chi, config):
     return None
 
 
-def _mc_routes(lat, chi, exps, config):
+def _lattice_chi_exponents(arr, config, lattice_needed=None):
+    """Lattice, chi and candidate exponents of ``arr``.
+
+    An exponent override leaves chi unused.  When the caller needs no
+    lattice either (by default: unless only the exponent route runs), the
+    lattice and chi are not built and come back as None.
+    """
+    if lattice_needed is None:
+        lattice_needed = config.mc_route != "exponents"
+    if config.exponents_override is not None and not lattice_needed:
+        return None, None, _resolve_exponents(arr, None, config)
+    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
+    chi = arrmod.characteristic_polynomial(lat)
+    return lat, chi, _resolve_exponents(arr, chi, config)
+
+
+def _mc_routes(n, lat, chi, exps, config):
     """Requested motivic Chern class routes, cross-checked for agreement."""
-    n = lat.ambient_dim - 1
     route = config.mc_route
     routes = {}
     if route in ("lattice", "all"):
@@ -258,10 +277,8 @@ def _cmd_exponents(arr, config):
 
 def _cmd_mc(arr, config):
     n = arr.ambient_dim - 1
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
-    chi = arrmod.characteristic_polynomial(lat)
-    exps = _resolve_exponents(arr, chi, config)
-    routes = _mc_routes(lat, chi, exps, config)
+    lat, chi, exps = _lattice_chi_exponents(arr, config)
+    routes = _mc_routes(n, lat, chi, exps, config)
     json_basis = config.basis or "s"
     text_basis = config.basis or "one_minus_s"
     payload = {"n": n, "mc_route": config.mc_route,
@@ -278,9 +295,7 @@ def _cmd_mc(arr, config):
 
 def _cmd_logclass(arr, config):
     n = arr.ambient_dim - 1
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
-    chi = arrmod.characteristic_polynomial(lat)
-    exps = _resolve_exponents(arr, chi, config)
+    _, _, exps = _lattice_chi_exponents(arr, config, lattice_needed=False)
     if exps is None:
         raise ValidationError("no exponent data: characteristic polynomial does not "
                               "split usably and no --exponents override was given")
@@ -295,13 +310,11 @@ def _cmd_logclass(arr, config):
 
 def _cmd_diff(arr, config):
     n = arr.ambient_dim - 1
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
-    chi = arrmod.characteristic_polynomial(lat)
-    exps = _resolve_exponents(arr, chi, config)
+    lat, chi, exps = _lattice_chi_exponents(arr, config)
     if exps is None:
         raise ValidationError("no exponent data: characteristic polynomial does not "
                               "split usably and no --exponents override was given")
-    routes = _mc_routes(lat, chi, exps, config)
+    routes = _mc_routes(n, lat, chi, exps, config)
     value = _mc_value(routes) - kring.log_class_free(exps, n)
     json_basis = config.basis or "s"
     text_basis = config.basis or "one_minus_s"
@@ -313,11 +326,9 @@ def _cmd_diff(arr, config):
 
 
 def _cmd_csm(arr, config):
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
-    chi = arrmod.characteristic_polynomial(lat)
     n = arr.ambient_dim - 1
-    exps = _resolve_exponents(arr, chi, config)
-    routes = _mc_routes(lat, chi, exps, config)
+    lat, chi, exps = _lattice_chi_exponents(arr, config)
+    routes = _mc_routes(n, lat, chi, exps, config)
     csm_mc = hzmod.csm_at_minus_one(_mc_value(routes))
     payload = {"n": n, "csm_mc": hzmod.cohclass_to_json(csm_mc)}
     lines = [f"csm(mc):      {_cohclass_str(csm_mc)}"]
@@ -346,7 +357,7 @@ def _cmd_euler(arr, config):
     chi = arrmod.characteristic_polynomial(lat)
     exps = _resolve_exponents(arr, chi, config) if (
         config.exponents_override or config.mc_route in ("exponents", "all")) else None
-    routes = _mc_routes(lat, chi, exps, config)
+    routes = _mc_routes(arr.ambient_dim - 1, lat, chi, exps, config)
     csm_mc = hzmod.csm_at_minus_one(_mc_value(routes))
     euler = hzmod.euler_characteristic(csm_mc)
     mobius_sum = sum(mu * node.dim for node, mu in zip(lat.nodes, lat.mobius))

@@ -168,6 +168,13 @@ class LocalPolynomial:
         return f"LocalPolynomial({self})"
 
 
+# Largest total degree the parser forms.  Every germ the colength loop
+# finishes in reasonable time has far lower degree (x^12 - y^13, degree 13,
+# takes about a second), and a single product at the limit, such as
+# (1+x+y)^16 * (1+x+y)^16, takes about 0.1 s to expand.
+MAX_PARSE_DEGREE = 32
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -179,7 +186,11 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j])))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError:  # longer than the interpreter converts
+                raise ValidationError(
+                    f"integer literal at position {i} is too long") from None
             i = j
         elif ch in "xy":
             tokens.append(("var", ch))
@@ -232,7 +243,12 @@ class _Parser:
         value = self.factor()
         while self.peek() == "*":
             self.take()
-            value = value * self.factor()
+            other = self.factor()
+            degree = value.total_degree() + other.total_degree()
+            if degree > MAX_PARSE_DEGREE:
+                raise ValidationError(
+                    f"product of degree {degree} exceeds the degree limit {MAX_PARSE_DEGREE}")
+            value = value * other
         return value
 
     def factor(self):
@@ -242,6 +258,14 @@ class _Parser:
             kind, val = self.take() if self.pos < len(self.tokens) else (None, None)
             if kind != "int":
                 raise ValidationError("exponent must be a nonnegative integer literal")
+            # a constant base has degree 0, so the exponent is bounded too
+            if val > MAX_PARSE_DEGREE:
+                raise ValidationError(
+                    f"exponent {val} exceeds the degree limit {MAX_PARSE_DEGREE}")
+            degree = value.total_degree() * val
+            if degree > MAX_PARSE_DEGREE:
+                raise ValidationError(
+                    f"power of degree {degree} exceeds the degree limit {MAX_PARSE_DEGREE}")
             value = value ** val
         return value
 

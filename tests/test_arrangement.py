@@ -7,14 +7,18 @@ from itertools import combinations
 
 import pytest
 
-from logmc import (Arrangement, IntPolynomial, Subspace, ValidationError,
-                   build_lattice, characteristic_polynomial,
+from logmc import (Arrangement, IntersectionLattice, IntPolynomial, Subspace,
+                   ValidationError, build_lattice, characteristic_polynomial,
                    exponents_via_terao, parse_arrangement)
+from logmc._linalg import IntEchelon
 from logmc.errors import InconsistencyError
 
 BOOLEAN3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 BRAID3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1)]
 GENERIC4 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+BRAID5 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+          (1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1),
+          (0, 1, -1, 0), (0, 1, 0, -1), (0, 0, 1, -1)]
 
 
 # --- independent oracle: plain Fraction Gaussian elimination + Whitney sums
@@ -162,6 +166,94 @@ def test_lattice_node_cap():
         build_lattice(Arrangement(3, BRAID3), max_nodes=3)
 
 
+def test_lattice_node_cap_boundary():
+    arr = Arrangement(4, BRAID5)
+    assert len(build_lattice(arr, max_nodes=52)) == 52
+    with pytest.raises(ValidationError, match="exceeds the node cap"):
+        build_lattice(arr, max_nodes=51)
+    with pytest.raises(ValidationError, match="exceeds the node cap"):
+        build_lattice(Arrangement(3, []), max_nodes=0)
+
+
+def test_lattice_node_cap_checked_per_node(monkeypatch):
+    # the closure adds one echelon row per new flat, so a refusal at cap c
+    # must come after c additions, not after the rank layer is complete
+    calls = []
+    add = IntEchelon.add
+
+    def counting_add(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(IntEchelon, "add", counting_add)
+    for cap in (1, 5, 12, 30):
+        calls.clear()
+        with pytest.raises(ValidationError, match="exceeds the node cap"):
+            build_lattice(Arrangement(4, BRAID5), max_nodes=cap)
+        assert len(calls) == cap
+
+
+# --- lattice against subsets of hyperplanes
+
+def subset_flats(forms, width):
+    """{hyperplane set: (dim, Möbius value)} by brute force over subsets.
+
+    The flat cut out by a subset S is the set of forms in the span of S;
+    its Möbius value is the Whitney sum of (-1)^|S| over the subsets with
+    that closure.
+    """
+    flats = {}
+    for k in range(len(forms) + 1):
+        for subset in combinations(range(len(forms)), k):
+            rows = [forms[i] for i in subset]
+            r = fraction_rank(rows, width)
+            closure = frozenset(j for j in range(len(forms))
+                                if fraction_rank(rows + [forms[j]], width) == r)
+            dim, mu = flats.get(closure, (width - r, 0))
+            flats[closure] = (dim, mu + (-1) ** k)
+    return flats
+
+
+def test_lattice_matches_subset_oracle_on_random():
+    rng = random.Random(2718)
+    for _ in range(40):
+        width = rng.randint(2, 4)
+        kept = []
+        for _ in range(rng.randint(1, 7)):
+            row = [rng.randint(-2, 2) for _ in range(width)]
+            try:
+                Arrangement(width, kept + [row])
+            except ValidationError:
+                continue
+            kept.append(row)
+        arr = Arrangement(width, kept)
+        lat = build_lattice(arr)
+        expected = subset_flats(list(arr.forms), width)
+        # each node's hyperplane set, read off its RREF matrix
+        hyperplanes = []
+        for node in lat.nodes:
+            r = fraction_rank(list(node.matrix), width)
+            hyperplanes.append(frozenset(
+                j for j, form in enumerate(arr.forms)
+                if fraction_rank(list(node.matrix) + [form], width) == r))
+        got = {h: (node.dim, mu) for h, node, mu in zip(hyperplanes, lat.nodes, lat.mobius)}
+        assert len(got) == len(lat) and got == expected
+        assert [sum(1 << j for j in h) for h in hyperplanes] == list(lat.masks)
+        for i in range(len(lat)):
+            for j in range(len(lat)):
+                assert lat.contains(i, j) == lat.nodes[i].contains(lat.nodes[j])
+                assert lat.contains(i, j) == (hyperplanes[i] <= hyperplanes[j])
+
+
+def test_lattice_contains_without_masks():
+    lat = build_lattice(Arrangement(3, BRAID3))
+    plain = IntersectionLattice(lat.ambient_dim, lat.nodes, lat.mobius)
+    assert plain.masks is None
+    for i in range(len(lat)):
+        for j in range(len(lat)):
+            assert plain.contains(i, j) == lat.contains(i, j)
+
+
 # --- characteristic polynomial
 
 def test_charpoly_examples():
@@ -194,10 +286,7 @@ def test_charpoly_matches_whitney_on_random(seed=99, count=30):
 
 def test_braid_on_five_strands():
     # partitions of a 5-set: 52 lattice nodes; chi = (t-1)(t-2)(t-3)(t-4)
-    forms = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-             (1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1),
-             (0, 1, -1, 0), (0, 1, 0, -1), (0, 0, 1, -1)]
-    lat = build_lattice(Arrangement(4, forms))
+    lat = build_lattice(Arrangement(4, BRAID5))
     assert len(lat) == 52
     chi = characteristic_polynomial(lat)
     assert list(chi.coeffs) == [24, -50, 35, -10, 1]

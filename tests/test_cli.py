@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from logmc import arrangement
 from logmc import (Arrangement, build_lattice, characteristic_polynomial,
                    cohclass_from_json, csm_at_minus_one, kpoly_from_json,
                    mc_complement_lattice_sum)
@@ -150,7 +151,28 @@ def test_lattice_cap_env(monkeypatch):
 def test_default_lattice_cap(monkeypatch):
     monkeypatch.delenv("LOGMC_MAX_LATTICE", raising=False)
     config = config_from_args(["lattice", corpus_path("braid")])
-    assert config.max_lattice_nodes == 100000
+    assert config.max_lattice_nodes == 25000
+    assert RunConfig("lattice", "x").max_lattice_nodes == 25000
+
+
+def test_exponent_override_never_builds_lattice(monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(arrangement, "build_lattice", no_lattice)
+    for command, route in (("logclass", "all"), ("diff", "exponents")):
+        code, report = run_json(command, "braid", mc_route=route,
+                                exponents_override=(3, 1, 2))
+        assert code == 0
+        assert report + "\n" == (GOLDEN / f"braid_{command}_override.json").read_text()
+    # invalid overrides keep the exponent validation messages
+    for exps, message in (((2, 3, 3), "must contain 1"),
+                          ((1, 2), "expected 3 exponents"),
+                          ((1, 2, -3), "must be positive")):
+        for command, route in (("logclass", "all"), ("diff", "exponents")):
+            code, report = run_json(command, "braid", mc_route=route,
+                                    exponents_override=exps)
+            assert code == 1 and message in json.loads(report)["error"]
 
 
 # --- JSON round trips against in-memory values

@@ -6,6 +6,8 @@ Milnor numbers for the binomial family x^a + c y^b are the textbook values
 computation during development.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from logmc import (BranchCountRequiredError, CurveSingularity, LocalPolynomial,
                    csm_minus_chern_curve, delta_from_milnor,
                    difference_class_curve, genus_defect, local_invariants,
                    singularity_from_json, singularity_from_poly)
+from logmc.curves import MAX_PARSE_DEGREE
 
 P = LocalPolynomial.from_string
 
@@ -35,6 +38,18 @@ def test_parse_rejects_bad_input():
     for bad in ("2x", "x^", "x^-2", "x +", "(x", "x^y", "z", ""):
         with pytest.raises(ValidationError):
             P(bad)
+
+
+def test_parse_refuses_oversized_input():
+    limit = MAX_PARSE_DEGREE
+    for text in ("x^1000000", "((x+y)^60)^60", f"(x+y)^{limit}*y",
+                 f"(x*y)^{limit // 2 + 1}", f"2^{10 ** 6}", "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"limit {limit}|too long"):
+            P(text)
+        assert time.perf_counter() - start < 0.1, text
+    assert P(f"x^{limit} - y^{limit - 1}*x").total_degree() == limit
+    assert P(f"(x+y)^{limit // 2}*(x-y)^{limit // 2}").total_degree() == limit
 
 
 def test_polynomial_arithmetic():
