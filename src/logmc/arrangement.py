@@ -242,16 +242,16 @@ def build_lattice(arr, max_nodes=None):
             ech = flats[mask]
             # the one cover of a line is the origin, on every hyperplane
             is_line = ech.rank == width - 1
-            lines = {}
+            added = {}  # reduction modulo F -> hyperplanes that cover adds
             for k, form in enumerate(forms):
                 if not mask >> k & 1:
                     key = tuple(ech.reduce(form))
                     if is_line:
-                        lines[key] = every & ~mask
+                        added[key] = every & ~mask
                         break
-                    lines[key] = lines.get(key, 0) | 1 << k
+                    added[key] = added.get(key, 0) | 1 << k
             mu = mobius[mask]
-            for residual, bits in lines.items():
+            for residual, bits in added.items():
                 cover = mask | bits
                 if cover not in flats:
                     child = ech.copy()
