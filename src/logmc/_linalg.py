@@ -129,13 +129,6 @@ class IntEchelon:
         return [work[c] for c in cols]
 
 
-def rank(rows, width):
-    ech = IntEchelon(width)
-    for row in rows:
-        ech.add(int_row(row))
-    return ech.rank
-
-
 def rref(rows, width):
     """Canonical reduced row echelon form as a tuple of Fraction tuples.
 

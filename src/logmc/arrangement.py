@@ -21,24 +21,10 @@ All arithmetic is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from ._linalg import IntEchelon, int_row, rref
+from ._linalg import IntEchelon, _strip_content, int_row, rref
+from ._poly import deflate, power, render
 from .errors import InconsistencyError, ValidationError
-
-
-def _normalize_form(form):
-    g = 0
-    for v in form:
-        g = gcd(g, v)
-    if g > 1:
-        form = tuple(v // g for v in form)
-    for v in form:
-        if v:
-            if v < 0:
-                form = tuple(-u for u in form)
-            break
-    return form
 
 
 class Arrangement:
@@ -63,7 +49,7 @@ class Arrangement:
                     f"form {i} has {len(row)} coefficients, expected {ambient_dim}")
             if not any(row):
                 raise ValidationError(f"form {i} is zero")
-            row = _normalize_form(row)
+            row = tuple(_strip_content(row))
             if row in seen:
                 raise ValidationError(
                     f"form {i} is proportional to form {seen[row]}")
@@ -327,13 +313,8 @@ class IntPolynomial:
 
     def deflate(self, root):
         """Quotient and remainder of synthetic division by (t - root)."""
-        quotient = []
-        carry = 0
-        for c in reversed(self.coeffs):
-            carry = carry * root + c
-            quotient.append(carry)
-        remainder = quotient.pop()
-        return IntPolynomial(list(reversed(quotient))), remainder
+        quotient, remainder = deflate(self.coeffs, root)
+        return IntPolynomial(quotient), remainder
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -342,24 +323,7 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
-            else:
-                base = "t" if k == 1 else f"t^{k}"
-                term = base if mag == 1 else f"{mag}*{base}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return render((self.coeffs[k], power("t", k)) for k in range(self.degree, -1, -1))
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"

@@ -41,6 +41,7 @@ from . import arrangement as arrmod
 from . import curves as curvemod
 from . import hirzebruch as hzmod
 from . import kring
+from ._poly import power, render
 from .errors import InconsistencyError, ValidationError
 
 TERAO_NOTE = ("candidate exponents only: a split characteristic polynomial does not "
@@ -130,24 +131,6 @@ def config_from_args(argv=None):
                      max_lattice_nodes=max_nodes)
 
 
-def _poly_str(coeffs, symbol):
-    parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            term = str(mag)
-        else:
-            base = symbol if k == 1 else f"{symbol}^{k}"
-            term = base if mag == 1 else f"{mag}*{base}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
-
-
 def _kpoly_lines(p, basis):
     symbol = "s" if basis == "s" else "(1-s)"
     if p.is_zero():
@@ -155,12 +138,13 @@ def _kpoly_lines(p, basis):
     lines = []
     for k, c in enumerate(p.coeffs):
         row = c.coeffs if basis == "s" else c.in_one_minus_s_basis()
-        lines.append(f"y^{k}: {_poly_str(row, symbol)}")
+        terms = ((v, power(symbol, j)) for j, v in enumerate(row))
+        lines.append(f"y^{k}: {render(terms)}")
     return lines
 
 
 def _cohclass_str(c):
-    return _poly_str(c.coeffs, "h")
+    return render((v, power("h", j)) for j, v in enumerate(c.coeffs))
 
 
 def _exponents_str(exps):
@@ -376,7 +360,7 @@ def _cmd_curve(config):
     text = _read_file(config.input_path)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON, or an integer too long to convert
         raise ValidationError(f"invalid JSON in {config.input_path}: {e}") from None
     entries = data if isinstance(data, list) else [data]
     sings = [curvemod.singularity_from_json(obj) for obj in entries]

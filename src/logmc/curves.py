@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._linalg import IntEchelon, int_row
+from ._poly import power, render
 from .errors import (BranchCountRequiredError, InconsistencyError,
                      NonIsolatedSingularityError, ValidationError)
 
@@ -143,26 +144,9 @@ class LocalPolynomial:
         return isinstance(other, LocalPolynomial) and self.terms == other.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (k[0] + k[1], -k[0])):
-            c = self.terms[(i, j)]
-            mono = "*".join(filter(None, [
-                f"x^{i}" if i > 1 else ("x" if i == 1 else ""),
-                f"y^{j}" if j > 1 else ("y" if j == 1 else "")]))
-            mag = abs(c)
-            if not mono:
-                term = str(mag)
-            elif mag == 1:
-                term = mono
-            else:
-                term = f"{mag}*{mono}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        order = sorted(self.terms, key=lambda k: (k[0] + k[1], -k[0]))
+        return render((self.terms[i, j], "*".join(filter(None, [power("x", i), power("y", j)])))
+                      for i, j in order)
 
     def __repr__(self):
         return f"LocalPolynomial({self})"
@@ -541,11 +525,20 @@ def singularity_from_json(obj):
     if not isinstance(obj, dict):
         raise ValidationError("singularity entry must be a JSON object")
     if "poly" in obj:
-        f = LocalPolynomial.from_string(obj["poly"])
-        return singularity_from_poly(f, r=obj.get("r"))
+        if not isinstance(obj["poly"], str):
+            raise ValidationError("'poly' must be a string")
+        r = None if obj.get("r") is None else _json_int(obj, "r")
+        return singularity_from_poly(LocalPolynomial.from_string(obj["poly"]), r=r)
     missing = [key for key in ("mu", "tau", "r") if key not in obj]
     if missing:
         raise ValidationError(
             f"singularity object needs 'poly' or mu/tau/r (missing {missing})")
-    mu, tau, r = int(obj["mu"]), int(obj["tau"]), int(obj["r"])
+    mu, tau, r = (_json_int(obj, key) for key in ("mu", "tau", "r"))
     return CurveSingularity(mu=mu, tau=tau, r=r, delta=delta_from_milnor(mu, r))
+
+
+def _json_int(obj, key):
+    value = obj[key]
+    if type(value) is not int:  # also refuses true and false
+        raise ValidationError(f"'{key}' must be an integer, got {type(value).__name__}")
+    return value

@@ -27,147 +27,79 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from ._poly import _Truncated, _YPoly, deflate
 from .errors import DivisionRemainderError, ValidationError
 
 
-class CohClass:
+def _truncate(coeffs, n):
+    c = [Fraction(v) for v in coeffs[:n + 1]]
+    c.extend([Fraction(0)] * (n + 1 - len(c)))
+    return tuple(c)
+
+
+class CohClass(_Truncated):
     """Element of Q[h]/(h^{n+1}): exact rational coefficients, length n+1."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ()
+    _scalars = (int, Fraction)
+    _relation = staticmethod(_truncate)
 
-    def __init__(self, n, coeffs=()):
-        if n < 0:
-            raise ValidationError("projective dimension must be >= 0")
-        self.n = n
-        c = [Fraction(v) for v in coeffs[:n + 1]]
-        c.extend([Fraction(0)] * (n + 1 - len(c)))
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, (1,))
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValidationError("CohClass operands live on different projective spaces")
-
-    def __add__(self, other):
-        self._check(other)
-        return CohClass(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return CohClass(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return CohClass(self.n, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CohClass(self.n, [a * other for a in self.coeffs])
-        self._check(other)
-        prod = [Fraction(0)] * (self.n + 1)
-        for i, a in enumerate(self.coeffs):
+    @staticmethod
+    def _product(xs, ys):
+        # only the degrees below n+1 survive the truncation
+        width = len(xs)
+        prod = [Fraction(0)] * width
+        for i, a in enumerate(xs):
             if not a:
                 continue
-            for j in range(self.n + 1 - i):
-                b = other.coeffs[j]
+            for j in range(width - i):
+                b = ys[j]
                 if b:
                     prod[i + j] += a * b
-        return CohClass(self.n, prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        result = CohClass.one(self.n)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, CohClass)
-                and self.n == other.n and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return prod
 
     def __repr__(self):
         return f"CohClass(n={self.n}, coeffs={[str(c) for c in self.coeffs]})"
 
 
-class CohPoly:
+class CohPoly(_YPoly):
     """Polynomial in y with CohClass coefficients, divided by (1+y)^delta.
 
     The stored coefficients are the numerator; ``delta`` >= 0 is the
     denominator exponent.  With delta = 0 the value is an honest polynomial.
     """
 
-    __slots__ = ("n", "coeffs", "delta")
+    __slots__ = ("delta",)
+    _ring = CohClass
 
     def __init__(self, n, coeffs=(), delta=0):
         if delta < 0:
             raise ValidationError("denominator exponent must be >= 0")
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if c.n != n:
-                raise ValidationError("CohPoly coefficients live on different projective spaces")
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.n = n
-        self.coeffs = tuple(coeffs)
+        super().__init__(n, coeffs)
         self.delta = delta
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @property
-    def y_degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coefficient(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return CohClass.zero(self.n)
 
     def at_y(self, value):
         if self.delta != 0:
             raise ValidationError("clear the denominator before evaluating")
-        result = CohClass.zero(self.n)
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
+        return super().at_y(value)
 
     def __eq__(self, other):
-        return (isinstance(other, CohPoly)
-                and (self.n, self.coeffs, self.delta)
-                == (other.n, other.coeffs, other.delta))
+        return super().__eq__(other) and self.delta == other.delta
 
     def __repr__(self):
         return f"CohPoly(n={self.n}, y_degree={self.y_degree}, delta={self.delta})"
 
 
-def _exp_minus_h(n):
-    return CohClass(n, [Fraction((-1) ** j, factorial(j)) for j in range(n + 1)])
-
-
 def chern_character(c):
-    """Chern character of a KClass: the ring map determined by s -> e^{-h}."""
-    e = _exp_minus_h(c.n)
-    result = CohClass.zero(c.n)
-    for a in reversed(c.coeffs):
-        result = result * e + CohClass(c.n, (a,))
-    return result
+    """Chern character of a KClass: the ring map determined by s -> e^{-h}.
+
+    It is linear in the s-power basis: s^k maps to e^{-kh}, so the h^j
+    coefficient of ch(sum_k a_k s^k) is (-1)^j/j! * sum_k a_k k^j.
+    """
+    return CohClass(c.n, [
+        Fraction((-1) ** j * sum(a * k ** j for k, a in enumerate(c.coeffs) if a),
+                 factorial(j))
+        for j in range(c.n + 1)])
 
 
 def todd_class(n):
@@ -201,33 +133,6 @@ def _y_mul_binomial(col, j):
     return out
 
 
-def _y_div_one_plus_y(col):
-    """Quotient and remainder of a y-polynomial under division by (1+y)."""
-    if not col:
-        return [], Fraction(0)
-    if len(col) == 1:
-        return [], col[0]
-    quotient = [Fraction(0)] * (len(col) - 1)
-    quotient[-1] = col[-1]
-    for k in range(len(col) - 2, 0, -1):
-        quotient[k - 1] = col[k] - quotient[k]
-    remainder = col[0] - quotient[0]
-    return quotient, remainder
-
-
-def _columns(p, width):
-    ylen = len(p.coeffs)
-    return [[p.coefficient(k).coeffs[j] for k in range(ylen)] for j in range(width)]
-
-
-def _from_columns(n, cols, delta):
-    ylen = max((len(col) for col in cols), default=0)
-    coeffs = []
-    for k in range(ylen):
-        coeffs.append(CohClass(n, [col[k] if k < len(col) else Fraction(0) for col in cols]))
-    return CohPoly(n, coeffs, delta=delta)
-
-
 def normalize(p):
     """Hirzebruch normalisation: rescale dimension-i parts by (1+y)^{-i}.
 
@@ -239,9 +144,8 @@ def normalize(p):
         raise ValidationError("normalize expects a plain polynomial (delta = 0)")
     if p.is_zero():
         return CohPoly(p.n, (), delta=p.n)
-    cols = _columns(p, p.n + 1)
-    cols = [_y_mul_binomial(col, j) for j, col in enumerate(cols)]
-    return _from_columns(p.n, cols, delta=p.n)
+    cols = [_y_mul_binomial(col, j) for j, col in enumerate(p.columns())]
+    return CohPoly.from_columns(p.n, cols, delta=p.n)
 
 
 def clear_denominator(p):
@@ -253,17 +157,16 @@ def clear_denominator(p):
     """
     if p.delta == 0:
         return p
-    cols = _columns(p, p.n + 1)
     out = []
-    for j, col in enumerate(cols):
+    for j, col in enumerate(p.columns()):
         for _ in range(p.delta):
-            col, rem = _y_div_one_plus_y(col)
+            col, rem = deflate(col, -1)
             if rem != 0:
                 raise DivisionRemainderError(
                     f"h^{j} component is not divisible by (1+y)^{p.delta}",
                     remainder=rem)
         out.append(col)
-    return _from_columns(p.n, out, delta=0)
+    return CohPoly.from_columns(p.n, out)
 
 
 def csm_at_minus_one(p):

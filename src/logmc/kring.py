@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .arrangement import IntersectionLattice, IntPolynomial
+from ._poly import _Truncated, _YPoly, deflate
+from .arrangement import (IntersectionLattice, IntPolynomial,
+                          characteristic_polynomial)
 from .errors import DivisionRemainderError, ValidationError
 
 
@@ -44,72 +46,15 @@ def _reduce_mod_relation(coeffs, n):
     return tuple(c)
 
 
-class KClass:
+class KClass(_Truncated):
     """A coherent-sheaf class on P^n in the s-power basis, s = [O(-1)].
 
     ``coeffs`` has length n+1 and is already reduced modulo (1-s)^{n+1}.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, n, coeffs=()):
-        if n < 0:
-            raise ValidationError("projective dimension must be >= 0")
-        self.n = n
-        self.coeffs = _reduce_mod_relation(coeffs, n)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, (1,))
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValidationError("KClass operands live on different projective spaces")
-
-    def __add__(self, other):
-        self._check(other)
-        return KClass(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return KClass(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return KClass(self.n, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return KClass(self.n, [other * a for a in self.coeffs])
-        self._check(other)
-        prod = [0] * (2 * self.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return KClass(self.n, prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValidationError("negative KClass powers are not defined in general")
-        result = KClass.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def is_zero(self):
-        return not any(self.coeffs)
+    _relation = staticmethod(_reduce_mod_relation)
 
     def in_one_minus_s_basis(self):
         """Coefficients with respect to powers of (1-s), length n+1.
@@ -129,51 +74,19 @@ class KClass:
             out[j] = (-1) ** j * sum(b * comb(k, j) for k, b in enumerate(padded[:n + 1]))
         return cls(n, out)
 
-    def __eq__(self, other):
-        return (isinstance(other, KClass)
-                and self.n == other.n and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
     def __repr__(self):
         return f"KClass(n={self.n}, coeffs={list(self.coeffs)})"
 
 
-class KPoly:
+class KPoly(_YPoly):
     """Polynomial in y with KClass coefficients; trailing zeros trimmed."""
 
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=()):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if c.n != n:
-                raise ValidationError("KPoly coefficients live on different projective spaces")
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.n = n
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    __slots__ = ()
+    _ring = KClass
 
     @classmethod
     def one(cls, n):
         return cls(n, (KClass.one(n),))
-
-    @property
-    def y_degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coefficient(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return KClass.zero(self.n)
 
     def _check(self, other):
         if self.n != other.n:
@@ -193,9 +106,7 @@ class KPoly:
         return KPoly(self.n, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return KPoly(self.n, [other * c for c in self.coeffs])
-        if isinstance(other, KClass):
+        if isinstance(other, (int, KClass)):
             return KPoly(self.n, [c * other for c in self.coeffs])
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -207,20 +118,6 @@ class KPoly:
         return KPoly(self.n, prod)
 
     __rmul__ = __mul__
-
-    def at_y(self, value):
-        """Evaluate at an integer y, landing in the K-group."""
-        result = KClass.zero(self.n)
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
-
-    def __eq__(self, other):
-        return (isinstance(other, KPoly)
-                and self.n == other.n and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
 
     def __repr__(self):
         return f"KPoly(n={self.n}, coeffs={list(self.coeffs)})"
@@ -257,24 +154,16 @@ def kclass_linear_subspace(m, k, n):
 def exact_div_one_plus_y(num):
     """Exact synthetic division of a KPoly by (1+y).
 
-    The remainder is the value at y = -1; if it is nonzero the division is
-    refused and the remainder is attached to the raised error.
+    Division by (1+y) is linear, so it runs on each s-degree's column of
+    integer coefficients.  The remainder is the value at y = -1; if it is
+    nonzero the division is refused and the remainder is attached to the
+    raised error.
     """
-    if num.is_zero():
-        return num
-    m = num.y_degree
-    if m == 0:
+    quotients, remainders = zip(*(deflate(col, -1) for col in num.columns()))
+    if any(remainders):
         raise DivisionRemainderError(
-            "class is not divisible by 1+y", remainder=num.coeffs[0])
-    quotient = [KClass.zero(num.n)] * m
-    quotient[m - 1] = num.coeffs[m]
-    for k in range(m - 1, 0, -1):
-        quotient[k - 1] = num.coefficient(k) - quotient[k]
-    remainder = num.coefficient(0) - quotient[0]
-    if not remainder.is_zero():
-        raise DivisionRemainderError(
-            "class is not divisible by 1+y", remainder=remainder)
-    return KPoly(num.n, quotient)
+            "class is not divisible by 1+y", remainder=KClass(num.n, remainders))
+    return KPoly.from_columns(num.n, quotients)
 
 
 def _one_plus_sy_power(d, n):
@@ -303,19 +192,10 @@ def mc_complement_lattice_sum(lat):
 
     Each node of affine dimension d >= 1 projectivises to a P^{d-1} and
     contributes mobius(x) (1-s)^{n-d+1} (1+sy)^d; the dimension-0 center
-    projectivises to the empty set and is skipped.  The total is divided
-    exactly by (1+y).
+    projectivises to the empty set.  Grouping the nodes by dimension turns
+    the sum into the characteristic-polynomial substitution.
     """
-    n = lat.ambient_dim - 1
-    one_minus_s = KClass(n, (1, -1))
-    total = KPoly.zero(n)
-    for node, mu in zip(lat.nodes, lat.mobius):
-        d = node.dim
-        if d < 1:
-            continue
-        term = _one_plus_sy_power(d, n) * (one_minus_s ** (n - d + 1)) * mu
-        total = total + term
-    return exact_div_one_plus_y(total)
+    return mc_complement_charpoly(characteristic_polynomial(lat), lat.ambient_dim - 1)
 
 
 def mc_complement_charpoly(chi, n):

@@ -1,0 +1,52 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+``bench/tracing.py`` looks each traced function up with ``vars(owner)[attr]``,
+so renaming or moving one of them breaks ``bench/run.py --trace 1``.  The
+benchmark directory is not collected by the test suite, so this test runs
+the tracer once over a real command.
+"""
+
+import sys
+from pathlib import Path
+
+from logmc import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import tracing  # noqa: E402  (lives in bench/, put on the path above)
+
+
+def _bindings():
+    """Every binding the tracer may replace, by identity of the value."""
+    out = {}
+    for owner, attr in [*tracing.SPANS, *tracing.COUNTS, *tracing.LAYERED]:
+        out[owner, attr] = vars(owner)[attr]
+    out[tracing._linalg.IntEchelon, "__init__"] = vars(tracing._linalg.IntEchelon)["__init__"]
+    for mod in tracing.MODULES:
+        for name, value in vars(mod).items():
+            if callable(value):
+                out[mod, name] = value
+    return out
+
+
+def test_tracer_records_and_restores():
+    before = _bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _ = cli.run(cli.RunConfig(command="csm", output_format="json",
+                                        input_path=str(ROOT / "corpus" / "braid.arr")))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.run", "arrangement.build_lattice", "hirzebruch.csm",
+            "hirzebruch.grr", "hirzebruch.clear_denominator"} <= names
+    assert all(span[2] >= span[1] for span in tracer.spans)
+    assert tracer.counts["kring.div_one_plus_y_calls"] > 0
+    assert tracer.counts["hirzebruch.todd_calls"] > 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert not changed

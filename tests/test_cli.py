@@ -246,3 +246,18 @@ def test_run_text_and_json_agree_on_verdicts():
         assert code_j == code_t == 0
         payload = json.loads(report)
         assert f"is_zero: {str(payload['is_zero']).lower()}" in text
+
+
+@pytest.mark.parametrize("text", [
+    '{"mu": 1' + "0" * 4400 + ', "tau": 1, "r": 1}',
+    '{"mu": "x", "tau": 1, "r": 1}',
+    '{"mu": [1], "tau": 1, "r": 1}',
+    '{"poly": 5}',
+    '{"poly": "x^2-y^3", "r": "a"}',
+], ids=["long-integer", "mu-string", "mu-list", "poly-number", "r-string"])
+def test_curve_malformed_entries_are_validation_errors(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, report = run(RunConfig(command="curve", input_path=str(path), output_format="json"))
+    assert code == 1
+    assert json.loads(report)["kind"] == "validation"

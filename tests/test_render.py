@@ -1,0 +1,75 @@
+"""Exact text of every polynomial rendering: integer polynomials, K-class
+lines in both bases, cohomology classes and local equations.
+
+The expected strings are the CLI's documented text formats; they must not
+move when the rendering code is reorganised.
+"""
+
+from fractions import Fraction
+
+from logmc import (Arrangement, CohClass, IntPolynomial, KClass, KPoly,
+                   LocalPolynomial, build_lattice, characteristic_polynomial,
+                   difference_class_arrangement, mc_free_exponents, todd_class)
+from logmc.cli import _cohclass_str, _kpoly_lines
+from test_arrangement import BRAID3
+
+F = Fraction
+
+
+def test_zero_renders_as_zero():
+    assert str(IntPolynomial([])) == "0"
+    assert str(IntPolynomial([0, 0])) == "0"
+    assert str(LocalPolynomial.zero()) == "0"
+    assert _cohclass_str(CohClass.zero(2)) == "0"
+    assert _kpoly_lines(KPoly.zero(2), "s") == ["0"]
+    assert _kpoly_lines(KPoly.zero(2), "one_minus_s") == ["0"]
+
+
+def test_negative_leading_and_unit_coefficients():
+    assert str(IntPolynomial([3, 0, -2])) == "-2*t^2 + 3"
+    assert str(IntPolynomial([-1, 1, -1])) == "-t^2 + t - 1"
+    assert _cohclass_str(CohClass(2, (F(-1, 2), 0, 1))) == "-1/2 + h^2"
+
+
+def test_constant_only():
+    assert str(IntPolynomial([5])) == "5"
+    assert str(IntPolynomial([-5])) == "-5"
+    assert str(LocalPolynomial({(0, 0): -3})) == "-3"
+    assert _cohclass_str(CohClass.one(3)) == "1"
+
+
+def test_int_polynomial_descending_order():
+    chi = characteristic_polynomial(build_lattice(Arrangement(3, BRAID3)))
+    assert str(chi) == "t^3 - 6*t^2 + 11*t - 6"
+    assert str(IntPolynomial([-6, 11, -6, 1, 0, 2])) == "2*t^5 + t^3 - 6*t^2 + 11*t - 6"
+
+
+def test_fraction_coefficients_in_csm_text():
+    assert _cohclass_str(todd_class(2)) == "1 + 3/2*h + h^2"
+    assert _cohclass_str(todd_class(4)) == "1 + 5/2*h + 35/12*h^2 + 25/12*h^3 + h^4"
+
+
+def test_kpoly_lines_both_bases():
+    p = mc_free_exponents((1, 2, 3), 2)
+    assert _kpoly_lines(p, "s") == [
+        "y^0: 6 - 16*s + 11*s^2",
+        "y^1: 5 - 15*s + 12*s^2",
+        "y^2: 1 - 3*s + 3*s^2"]
+    assert _kpoly_lines(p, "one_minus_s") == [
+        "y^0: 1 - 6*(1-s) + 11*(1-s)^2",
+        "y^1: 2 - 9*(1-s) + 12*(1-s)^2",
+        "y^2: 1 - 3*(1-s) + 3*(1-s)^2"]
+    diff = difference_class_arrangement((1, 2, 3), None, 2)
+    assert _kpoly_lines(diff, "one_minus_s") == ["y^0: -4*(1-s)^2", "y^1: -4*(1-s)^2"]
+    gap = KPoly(2, (KClass.one(2), KClass.zero(2), KClass(2, (0, -1))))
+    assert _kpoly_lines(gap, "s") == ["y^0: 1", "y^1: 0", "y^2: -s"]
+
+
+def test_local_polynomial_mixed_monomial_order():
+    # by total degree, then by descending power of x
+    f = LocalPolynomial({(2, 0): 1, (1, 1): -2, (0, 3): 1, (0, 2): F(1, 2),
+                         (3, 0): -1, (1, 0): 7})
+    assert str(f) == "7*x + x^2 - 2*x*y + 1/2*y^2 - x^3 + y^3"
+    g = LocalPolynomial({(1, 2): -1, (2, 1): F(-3, 4)})
+    assert str(g) == "-3/4*x^2*y - x*y^2"
+    assert repr(g) == "LocalPolynomial(-3/4*x^2*y - x*y^2)"
