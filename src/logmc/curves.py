@@ -12,11 +12,14 @@ mu = 2*delta - r + 1 ties these to the Milnor number mu.
 
 The module computes mu and tau as colengths of the Jacobian ideals
 (f_x, f_y) and (f, f_x, f_y) in the local ring at the origin, by exact
-linear algebra on monomials below a truncation bound.  The bound grows
-until two consecutive quotient dimensions agree and the monomial staircase
-of the quotient sits strictly inside the truncation window; a Krull-type
-argument makes that stopping rule exact, and failure to stabilise by the
-cap 2*deg(f)^2 certifies a non-isolated singularity.
+linear algebra on monomials below a truncation bound B, one integer echelon
+growing with B (Greuel-Pfister, *A Singular Introduction to Commutative
+Algebra*, 1.7).  B grows until two consecutive quotient dimensions agree
+and the monomial staircase of the quotient sits strictly inside the
+truncation window; a Krull-type argument makes that stopping rule exact.
+An isolated germ has tau <= mu <= (deg f - 1)^2 by Bezout, so a truncated
+dimension above that bound certifies a non-isolated singularity at once;
+the cap 2*deg(f)^2 on B stays as a backstop.
 
 Branch counts are computed only where elementary arguments are rigorous:
 two-term equations x^a + c y^b (gcd(a, b) branches) and squarefree
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._linalg import IntEchelon, int_row
+from ._linalg import int_row
 from ._poly import power, render
 from .errors import (BranchCountRequiredError, InconsistencyError,
                      NonIsolatedSingularityError, ValidationError)
@@ -152,10 +155,12 @@ class LocalPolynomial:
         return f"LocalPolynomial({self})"
 
 
-# Largest total degree the parser forms.  Every germ the colength loop
-# finishes in reasonable time has far lower degree (x^12 - y^13, degree 13,
-# takes about a second), and a single product at the limit, such as
-# (1+x+y)^16 * (1+x+y)^16, takes about 0.1 s to expand.
+# Largest total degree the parser forms.  A single product at the limit,
+# such as (1+x+y)^16 * (1+x+y)^16, takes about 0.1 s to expand.  At the
+# limit the colength engine finishes x^32 - y^31 (mu = 930) in about 0.01 s
+# and (x+2*y)^32 - y^31 + x*y^30 in about 0.6 s; a non-isolated germ whose
+# truncated dimension grows by one per bound, such as y^2 + x^29*y^2, takes
+# about 4 s to pass the Bezout bound.
 MAX_PARSE_DEGREE = 32
 
 
@@ -284,51 +289,74 @@ def _require_local_equation(f):
         raise ValidationError("local equation must vanish at the origin")
 
 
-def _monomials_below(bound):
-    return [(d - k, k) for d in range(bound) for k in range(d + 1)]
+def _column(i, j):
+    """Index of x^i y^j when monomials are listed by ascending degree."""
+    d = i + j
+    return d * (d + 1) // 2 + j
 
 
-def _quotient_dim(gens, bound):
-    """Dimension of k[x,y] / (ideal + m^bound), plus staircase interiority.
+def _add_row(pivots, row):
+    """Reduce ``row`` on its lowest column against ``pivots`` and keep it.
 
-    Rows are all products (monomial of degree < bound) * generator,
-    truncated below degree ``bound``; the quotient dimension is the number
-    of monomial columns without a pivot.  The staircase is "closed" when no
-    such standard monomial sits at the top truncation degree, i.e. the
-    quotient basis fits strictly inside the window.
+    ``pivots`` maps each pivot column to a sparse primitive row
+    ``{column: int}`` whose lowest column it is; a row that reduces to zero
+    is dropped.
     """
-    mons = _monomials_below(bound)
-    index = {m: k for k, m in enumerate(mons)}
-    ech = IntEchelon(len(mons))
-    for g in gens:
-        if g.is_zero():
-            continue
-        if g.order() >= bound:
-            continue
-        for (mi, mj) in mons:
-            if mi + mj + g.order() >= bound:
-                continue
-            row = [Fraction(0)] * len(mons)
-            nonzero = False
-            for (gi, gj), c in g.terms.items():
-                i, j = gi + mi, gj + mj
-                if i + j < bound:
-                    row[index[(i, j)]] += c
-                    nonzero = True
-            if nonzero:
-                ech.add(int_row(row))
-    standard = [mons[k] for k in range(len(mons)) if k not in ech.pivots]
-    dim = len(standard)
-    closed = all(i + j < bound - 1 for i, j in standard)
-    return dim, closed
+    while row:
+        col = min(row)
+        piv = pivots.get(col)
+        if piv is None:
+            pivots[col] = row
+            return
+        a, b = piv[col], row[col]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        row = {c: a * v for c, v in row.items()}
+        for c, v in piv.items():
+            w = row.get(c, 0) - b * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+        content = gcd(*row.values())
+        if content > 1:
+            row = {c: v // content for c, v in row.items()}
 
 
-def _stable_colength(gens, cap, what):
+def _stable_colength(gens, cap, bezout, what):
+    """Colength of the ideal generated by ``gens`` in the local ring.
+
+    One echelon serves every truncation bound B.  Columns are monomials in
+    ascending degree and rows are the whole products m*g, reduced on their
+    lowest column; the rows added at bound B are those of lowest degree
+    B - 1, so pivots of degree < B never change afterwards and the rank of
+    the truncation below degree B is their number.  Then
+    dim k[x,y]/(I + m^B) = B(B+1)/2 - #pivots(deg < B), and the staircase is
+    closed when every monomial of degree B - 1 is a pivot.  Such a
+    truncated dimension never exceeds the colength, so one above ``bezout``
+    certifies a non-isolated singularity.
+    """
+    gens = [(g.order(), list(zip(g.terms, int_row(list(g.terms.values())))))
+            for g in gens if not g.is_zero()]
+    pivots = {}
+    below = 0
     prev = None
     for bound in range(1, cap + 1):
-        dim, closed = _quotient_dim(gens, bound)
-        if prev is not None and dim == prev and closed:
+        for order, terms in gens:
+            k = bound - 1 - order
+            for b in range(k + 1):
+                _add_row(pivots, {_column(i + k - b, j + b): c for (i, j), c in terms})
+        first = _column(bound - 1, 0)
+        top = sum(col in pivots for col in range(first, first + bound))
+        below += top
+        dim = bound * (bound + 1) // 2 - below
+        if prev is not None and dim == prev and top == bound:
             return dim
+        if dim > bezout:
+            raise NonIsolatedSingularityError(
+                f"{what} did not stabilise: truncated colength {dim} exceeds the "
+                f"Bezout bound (deg f - 1)^2 = {bezout}: the singularity is not "
+                "isolated (the local equation is not reduced)")
         prev = dim
     raise NonIsolatedSingularityError(
         f"{what} did not stabilise below the truncation cap {cap}: "
@@ -343,10 +371,12 @@ def local_invariants(f):
     yields (0, 0).
     """
     _require_local_equation(f)
-    cap = max(2 * f.total_degree() ** 2, 2)
+    degree = f.total_degree()
+    cap = max(2 * degree ** 2, 2)
+    bezout = (degree - 1) ** 2
     fx, fy = f.diff("x"), f.diff("y")
-    mu = _stable_colength([fx, fy], cap, "Milnor number")
-    tau = _stable_colength([f, fx, fy], cap, "Tjurina number")
+    mu = _stable_colength([fx, fy], cap, bezout, "Milnor number")
+    tau = _stable_colength([f, fx, fy], cap, bezout, "Tjurina number")
     return mu, tau
 
 

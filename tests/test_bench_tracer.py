@@ -50,3 +50,23 @@ def test_tracer_records_and_restores():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert not changed
+
+
+def test_bench_tracer_on_curves():
+    before = _bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _ = cli.run(cli.RunConfig(command="curve", output_format="json",
+                                        input_path=str(ROOT / "corpus" / "cusp.json")))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.run", "curves.singularity", "curves.local_invariants",
+            "curves.parse", "curves.branch_count"} <= names
+    assert all(span[2] >= span[1] for span in tracer.spans)
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert not changed

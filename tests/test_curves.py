@@ -2,11 +2,14 @@
 
 Milnor numbers for the binomial family x^a + c y^b are the textbook values
 (a-1)(b-1); the non-quasi-homogeneous example x^4 + y^5 + x^2 y^3 has
-(mu, tau) = (12, 11), cross-checked against an independent truncated-rank
-computation during development.
+(mu, tau) = (12, 11).  The colength engine is checked against two
+references it shares no code with: sympy Groebner bases of I + m^N, and
+the dense truncation loop that rebuilds one matrix per bound.
 """
 
+import random
 import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from logmc import (BranchCountRequiredError, CurveSingularity, LocalPolynomial,
                    csm_minus_chern_curve, delta_from_milnor,
                    difference_class_curve, genus_defect, local_invariants,
                    singularity_from_json, singularity_from_poly)
+from logmc import curves
 from logmc.curves import MAX_PARSE_DEGREE
 
 P = LocalPolynomial.from_string
@@ -276,3 +280,159 @@ def test_singularity_from_json_rejects_incomplete():
         singularity_from_json({"mu": 4, "tau": 3})
     with pytest.raises(ValidationError):
         singularity_from_json(["not", "an", "object"])
+
+
+# --- the colength engine against independent references
+
+def _dense_colength(gens, cap):
+    """Reference: the truncation loop with one dense integer matrix rebuilt
+    for every bound B (rows m*g truncated below degree B), as the engine
+    computed colengths before it kept one echelon for all bounds.  Returns
+    None where the loop reaches the cap without stabilising."""
+    gens = [g for g in gens if not g.is_zero()]
+    prev = None
+    for bound in range(1, cap + 1):
+        mons = [(d - k, k) for d in range(bound) for k in range(d + 1)]
+        index = {m: n for n, m in enumerate(mons)}
+        pivots = {}
+        for g in gens:
+            scale = 1
+            for c in g.terms.values():
+                scale = scale * c.denominator // gcd(scale, c.denominator)
+            for mi, mj in mons:
+                row = [0] * len(mons)
+                for (gi, gj), c in g.terms.items():
+                    if gi + gj + mi + mj < bound:
+                        row[index[gi + mi, gj + mj]] += int(c * scale)
+                while any(row):
+                    col = next(n for n, v in enumerate(row) if v)
+                    piv = pivots.get(col)
+                    if piv is None:
+                        pivots[col] = row
+                        break
+                    a, b = piv[col], row[col]
+                    row = [a * r - b * p for r, p in zip(row, piv)]
+                    content = 0
+                    for v in row:
+                        content = gcd(content, v)
+                    if content > 1:
+                        row = [v // content for v in row]
+        standard = [m for n, m in enumerate(mons) if n not in pivots]
+        if (prev is not None and len(standard) == prev
+                and all(i + j < bound - 1 for i, j in standard)):
+            return len(standard)
+        prev = len(standard)
+    return None
+
+
+def _dense_invariants(f, cap):
+    fx, fy = f.diff("x"), f.diff("y")
+    mu = _dense_colength([fx, fy], cap)
+    if mu is None:
+        return None
+    return mu, _dense_colength([f, fx, fy], cap)
+
+
+def _engine_invariants(f):
+    try:
+        return local_invariants(f)
+    except NonIsolatedSingularityError:
+        return None
+
+
+def _random_germ(rng):
+    degree = rng.randint(2, 4)
+    f = LocalPolynomial.zero()
+    for n in range(rng.randint(1, 4)):
+        k = degree if n == 0 else rng.randint(2, degree)
+        i = rng.randint(0, k)
+        f = f + LocalPolynomial({(i, k - i): rng.choice((-3, -2, -1, 1, 2, 3))})
+    if rng.random() < 0.3:  # a coordinate change spreads the support
+        f = f.substitute_linear(1, rng.choice((-2, -1, 1, 2)), 0, 1)
+    return f
+
+
+def test_engine_matches_dense_truncation_on_random_germs():
+    # An isolated germ of colength mu meets the stopping rule by B = mu + 1
+    # <= (d - 1)^2 + 1, so at degree 4 the reference runs with the cap
+    # (d - 1)^2 + 2 in place of 2*d^2 (the same answers; a refusal at the
+    # full cap takes seconds there).  Below degree 4 it runs with 2*d^2.
+    rng = random.Random(20161)
+    outcomes = set()
+    for _ in range(90):
+        f = _random_germ(rng)
+        if f.is_zero():
+            continue
+        d = f.total_degree()
+        cap = 2 * d * d if d <= 3 else (d - 1) ** 2 + 2
+        expected = _dense_invariants(f, cap)
+        outcomes.add((d, expected is None))
+        assert _engine_invariants(f) == expected, str(f)
+    assert outcomes == {(d, refused) for d in (2, 3, 4) for refused in (False, True)}
+
+
+def test_engine_matches_dense_truncation_on_hand_picked_germs():
+    for text in ("x^4 + y^5 + x^2*y^3", "x*y*(x+y)*(x-y)", "x^2*y + y^6",
+                 "x^3 + x*y^3", "y^2", "x*y^2", "x*(x-y)^2", "x^2*y"):
+        f = P(text)
+        d = f.total_degree()
+        assert _engine_invariants(f) == _dense_invariants(f, max(2 * d * d, 2)), text
+    moved = P("x^3 + y^7 + x*y^5").substitute_linear(1, 2, 0, 1)
+    assert _engine_invariants(moved) == _dense_invariants(moved, 38) == (12, 11)
+
+
+def _groebner_colength(gens, n):
+    """dim k[x,y]/(gens + m^n) as the number of standard monomials of a
+    sympy Groebner basis; equal to the local colength once m^n lies in the
+    ideal of the local ring."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    exprs = [sum(int(c) * x ** i * y ** j for (i, j), c in g.terms.items())
+             for g in gens if not g.is_zero()]
+    exprs += [x ** i * y ** (n - i) for i in range(n + 1)]
+    basis = sympy.groebner(exprs, x, y, order="grevlex")
+    leads = [sympy.Poly(g, x, y).monoms(order="grevlex")[0] for g in basis.exprs]
+    return sum(1 for d in range(n) for j in range(d + 1)
+               if not any(d - j >= a and j >= b for a, b in leads))
+
+
+def test_engine_matches_groebner_oracle():
+    pytest.importorskip("sympy")
+    germs = [f"x^2 + y^{k + 1}" for k in range(1, 7)]                      # A_k
+    germs += [f"x^2*y + y^{k - 1}" for k in range(4, 8)]                   # D_k
+    germs += ["x^3 + y^4", "x^3 + x*y^3", "x^3 + y^5"]                     # E_6..E_8
+    germs += [f"x^{a} {s} y^{b}" for a in range(2, 7) for b in (a, a + 1)
+              for s in "+-"]
+    germs += ["x^3 + y^7 + x*y^5", "x^4 + y^5 + x^2*y^3"]                  # E12, W12
+    for text in germs:
+        f = P(text)
+        # mu <= (d - 1)^2 by Bezout and m^mu lies in any ideal of colength
+        # mu, so m^n does for this n
+        n = (f.total_degree() - 1) ** 2 + 2
+        fx, fy = f.diff("x"), f.diff("y")
+        expected = (_groebner_colength([fx, fy], n), _groebner_colength([f, fx, fy], n))
+        assert local_invariants(f) == expected, text
+
+
+@pytest.mark.parametrize("text", ["x^2*y^2", "y^2 + x^3*y^2", "x*y^2*(x+y)"])
+def test_non_isolated_degree_four_refused_early(text, monkeypatch):
+    rows = []
+    add_row = curves._add_row
+
+    def counting(pivots, row):
+        rows.append(row)
+        add_row(pivots, row)
+    monkeypatch.setattr(curves, "_add_row", counting)
+    f = P(text)
+    d = f.total_degree()
+    with pytest.raises(NonIsolatedSingularityError,
+                       match=rf"did not stabilise: .* exceeds the Bezout bound .* = {(d - 1) ** 2}"):
+        local_invariants(f)
+    # a non-isolated germ has a truncated dimension of at least B at every
+    # bound B, so the exit fires by B = (d - 1)^2 + 1; a run to the cap
+    # 2*d^2 adds many times the rows
+    gens = [g for g in (f.diff("x"), f.diff("y")) if not g.is_zero()]
+
+    def rows_through(bound):
+        return sum(k * (k + 1) // 2 for k in (max(bound - g.order(), 0) for g in gens))
+    assert 0 < len(rows) <= rows_through((d - 1) ** 2 + 1) < rows_through(2 * d * d) // 3
