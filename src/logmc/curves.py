@@ -14,12 +14,12 @@ The module computes mu and tau as colengths of the Jacobian ideals
 (f_x, f_y) and (f, f_x, f_y) in the local ring at the origin, by exact
 linear algebra on monomials below a truncation bound B, one integer echelon
 growing with B (Greuel-Pfister, *A Singular Introduction to Commutative
-Algebra*, 1.7).  B grows until two consecutive quotient dimensions agree
-and the monomial staircase of the quotient sits strictly inside the
-truncation window; a Krull-type argument makes that stopping rule exact.
+Algebra*, 1.7).  B grows until the monomial staircase of the quotient
+closes strictly inside the truncation window, which also makes the last two
+quotient dimensions agree; Nakayama's lemma makes that stopping rule exact.
 An isolated germ has tau <= mu <= (deg f - 1)^2 by Bezout, so a truncated
-dimension above that bound certifies a non-isolated singularity at once;
-the cap 2*deg(f)^2 on B stays as a backstop.
+dimension above that bound certifies a non-isolated singularity at once,
+and one of the two exits is reached by B = (deg f - 1)^2 + 1.
 
 Branch counts are computed only where elementary arguments are rigorous:
 two-term equations x^a + c y^b (gcd(a, b) branches) and squarefree
@@ -323,7 +323,7 @@ def _add_row(pivots, row):
             row = {c: v // content for c, v in row.items()}
 
 
-def _stable_colength(gens, cap, bezout, what):
+def _stable_colength(gens, bezout, what):
     """Colength of the ideal generated by ``gens`` in the local ring.
 
     One echelon serves every truncation bound B.  Columns are monomials in
@@ -331,17 +331,21 @@ def _stable_colength(gens, cap, bezout, what):
     lowest column; the rows added at bound B are those of lowest degree
     B - 1, so pivots of degree < B never change afterwards and the rank of
     the truncation below degree B is their number.  Then
-    dim k[x,y]/(I + m^B) = B(B+1)/2 - #pivots(deg < B), and the staircase is
-    closed when every monomial of degree B - 1 is a pivot.  Such a
+    dim_B = dim k[x,y]/(I + m^B) = B(B+1)/2 - #pivots(deg < B).
+
+    The staircase is closed at B when every monomial of degree B - 1 is a
+    pivot, i.e. m^(B-1) lies in I + m^B; Nakayama then puts m^(B-1) in I,
+    so dim_B = dim_(B-1) is the colength and the closed staircase alone is
+    the exact stopping rule.  A colength c closes it by B = c + 1.  A
     truncated dimension never exceeds the colength, so one above ``bezout``
-    certifies a non-isolated singularity.
+    certifies a non-isolated singularity; such a germ has dim_B >= B, so
+    that exit fires by B = bezout + 1.
     """
     gens = [(g.order(), list(zip(g.terms, int_row(list(g.terms.values())))))
             for g in gens if not g.is_zero()]
     pivots = {}
     below = 0
-    prev = None
-    for bound in range(1, cap + 1):
+    for bound in range(1, bezout + 2):
         for order, terms in gens:
             k = bound - 1 - order
             for b in range(k + 1):
@@ -350,17 +354,14 @@ def _stable_colength(gens, cap, bezout, what):
         top = sum(col in pivots for col in range(first, first + bound))
         below += top
         dim = bound * (bound + 1) // 2 - below
-        if prev is not None and dim == prev and top == bound:
+        if top == bound:
             return dim
         if dim > bezout:
-            raise NonIsolatedSingularityError(
-                f"{what} did not stabilise: truncated colength {dim} exceeds the "
-                f"Bezout bound (deg f - 1)^2 = {bezout}: the singularity is not "
-                "isolated (the local equation is not reduced)")
-        prev = dim
+            break
     raise NonIsolatedSingularityError(
-        f"{what} did not stabilise below the truncation cap {cap}: "
-        "the singularity is not isolated (the local equation is not reduced)")
+        f"{what} did not stabilise: truncated colength {dim} exceeds the "
+        f"Bezout bound (deg f - 1)^2 = {bezout}: the singularity is not "
+        "isolated (the local equation is not reduced)")
 
 
 def local_invariants(f):
@@ -371,12 +372,10 @@ def local_invariants(f):
     yields (0, 0).
     """
     _require_local_equation(f)
-    degree = f.total_degree()
-    cap = max(2 * degree ** 2, 2)
-    bezout = (degree - 1) ** 2
+    bezout = (f.total_degree() - 1) ** 2
     fx, fy = f.diff("x"), f.diff("y")
-    mu = _stable_colength([fx, fy], cap, bezout, "Milnor number")
-    tau = _stable_colength([f, fx, fy], cap, bezout, "Tjurina number")
+    mu = _stable_colength([fx, fy], bezout, "Milnor number")
+    tau = _stable_colength([f, fx, fy], bezout, "Tjurina number")
     return mu, tau
 
 
