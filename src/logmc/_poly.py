@@ -3,13 +3,34 @@
 ``_Truncated`` is the arithmetic of a ring of classes on projective n-space
 stored as n+1 coefficients in a fixed basis; a subclass supplies the ring's
 relation.  ``_YPoly`` is a polynomial in y over such a ring.  ``deflate`` is
-the one synthetic division in the package and ``render`` the one renderer
-of polynomial text.
+the one synthetic division in the package, ``render`` the one renderer
+of polynomial text and ``exact_scalar`` the one check that an input number
+is exact.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import ValidationError
+
+
+def exact_scalar(v, rational=False):
+    """``v`` as an int, or as a Fraction when ``rational`` is true.
+
+    A float is refused even when its value is whole, and so is any value
+    the conversion would change (1.9 or Fraction(1, 2) as an int), so no
+    input is silently rounded.
+    """
+    if isinstance(v, float):
+        raise ValidationError(f"inexact number {v!r}: floats are not accepted")
+    try:
+        exact = Fraction(v) if rational else int(v)
+    except (TypeError, ValueError):
+        raise ValidationError(f"not a number: {v!r}") from None
+    if not rational and exact != v:
+        raise ValidationError(f"{v!r} is not an integer")
+    return exact
 
 
 class _Truncated:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._linalg import IntEchelon, _strip_content, int_row, rref
-from ._poly import deflate, power, render
+from ._poly import deflate, exact_scalar, power, render
 from .errors import InconsistencyError, ValidationError
 
 
@@ -43,7 +43,7 @@ class Arrangement:
         normalized = []
         seen = {}
         for i, form in enumerate(forms):
-            row = tuple(int(v) for v in form)
+            row = tuple(exact_scalar(v) for v in form)
             if len(row) != ambient_dim:
                 raise ValidationError(
                     f"form {i} has {len(row)} coefficients, expected {ambient_dim}")
@@ -293,7 +293,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = [int(v) for v in coeffs]
+        c = [exact_scalar(v) for v in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)

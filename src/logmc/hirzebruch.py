@@ -20,20 +20,35 @@ The pipeline for a K-theory polynomial p(y):
 Step 3 makes "the normalised class is an honest polynomial in y" a tested
 statement rather than an assumption; the classical limit argument for
 y -> -1 is subsumed by exact division.
+
+Steps 1-3 compute on integers.  The h^j component of a CohPoly is a
+polynomial in y with rational coefficients; each step writes it as integer
+numerators over one denominator (the lcm of its denominators, or m! times
+the Todd denominator for the h^m column of step 1), multiplies or divides
+the numerators by (1+y) and forms Fractions only for the result.  Division
+by the monic 1+y keeps the numerators integral, and its remainder over the
+same denominator is the rational remainder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import factorial, lcm
+from operator import mul
 
-from ._poly import _Truncated, _YPoly, deflate
+from ._poly import _Truncated, _YPoly, deflate, exact_scalar
 from .errors import DivisionRemainderError, ValidationError
 
 
+_ZERO = Fraction(0)
+
+
 def _truncate(coeffs, n):
-    c = [Fraction(v) for v in coeffs[:n + 1]]
-    c.extend([Fraction(0)] * (n + 1 - len(c)))
+    # integer zeros, such as the padding of from_columns, share one Fraction
+    c = [v if type(v) is Fraction else _ZERO if type(v) is int and not v
+         else exact_scalar(v, rational=True) for v in coeffs[:n + 1]]
+    c.extend([_ZERO] * (n + 1 - len(c)))
     return tuple(c)
 
 
@@ -90,23 +105,33 @@ class CohPoly(_YPoly):
         return f"CohPoly(n={self.n}, y_degree={self.y_degree}, delta={self.delta})"
 
 
+def _chern_numerators(coeffs, n):
+    """A_j = sum_k a_k (-k)^j for j = 0..n, so ch(sum_k a_k s^k) = sum_j A_j/j! h^j."""
+    terms = list(coeffs)
+    steps = [-k for k in range(len(terms))]
+    out = []
+    for _ in range(n + 1):
+        out.append(sum(terms))
+        terms = list(map(mul, terms, steps))
+    return out
+
+
 def chern_character(c):
     """Chern character of a KClass: the ring map determined by s -> e^{-h}.
 
     It is linear in the s-power basis: s^k maps to e^{-kh}, so the h^j
     coefficient of ch(sum_k a_k s^k) is (-1)^j/j! * sum_k a_k k^j.
     """
-    return CohClass(c.n, [
-        Fraction((-1) ** j * sum(a * k ** j for k, a in enumerate(c.coeffs) if a),
-                 factorial(j))
-        for j in range(c.n + 1)])
+    return CohClass(c.n, [Fraction(a, factorial(j))
+                          for j, a in enumerate(_chern_numerators(c.coeffs, c.n))])
 
 
+@lru_cache(maxsize=64)
 def todd_class(n):
     """Todd class of the tangent bundle of P^n: (h/(1-e^{-h}))^{n+1}.
 
     1 - e^{-h} = h * sum_j (-1)^j h^j/(j+1)!, so the base series is the
-    exact reciprocal of that sum.
+    exact reciprocal of that sum.  The class is computed once per n.
     """
     denom = [Fraction((-1) ** j, factorial(j + 1)) for j in range(n + 1)]
     inv = [Fraction(0)] * (n + 1)
@@ -116,21 +141,35 @@ def todd_class(n):
     return CohClass(n, inv) ** (n + 1)
 
 
+def _over_lcm(values):
+    """Integer numerators of the Fractions ``values`` over the lcm of their denominators."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _fractions(nums, den):
+    """The Fractions nums[i]/den, the inverse of ``_over_lcm``."""
+    return [Fraction(v, den) if v else _ZERO for v in nums]
+
+
 def grr_transform(p):
-    """Chern character coefficientwise in y, times the Todd class of P^n."""
-    td = todd_class(p.n)
-    return CohPoly(p.n, [chern_character(c) * td for c in p.coeffs], delta=0)
+    """Chern character coefficientwise in y, times the Todd class of P^n.
 
-
-def _y_mul_binomial(col, j):
-    """Multiply a y-polynomial (list of Fractions) by (1+y)^j."""
-    out = [Fraction(0)] * (len(col) + j)
-    for k, a in enumerate(col):
-        if not a:
-            continue
-        for i in range(j + 1):
-            out[k + i] += a * comb(j, i)
-    return out
+    With ch(c) = sum_j A_j/j! h^j and td = sum_i T_i/D h^i, the h^m
+    coefficient of ch(c)*td is sum_j A_j T_{m-j} (m!/j!) over m! D.
+    """
+    n = p.n
+    todd, den = _over_lcm(todd_class(n).coeffs)
+    facts = [factorial(m) for m in range(n + 1)]
+    weights = [[todd[m - j] * (facts[m] // facts[j]) for j in range(m + 1)]
+               for m in range(n + 1)]
+    denoms = [f * den for f in facts]
+    rows = []
+    for c in p.coeffs:
+        chern = _chern_numerators(c.coeffs, n)
+        rows.append(CohClass(n, [Fraction(sum(map(mul, chern, w)), d)
+                                 for w, d in zip(weights, denoms)]))
+    return CohPoly(n, rows, delta=0)
 
 
 def normalize(p):
@@ -144,7 +183,12 @@ def normalize(p):
         raise ValidationError("normalize expects a plain polynomial (delta = 0)")
     if p.is_zero():
         return CohPoly(p.n, (), delta=p.n)
-    cols = [_y_mul_binomial(col, j) for j, col in enumerate(p.columns())]
+    cols = []
+    for j, col in enumerate(p.columns()):
+        nums, den = _over_lcm(col)
+        for _ in range(j):
+            nums = [a + b for a, b in zip(nums + [0], [0] + nums)]
+        cols.append(_fractions(nums, den))
     return CohPoly.from_columns(p.n, cols, delta=p.n)
 
 
@@ -159,13 +203,14 @@ def clear_denominator(p):
         return p
     out = []
     for j, col in enumerate(p.columns()):
+        nums, den = _over_lcm(col)
         for _ in range(p.delta):
-            col, rem = deflate(col, -1)
+            nums, rem = deflate(nums, -1)
             if rem != 0:
                 raise DivisionRemainderError(
                     f"h^{j} component is not divisible by (1+y)^{p.delta}",
-                    remainder=rem)
-        out.append(col)
+                    remainder=Fraction(rem, den))
+        out.append(_fractions(nums, den))
     return CohPoly.from_columns(p.n, out)
 
 
@@ -184,7 +229,7 @@ def chern_class_free_exponents(exps, n):
     complement when the cone splits with the given exponents."""
     result = CohClass.one(n)
     for e in exps:
-        result = result * CohClass(n, (1, 1 - int(e)))
+        result = result * CohClass(n, (1, 1 - exact_scalar(e)))
     return result
 
 

@@ -3,8 +3,11 @@
 The group of coherent-sheaf classes on P^n is Z[s]/((1-s)^{n+1}) with
 s = [O(-1)]; a ``KClass`` is the reduced representative in the s-power
 basis.  A ``KPoly`` is a polynomial in the parameter y with KClass
-coefficients.  On top of this the module computes, for a central
-arrangement with intersection lattice L and characteristic polynomial chi:
+coefficients.  A product of two KPolys is formed one y-row at a time: the
+row's integer convolutions in s are summed unreduced, and the sum is
+reduced modulo the relation once, since the reduction is linear.  On top
+of this the module computes, for a central arrangement with intersection
+lattice L and characteristic polynomial chi:
 
   * the motivic Chern class of the arrangement complement, via the lattice
     sum  sum_x mobius(x) (1-s)^{n-dim(x)+1} (1+sy)^{dim(x)} / (1+y),
@@ -23,24 +26,30 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
-from ._poly import _Truncated, _YPoly, deflate
+from ._poly import _Truncated, _YPoly, deflate, exact_scalar
 from .arrangement import (IntersectionLattice, IntPolynomial,
                           characteristic_polynomial)
 from .errors import DivisionRemainderError, ValidationError
 
 
+@lru_cache(maxsize=64)
+def _relation_row(n):
+    """Coefficients of (s-1)^{n+1} in ascending degree."""
+    return tuple(comb(n + 1, k) * (-1) ** (n + 1 - k) for k in range(n + 2))
+
+
 def _reduce_mod_relation(coeffs, n):
     """Remainder of an integer polynomial in s modulo (s-1)^{n+1}."""
-    rel = [comb(n + 1, k) * (-1) ** (n + 1 - k) for k in range(n + 2)]
-    c = [int(v) for v in coeffs]
+    rel = _relation_row(n)
+    c = [v if type(v) is int else exact_scalar(v) for v in coeffs]
     for d in range(len(c) - 1, n, -1):
         lead = c[d]
         if lead:
             base = d - (n + 1)
-            for k in range(n + 2):
-                c[base + k] -= lead * rel[k]
+            c[base:d + 1] = [a - lead * b for a, b in zip(c[base:d + 1], rel)]
     c = c[:n + 1]
     c.extend([0] * (n + 1 - len(c)))
     return tuple(c)
@@ -111,11 +120,21 @@ class KPoly(_YPoly):
         self._check(other)
         if self.is_zero() or other.is_zero():
             return KPoly.zero(self.n)
-        prod = [KClass.zero(self.n) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] = prod[i + j] + a * b
-        return KPoly(self.n, prod)
+        n = self.n
+        xs = [c.coeffs for c in self.coeffs]
+        # the nonzero (s-degree, coefficient) pairs of each y-row of other
+        ys = [[(q, v) for q, v in enumerate(c.coeffs) if v] for c in other.coeffs]
+        rows = []
+        for r in range(len(xs) + len(ys) - 1):
+            acc = [0] * (2 * n + 1)
+            for i in range(max(0, r - len(ys) + 1), min(r, len(xs) - 1) + 1):
+                b = ys[r - i]
+                for p, u in enumerate(xs[i]):
+                    if u:
+                        for q, v in b:
+                            acc[p + q] += u * v
+            rows.append(KClass(n, acc))
+        return KPoly(n, rows)
 
     __rmul__ = __mul__
 
@@ -203,22 +222,27 @@ def mc_complement_charpoly(chi, n):
 
     Evaluates the homogenised substitution
     sum_j chi_j (1+sy)^j (1-s)^{n+1-j}, then divides exactly by (1+y).
+    Its y^p row is s^p sum_{j>=p} chi_j C(j, p) (1-s)^{n+1-j}, an integer
+    polynomial of degree at most n+1 in s.
     """
     if chi.degree != n + 1:
         raise ValidationError(
             f"characteristic polynomial has degree {chi.degree}, expected {n + 1}")
-    one_minus_s = KClass(n, (1, -1))
-    total = KPoly.zero(n)
-    for j, c in enumerate(chi.coeffs):
-        if c == 0:
-            continue
-        term = _one_plus_sy_power(j, n) * (one_minus_s ** (n + 1 - j)) * c
-        total = total + term
-    return exact_div_one_plus_y(total)
+    one_minus_s = [[comb(m, k) * (-1) ** k for k in range(m + 1)] for m in range(n + 2)]
+    rows = []
+    for p in range(n + 2):
+        acc = [0] * (n + 2)
+        for j in range(p, n + 2):
+            w = chi.coeffs[j] * comb(j, p)
+            if w:
+                for k, b in enumerate(one_minus_s[n + 1 - j], p):
+                    acc[k] += w * b
+        rows.append(KClass(n, acc))
+    return exact_div_one_plus_y(KPoly(n, rows))
 
 
 def _validate_exponents(exps, n):
-    exps = tuple(sorted(int(e) for e in exps))
+    exps = tuple(sorted(exact_scalar(e) for e in exps))
     if len(exps) != n + 1:
         raise ValidationError(
             f"expected {n + 1} exponents for a cone over P^{n}, got {len(exps)}")

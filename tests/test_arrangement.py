@@ -340,6 +340,24 @@ def test_rejects_zero_form():
         Arrangement(3, [(1, 0, 0), (0, 0, 0)])
 
 
+def test_rejects_inexact_coefficients():
+    with pytest.raises(ValidationError, match="floats"):
+        Arrangement(2, [(1, 0.5), (0, 1)])
+    with pytest.raises(ValidationError, match="floats"):
+        Arrangement(2, [(1, 0), (0, 2.0)])
+    with pytest.raises(ValidationError, match="not an integer"):
+        Arrangement(2, [(1, 0), (Fraction(1, 2), 1)])
+    assert Arrangement(2, [(Fraction(2), 0), (0, 1)]).forms == ((1, 0), (0, 1))
+
+
+def test_int_polynomial_rejects_inexact_coefficients():
+    with pytest.raises(ValidationError, match="floats"):
+        IntPolynomial([1, 1.5])
+    with pytest.raises(ValidationError, match="not an integer"):
+        IntPolynomial([Fraction(1, 3), 1])
+    assert IntPolynomial([Fraction(6, 3), 1]).coeffs == (2, 1)
+
+
 def test_rejects_proportional_forms():
     with pytest.raises(ValidationError, match="form 1 is proportional to form 0"):
         Arrangement(3, [(1, -1, 0), (-2, 2, 0)])

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmc import (Arrangement, CohClass, CohPoly, DivisionRemainderError,
+                   ValidationError,
                    KClass, KPoly, build_lattice, chern_character, chern_class_free_exponents,
                    clear_denominator, cohclass_from_json, cohclass_to_json,
                    cohpoly_from_json, cohpoly_to_json, csm_at_minus_one,
@@ -129,8 +130,40 @@ def test_clear_denominator_exact():
 
 def test_clear_denominator_failure():
     p = CohPoly(1, (CohClass(1, (1, 0)), CohClass(1, (0, 1))), delta=1)
-    with pytest.raises(DivisionRemainderError):
+    with pytest.raises(DivisionRemainderError) as info:
         clear_denominator(p)
+    assert str(info.value) == "h^0 component is not divisible by (1+y)^1"
+    assert type(info.value.remainder) is Fraction
+    assert info.value.remainder == 1
+    assert info.value.details == {"remainder": "Fraction(1, 1)"}
+
+
+def test_clear_denominator_failure_remainder_over_column_denominator():
+    # h^1 column 1/2 + 1/3 y is 3/6 + 2/6 y: the value at y = -1 is 1/6
+    p = CohPoly(1, (CohClass(1, (0, F(1, 2))), CohClass(1, (0, F(1, 3)))), delta=2)
+    with pytest.raises(DivisionRemainderError) as info:
+        clear_denominator(p)
+    assert str(info.value) == "h^1 component is not divisible by (1+y)^2"
+    assert info.value.remainder == F(1, 6)
+    assert info.value.details == {"remainder": "Fraction(1, 6)"}
+
+
+def test_cohclass_refuses_floats():
+    with pytest.raises(ValidationError, match="floats"):
+        CohClass(1, [0.1, 1])
+    with pytest.raises(ValidationError, match="floats"):
+        CohClass(1, [F(1, 2), 1.0])
+    with pytest.raises(ValidationError, match="not a number"):
+        CohClass(1, [None])
+    assert CohClass(1, [F(1, 10), 1]).coeffs == (F(1, 10), F(1))
+
+
+def test_chern_product_refuses_inexact_exponents():
+    with pytest.raises(ValidationError, match="floats"):
+        chern_class_free_exponents([1, 2.5], 1)
+    with pytest.raises(ValidationError, match="not an integer"):
+        chern_class_free_exponents([1, F(5, 2)], 1)
+    assert chern_class_free_exponents([1, F(4, 2)], 1) == chern_class_free_exponents([1, 2], 1)
 
 
 def test_hirzebruch_class_of_line():

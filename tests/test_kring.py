@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -237,6 +238,30 @@ def test_validate_exponents():
         mc_free_exponents((1, 2), 2)
     with pytest.raises(ValidationError, match="positive"):
         log_class_free((0, 1, 2), 2)
+
+
+def test_kclass_refuses_inexact_coefficients():
+    # int() would truncate these to [0, 1, 1]
+    with pytest.raises(ValidationError, match="not an integer"):
+        KClass(2, [Fraction(1, 2), 1, True])
+    with pytest.raises(ValidationError, match="floats"):
+        KClass(2, [0, 1.9, True])
+    with pytest.raises(ValidationError, match="floats"):
+        KClass(2, [1.0])
+    with pytest.raises(ValidationError, match="not a number"):
+        KClass(2, [None])
+    assert KClass(2, [Fraction(4, 2), 3, True]).coeffs == (2, 3, 1)
+
+
+def test_exponents_refuse_inexact_values():
+    for func in (log_class_free, mc_free_exponents):
+        with pytest.raises(ValidationError, match="floats"):
+            func([1, 2.7, 3], 2)
+        with pytest.raises(ValidationError, match="floats"):
+            func([1, 2.0, 3], 2)
+        with pytest.raises(ValidationError, match="not an integer"):
+            func([1, Fraction(5, 2), 3], 2)
+        assert func([1, Fraction(4, 2), 3], 2) == func([1, 2, 3], 2)
 
 
 def test_division_always_exact_on_random_inputs():
