@@ -131,6 +131,8 @@ class _YPoly:
     _ring = None
 
     def __init__(self, n, coeffs=()):
+        if n < 0:
+            raise ValidationError("projective dimension must be >= 0")
         coeffs = list(coeffs)
         for c in coeffs:
             if c.n != n:
@@ -144,6 +146,11 @@ class _YPoly:
     @classmethod
     def zero(cls, n):
         return cls(n)
+
+    def _check(self, other):
+        if self.n != other.n:
+            raise ValidationError(
+                f"{type(self).__name__} operands live on different projective spaces")
 
     @property
     def y_degree(self):

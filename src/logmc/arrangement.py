@@ -170,26 +170,24 @@ class IntersectionLattice:
     """Intersection lattice of a central arrangement.
 
     ``nodes`` are sorted by (descending dimension, lexicographic matrix
-    order); ``mobius[i]`` is the Möbius value of ``nodes[i]``.  ``masks[i]``,
-    when given, is the bitmask of the hyperplanes containing ``nodes[i]``
-    (bit k for form k), which turns the order relation into a mask test.
+    order); ``mobius[i]`` is the Möbius value of ``nodes[i]``.  ``masks[i]``
+    is the bitmask of the hyperplanes containing ``nodes[i]`` (bit k for
+    form k), which turns the order relation into a mask test.
     """
 
     __slots__ = ("ambient_dim", "nodes", "mobius", "masks")
 
-    def __init__(self, ambient_dim, nodes, mobius, masks=None):
+    def __init__(self, ambient_dim, nodes, mobius, masks):
         self.ambient_dim = ambient_dim
         self.nodes = tuple(nodes)
         self.mobius = tuple(mobius)
-        self.masks = None if masks is None else tuple(masks)
+        self.masks = tuple(masks)
 
     def __len__(self):
         return len(self.nodes)
 
     def contains(self, i, j):
         """Order relation: node i contains node j as point sets."""
-        if self.masks is None:
-            return self.nodes[i].contains(self.nodes[j])
         # every hyperplane through node i also passes through node j
         return not self.masks[i] & ~self.masks[j]
 
@@ -274,8 +272,7 @@ def _render(width, flats, mobius):
                     value = fractions[v, lead] = Fraction(v, lead)
                 entries.append(value)
             matrix.append(tuple(entries))
-        node = nodes[mask] = Subspace(width, tuple(matrix))
-        node._ech = ech
+        nodes[mask] = Subspace(width, tuple(matrix))
     order = sorted(nodes, key=lambda mask: nodes[mask].sort_key())
     return IntersectionLattice(width, [nodes[mask] for mask in order],
                                [mobius[mask] for mask in order], order)

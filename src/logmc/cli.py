@@ -36,6 +36,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import arrangement as arrmod
 from . import curves as curvemod
@@ -47,8 +48,6 @@ from .errors import InconsistencyError, ValidationError
 TERAO_NOTE = ("candidate exponents only: a split characteristic polynomial does not "
               "certify freeness; a non-split one certifies the cone is not free "
               "with integer exponents")
-
-_ROUTE_ORDER = ("lattice", "charpoly", "exponents")
 
 # Default of LOGMC_MAX_LATTICE: admits the braid arrangement on 9 points
 # (21147 flats); README.md records the measured build time at the cap.
@@ -159,51 +158,68 @@ def _read_file(path):
         raise ValidationError(f"cannot read {path}: {e}") from None
 
 
-def _resolve_exponents(arr, chi, config):
-    """Candidate exponents from an override or a Terao split; None if absent.
+class _Input:
+    """One arrangement and its run configuration.
 
-    A nonpositive-root inconsistency (non-essential arrangement) counts as
-    "no usable exponent data" here; the ``exponents`` command itself still
-    reports it.
+    The lattice, chi and candidate exponents are derived on first use and
+    kept, so each is computed at most once per run and only when read.
     """
-    if config.exponents_override is not None:
-        return tuple(sorted(config.exponents_override))
-    try:
-        result = arrmod.exponents_via_terao(chi)
-    except InconsistencyError:
+
+    def __init__(self, arr, config):
+        self.arr = arr
+        self.config = config
+        self.n = arr.ambient_dim - 1
+        self.json_basis = config.basis or "s"
+        self.text_basis = config.basis or "one_minus_s"
+
+    @cached_property
+    def lattice(self):
+        return arrmod.build_lattice(self.arr, max_nodes=self.config.max_lattice_nodes)
+
+    @cached_property
+    def chi(self):
+        return arrmod.characteristic_polynomial(self.lattice)
+
+    @cached_property
+    def exponents(self):
+        """Candidate exponents from an override or a Terao split; None if absent.
+
+        A nonpositive-root inconsistency (non-essential arrangement) counts as
+        "no usable exponent data" here; the ``exponents`` command itself still
+        reports it.
+        """
+        if self.config.exponents_override is not None:
+            return tuple(sorted(self.config.exponents_override))
+        try:
+            result = arrmod.exponents_via_terao(self.chi)
+        except InconsistencyError:
+            return None
+        if result.splits and result.exponents and 1 in result.exponents:
+            return result.exponents
         return None
-    if result.splits and result.exponents and 1 in result.exponents:
-        return result.exponents
-    return None
+
+    def required_exponents(self):
+        if self.exponents is None:
+            raise ValidationError("no exponent data: characteristic polynomial does not "
+                                  "split usably and no --exponents override was given")
+        return self.exponents
 
 
-def _lattice_chi_exponents(arr, config, lattice_needed=None):
-    """Lattice, chi and candidate exponents of ``arr``.
+def _mc_routes(inp):
+    """Requested motivic Chern class routes, cross-checked for agreement.
 
-    An exponent override leaves chi unused.  When the caller needs no
-    lattice either (by default: unless only the exponent route runs), the
-    lattice and chi are not built and come back as None.
+    The dict is filled in the order lattice, charpoly, exponents, so its
+    first value is the preferred one.
     """
-    if lattice_needed is None:
-        lattice_needed = config.mc_route != "exponents"
-    if config.exponents_override is not None and not lattice_needed:
-        return None, None, _resolve_exponents(arr, None, config)
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
-    chi = arrmod.characteristic_polynomial(lat)
-    return lat, chi, _resolve_exponents(arr, chi, config)
-
-
-def _mc_routes(n, lat, chi, exps, config):
-    """Requested motivic Chern class routes, cross-checked for agreement."""
-    route = config.mc_route
+    route = inp.config.mc_route
     routes = {}
     if route in ("lattice", "all"):
-        routes["lattice"] = kring.mc_complement_lattice_sum(lat)
+        routes["lattice"] = kring.mc_complement_lattice_sum(inp.lattice)
     if route in ("charpoly", "all"):
-        routes["charpoly"] = kring.mc_complement_charpoly(chi, n)
+        routes["charpoly"] = kring.mc_complement_charpoly(inp.chi, inp.n)
     if route in ("exponents", "all"):
-        if exps is not None:
-            routes["exponents"] = kring.mc_free_exponents(exps, n)
+        if inp.exponents is not None:
+            routes["exponents"] = kring.mc_free_exponents(inp.exponents, inp.n)
         elif route == "exponents":
             raise ValidationError(
                 "mc route 'exponents' needs exponent data: the characteristic "
@@ -216,15 +232,13 @@ def _mc_routes(n, lat, chi, exps, config):
     return routes
 
 
-def _mc_value(routes):
-    for name in _ROUTE_ORDER:
-        if name in routes:
-            return routes[name]
-    raise ValidationError("no motivic Chern class route available")
+def _mc_value(inp):
+    """The motivic Chern class from the first requested route."""
+    return next(iter(_mc_routes(inp).values()))
 
 
-def _cmd_lattice(arr, config):
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
+def _cmd_lattice(inp):
+    lat = inp.lattice
     nodes = []
     lines = [f"ambient_dim {lat.ambient_dim}, {len(lat)} nodes"]
     for node, mu in zip(lat.nodes, lat.mobius):
@@ -236,17 +250,14 @@ def _cmd_lattice(arr, config):
     return payload, lines
 
 
-def _cmd_charpoly(arr, config):
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
-    chi = arrmod.characteristic_polynomial(lat)
+def _cmd_charpoly(inp):
+    chi = inp.chi
     payload = {"coefficients": list(chi.coeffs), "rendered": str(chi)}
     return payload, [str(chi)]
 
 
-def _cmd_exponents(arr, config):
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
-    chi = arrmod.characteristic_polynomial(lat)
-    result = arrmod.exponents_via_terao(chi)
+def _cmd_exponents(inp):
+    result = arrmod.exponents_via_terao(inp.chi)
     if result.splits:
         payload = {"splits": True, "exponents": list(result.exponents)}
         lines = [_exponents_str(result.exponents), f"note: {TERAO_NOTE}"]
@@ -259,63 +270,46 @@ def _cmd_exponents(arr, config):
     return payload, lines
 
 
-def _cmd_mc(arr, config):
-    n = arr.ambient_dim - 1
-    lat, chi, exps = _lattice_chi_exponents(arr, config)
-    routes = _mc_routes(n, lat, chi, exps, config)
-    json_basis = config.basis or "s"
-    text_basis = config.basis or "one_minus_s"
-    payload = {"n": n, "mc_route": config.mc_route,
-               "routes": {k: kring.kpoly_to_json(v, basis=json_basis) for k, v in routes.items()}}
+def _cmd_mc(inp):
+    routes = _mc_routes(inp)
+    payload = {"n": inp.n, "mc_route": inp.config.mc_route,
+               "routes": {k: kring.kpoly_to_json(v, basis=inp.json_basis)
+                          for k, v in routes.items()}}
     lines = []
     if len(routes) > 1:
         payload["agree"] = True
         lines.append(f"routes {', '.join(routes)} agree")
     for name, value in routes.items():
         lines.append(f"[{name}]")
-        lines.extend(_kpoly_lines(value, text_basis))
+        lines.extend(_kpoly_lines(value, inp.text_basis))
     return payload, lines
 
 
-def _cmd_logclass(arr, config):
-    n = arr.ambient_dim - 1
-    _, _, exps = _lattice_chi_exponents(arr, config, lattice_needed=False)
-    if exps is None:
-        raise ValidationError("no exponent data: characteristic polynomial does not "
-                              "split usably and no --exponents override was given")
-    value = kring.log_class_free(exps, n)
-    json_basis = config.basis or "s"
-    text_basis = config.basis or "one_minus_s"
-    payload = {"n": n, "exponents": list(exps),
-               "log_class": kring.kpoly_to_json(value, basis=json_basis)}
-    lines = [f"exponents {_exponents_str(exps)}"] + _kpoly_lines(value, text_basis)
+def _cmd_logclass(inp):
+    exps = inp.required_exponents()
+    value = kring.log_class_free(exps, inp.n)
+    payload = {"n": inp.n, "exponents": list(exps),
+               "log_class": kring.kpoly_to_json(value, basis=inp.json_basis)}
+    lines = [f"exponents {_exponents_str(exps)}"] + _kpoly_lines(value, inp.text_basis)
     return payload, lines
 
 
-def _cmd_diff(arr, config):
-    n = arr.ambient_dim - 1
-    lat, chi, exps = _lattice_chi_exponents(arr, config)
-    if exps is None:
-        raise ValidationError("no exponent data: characteristic polynomial does not "
-                              "split usably and no --exponents override was given")
-    routes = _mc_routes(n, lat, chi, exps, config)
-    value = _mc_value(routes) - kring.log_class_free(exps, n)
-    json_basis = config.basis or "s"
-    text_basis = config.basis or "one_minus_s"
-    payload = {"n": n, "mc_route": config.mc_route, "exponents": list(exps),
-               "difference": kring.kpoly_to_json(value, basis=json_basis),
+def _cmd_diff(inp):
+    exps = inp.required_exponents()
+    value = _mc_value(inp) - kring.log_class_free(exps, inp.n)
+    payload = {"n": inp.n, "mc_route": inp.config.mc_route, "exponents": list(exps),
+               "difference": kring.kpoly_to_json(value, basis=inp.json_basis),
                "is_zero": value.is_zero()}
-    lines = _kpoly_lines(value, text_basis) + [f"is_zero: {str(value.is_zero()).lower()}"]
+    lines = _kpoly_lines(value, inp.text_basis) + [f"is_zero: {str(value.is_zero()).lower()}"]
     return payload, lines
 
 
-def _cmd_csm(arr, config):
-    n = arr.ambient_dim - 1
-    lat, chi, exps = _lattice_chi_exponents(arr, config)
-    routes = _mc_routes(n, lat, chi, exps, config)
-    csm_mc = hzmod.csm_at_minus_one(_mc_value(routes))
+def _cmd_csm(inp):
+    n = inp.n
+    csm_mc = hzmod.csm_at_minus_one(_mc_value(inp))
     payload = {"n": n, "csm_mc": hzmod.cohclass_to_json(csm_mc)}
     lines = [f"csm(mc):      {_cohclass_str(csm_mc)}"]
+    exps = inp.exponents
     if exps is not None:
         csm_log = hzmod.csm_at_minus_one(kring.log_class_free(exps, n))
         product = hzmod.chern_class_free_exponents(exps, n)
@@ -336,15 +330,12 @@ def _cmd_csm(arr, config):
     return payload, lines
 
 
-def _cmd_euler(arr, config):
-    lat = arrmod.build_lattice(arr, max_nodes=config.max_lattice_nodes)
-    chi = arrmod.characteristic_polynomial(lat)
-    exps = _resolve_exponents(arr, chi, config) if (
-        config.exponents_override or config.mc_route in ("exponents", "all")) else None
-    routes = _mc_routes(arr.ambient_dim - 1, lat, chi, exps, config)
-    csm_mc = hzmod.csm_at_minus_one(_mc_value(routes))
-    euler = hzmod.euler_characteristic(csm_mc)
+def _cmd_euler(inp):
+    # the lattice before any route, so a node-cap refusal precedes exponent errors
+    lat = inp.lattice
     mobius_sum = sum(mu * node.dim for node, mu in zip(lat.nodes, lat.mobius))
+    csm_mc = hzmod.csm_at_minus_one(_mc_value(inp))
+    euler = hzmod.euler_characteristic(csm_mc)
     if euler != mobius_sum:
         raise InconsistencyError(
             f"degree-0 CSM coefficient {euler} differs from the "
@@ -399,7 +390,7 @@ def _dispatch(config):
         "csm": _cmd_csm,
         "euler": _cmd_euler,
     }
-    return handlers[config.command](arr, config)
+    return handlers[config.command](_Input(arr, config))
 
 
 def run(config):

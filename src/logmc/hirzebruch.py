@@ -133,6 +133,8 @@ def todd_class(n):
     1 - e^{-h} = h * sum_j (-1)^j h^j/(j+1)!, so the base series is the
     exact reciprocal of that sum.  The class is computed once per n.
     """
+    if n < 0:
+        raise ValidationError("projective dimension must be >= 0")
     denom = [Fraction((-1) ** j, factorial(j + 1)) for j in range(n + 1)]
     inv = [Fraction(0)] * (n + 1)
     inv[0] = Fraction(1)
@@ -233,12 +235,8 @@ def chern_class_free_exponents(exps, n):
     return result
 
 
-def _fraction_str(q):
-    return str(q)
-
-
 def cohclass_to_json(c):
-    return {"n": c.n, "coeffs": [_fraction_str(v) for v in c.coeffs]}
+    return {"n": c.n, "coeffs": [str(v) for v in c.coeffs]}
 
 
 def cohclass_from_json(data):
@@ -249,7 +247,7 @@ def cohpoly_to_json(p):
     return {
         "n": p.n,
         "denominator_power": p.delta,
-        "coeffs_y": [[_fraction_str(v) for v in c.coeffs] for c in p.coeffs],
+        "coeffs_y": [[str(v) for v in c.coeffs] for c in p.coeffs],
     }
 
 

@@ -55,6 +55,17 @@ def _reduce_mod_relation(coeffs, n):
     return tuple(c)
 
 
+def _swap_s_basis(coeffs, n):
+    """The first n+1 coefficients in the other of the bases s^j and (1-s)^j.
+
+    The change of basis is the involution substituting s = 1 - (1-s), so
+    one map goes both ways.
+    """
+    head = list(coeffs)[:n + 1]
+    return [(-1) ** j * sum(a * comb(k, j) for k, a in enumerate(head))
+            for j in range(n + 1)]
+
+
 class KClass(_Truncated):
     """A coherent-sheaf class on P^n in the s-power basis, s = [O(-1)].
 
@@ -66,22 +77,12 @@ class KClass(_Truncated):
     _relation = staticmethod(_reduce_mod_relation)
 
     def in_one_minus_s_basis(self):
-        """Coefficients with respect to powers of (1-s), length n+1.
-
-        The change of basis is the involution substituting s = 1 - (1-s).
-        """
-        out = [0] * (self.n + 1)
-        for j in range(self.n + 1):
-            out[j] = (-1) ** j * sum(a * comb(k, j) for k, a in enumerate(self.coeffs))
-        return tuple(out)
+        """Coefficients with respect to powers of (1-s), length n+1."""
+        return tuple(_swap_s_basis(self.coeffs, self.n))
 
     @classmethod
     def from_one_minus_s_basis(cls, n, coeffs):
-        out = [0] * (n + 1)
-        padded = list(coeffs) + [0] * (n + 1 - len(coeffs))
-        for j in range(n + 1):
-            out[j] = (-1) ** j * sum(b * comb(k, j) for k, b in enumerate(padded[:n + 1]))
-        return cls(n, out)
+        return cls(n, _swap_s_basis(coeffs, n))
 
     def __repr__(self):
         return f"KClass(n={self.n}, coeffs={list(self.coeffs)})"
@@ -96,10 +97,6 @@ class KPoly(_YPoly):
     @classmethod
     def one(cls, n):
         return cls(n, (KClass.one(n),))
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValidationError("KPoly operands live on different projective spaces")
 
     def __add__(self, other):
         self._check(other)
@@ -201,8 +198,6 @@ def omega_log_trivial(n):
     Computed as the exact quotient (1 + s y)^{n+1} / (1+y); the division
     must leave no remainder.
     """
-    if n < 0:
-        raise ValidationError("projective dimension must be >= 0")
     return exact_div_one_plus_y(_one_plus_sy_power(n + 1, n))
 
 

@@ -7,9 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from logmc import (Arrangement, IntersectionLattice, IntPolynomial, Subspace,
-                   ValidationError, build_lattice, characteristic_polynomial,
-                   exponents_via_terao, parse_arrangement)
+from logmc import (Arrangement, IntPolynomial, Subspace, ValidationError,
+                   build_lattice, characteristic_polynomial, exponents_via_terao,
+                   parse_arrangement)
 from logmc._linalg import IntEchelon
 from logmc.errors import InconsistencyError
 
@@ -245,13 +245,12 @@ def test_lattice_matches_subset_oracle_on_random():
                 assert lat.contains(i, j) == (hyperplanes[i] <= hyperplanes[j])
 
 
-def test_lattice_contains_without_masks():
+def test_lattice_nodes_keep_no_closure_echelon():
+    # the echelon cache of a node fills only when Subspace methods need it
     lat = build_lattice(Arrangement(3, BRAID3))
-    plain = IntersectionLattice(lat.ambient_dim, lat.nodes, lat.mobius)
-    assert plain.masks is None
-    for i in range(len(lat)):
-        for j in range(len(lat)):
-            assert plain.contains(i, j) == lat.contains(i, j)
+    assert all(node._ech is None for node in lat.nodes)
+    assert lat.nodes[-1].contains(lat.nodes[-1])
+    assert lat.nodes[-1]._ech is not None
 
 
 # --- characteristic polynomial

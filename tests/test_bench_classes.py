@@ -1,11 +1,14 @@
-"""Every op of the benchmark's ``classes`` workload passes its independent checks.
+"""Every op of each benchmark workload passes its independent checks.
 
-``bench/checks.py`` compares K-classes through the Euler pairing with O(-j)
-and CSM classes through Aluffi's formula, by code that never imports logmc.
-This runs each op of ``workloads.build("classes", seed)`` once, through the
-benchmark's own ``worker.make_op`` and ``worker.serialise``, and hands the
-output to ``checks.Checker`` as ``bench/run.py`` does.  Refusals must come
-with the expected exit code, error kind and message.
+``bench/checks.py`` compares flats and Möbius values with closed forms or
+a closure of its own, K-classes through the Euler pairing with O(-j), CSM
+classes through Aluffi's formula and curve reports with invariants known in
+closed form, by code that never imports logmc.  This runs each
+op of ``workloads.build(workload, seed)`` for the ``lattice``, ``classes``
+and ``curves`` workloads and seeds 1-2 once, through the benchmark's own
+``worker.make_op`` and ``worker.serialise``, and hands the output to
+``checks.Checker`` as ``bench/run.py`` does.  Refusals must come with the
+expected exit code, error kind and message.
 """
 
 import sys
@@ -21,9 +24,11 @@ import workloads  # noqa: E402
 import worker  # noqa: E402
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_classes_workload_passes_bench_checks(seed, tmp_path):
-    ops, expect = workloads.build("classes", seed, str(tmp_path))
+@pytest.mark.parametrize("workload,seed", [(workload, seed)
+                                           for workload in ("lattice", "classes", "curves")
+                                           for seed in (1, 2)])
+def test_workload_passes_bench_checks(workload, seed, tmp_path):
+    ops, expect = workloads.build(workload, seed, str(tmp_path))
     checker = checks.Checker()
     failures = []
     for op in ops:

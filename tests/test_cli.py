@@ -148,6 +148,16 @@ def test_lattice_cap_env(monkeypatch):
     assert code == 1 and "node cap" in report
 
 
+def test_node_cap_refusal_precedes_exponent_errors():
+    for command in ("mc", "diff", "csm", "euler"):
+        code, report = run_json(command, "braid", mc_route="all", max_lattice_nodes=3,
+                                exponents_override=(2, 3, 3))
+        assert code == 1 and "node cap" in json.loads(report)["error"], command
+    code, report = run_json("euler", "braid", mc_route="exponents", max_lattice_nodes=3,
+                            exponents_override=(2, 3, 3))
+    assert code == 1 and "node cap" in json.loads(report)["error"]
+
+
 def test_default_lattice_cap(monkeypatch):
     monkeypatch.delenv("LOGMC_MAX_LATTICE", raising=False)
     config = config_from_args(["lattice", corpus_path("braid")])
@@ -173,6 +183,44 @@ def test_exponent_override_never_builds_lattice(monkeypatch):
             code, report = run_json(command, "braid", mc_route=route,
                                     exponents_override=exps)
             assert code == 1 and message in json.loads(report)["error"]
+
+
+def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
+    """The calls the CLI makes through ``logmc.arrangement``, per run."""
+    calls = {}
+
+    def counted(name):
+        fn = getattr(arrangement, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(arrangement, name, wrapper)
+
+    names = ("build_lattice", "characteristic_polynomial", "exponents_via_terao")
+    for name in names:
+        counted(name)
+    seen = {}
+    for command in ("lattice", "charpoly", "exponents", "mc", "logclass", "diff", "csm",
+                    "euler"):
+        for route in ("lattice", "charpoly", "exponents", "all"):
+            for override in (None, (3, 1, 2)):
+                calls.update(dict.fromkeys(names, 0))
+                code, _ = run_json(command, "braid", mc_route=route,
+                                   exponents_override=override)
+                assert code == 0, (command, route, override)
+                assert max(calls.values()) <= 1, (command, route, override, calls)
+                if override is not None and command != "exponents":
+                    assert calls["exponents_via_terao"] == 0, (command, route)
+                seen[command, route, override] = tuple(calls[name] for name in names)
+    # (lattice, chi, Terao): the lattice route reads neither chi nor exponents
+    assert seen["mc", "lattice", None] == (1, 0, 0)
+    assert seen["mc", "charpoly", None] == (1, 1, 0)
+    assert seen["euler", "lattice", None] == (1, 0, 0)
+    assert seen["mc", "exponents", (3, 1, 2)] == (0, 0, 0)
+    assert seen["mc", "all", None] == (1, 1, 1)
+    assert seen["csm", "lattice", None] == (1, 1, 1)
+    assert seen["logclass", "all", (3, 1, 2)] == (0, 0, 0)
 
 
 # --- JSON round trips against in-memory values

@@ -73,6 +73,18 @@ def test_todd_degree_zero_term_is_one():
         assert todd_class(n).coeffs[0] == 1
 
 
+def test_negative_projective_dimension_refused():
+    # refused where the class or series is made, before any indexing by n
+    makers = (lambda: todd_class(-1), lambda: KPoly(-1), lambda: KPoly.zero(-2),
+              lambda: CohPoly(-1), lambda: CohPoly.from_columns(-1, []),
+              lambda: KClass(-1), lambda: CohClass(-1), lambda: omega_log_trivial(-1),
+              lambda: omega_log_trivial(-3))
+    for make in makers:
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert str(info.value) == "projective dimension must be >= 0"
+
+
 # --- GRR transform
 
 def test_grr_of_one_is_todd():

@@ -72,6 +72,22 @@ def test_basis_conversion_roundtrip():
     assert kclass_linear_subspace(0, 0, 2).in_one_minus_s_basis() == (0, 0, 1)
 
 
+def test_one_minus_s_basis_pads_and_truncates():
+    # 1 - (1-s) = s, and (1-s)^3 vanishes on P^2
+    assert KClass.from_one_minus_s_basis(2, [1, -1]) == KClass(2, (0, 1))
+    assert KClass.from_one_minus_s_basis(2, [0, 0, 1, 7]) == KClass(2, (1, -2, 1))
+    assert KClass(2, (0, 1)).in_one_minus_s_basis() == (1, -1, 0)
+
+
+def test_operands_on_different_spaces_refused():
+    for a, b in ((KClass.one(1), KClass.one(2)), (KPoly.one(1), KPoly.one(2))):
+        name = type(a).__name__
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(ValidationError) as info:
+                op()
+            assert str(info.value) == f"{name} operands live on different projective spaces"
+
+
 # --- division by 1+y
 
 def test_exact_div_simple():
