@@ -69,29 +69,16 @@ class IntEchelon:
     def rank(self):
         return len(self.pivots)
 
-    def _residual(self, row):
-        row = list(row)
-        col = _first_nonzero(row, 0)
-        while col is not None:
-            piv = self.pivots.get(col)
-            if piv is None:
-                return row, col
-            a, b = piv[col], row[col]
-            row = [a * r - b * p for r, p in zip(row, piv)]
-            row = _strip_content(row)
-            col = _first_nonzero(row, col + 1)
-        return row, None
-
     def add(self, row):
-        res, col = self._residual(row)
+        row = self.reduce(row)
+        col = _first_nonzero(row, 0)
         if col is None:
             return False
-        self.pivots[col] = _strip_content(res)
+        self.pivots[col] = _strip_content(row)
         return True
 
     def contains(self, row):
-        _, col = self._residual(row)
-        return col is None
+        return not any(self.reduce(row))
 
     def copy(self):
         ech = IntEchelon(self.width)

@@ -1,11 +1,13 @@
 """Code shared by the truncated rings, their y-polynomials and the renderers.
 
-``_Truncated`` is the arithmetic of a ring of classes on projective n-space
-stored as n+1 coefficients in a fixed basis; a subclass supplies the ring's
-relation.  ``_YPoly`` is a polynomial in y over such a ring.  ``deflate`` is
-the one synthetic division in the package, ``render`` the one renderer
-of polynomial text and ``exact_scalar`` the one check that an input number
-is exact.
+``_Element`` is what every ring value on projective n-space shares: the
+dimension n, the coefficient tuple, equality, hashing and the ring relation
+as its one normalising hook.  ``_Truncated`` is the arithmetic of a ring of
+classes stored as n+1 coefficients in a fixed basis; a subclass supplies
+the ring's relation.  ``_YPoly`` is a polynomial in y over such a ring.
+``deflate`` is the one synthetic division in the package, ``render`` the
+one renderer of polynomial text and ``exact_scalar`` the one check that an
+input number is exact.
 """
 
 from __future__ import annotations
@@ -33,18 +35,14 @@ def exact_scalar(v, rational=False):
     return exact
 
 
-class _Truncated:
-    """A class on P^n: ``coeffs`` holds n+1 basis coefficients.
+class _Element:
+    """An element of a ring over P^n, stored as the tuple ``coeffs``.
 
-    Subclasses define ``_relation(coeffs, n)``, which brings any coefficient
-    list (a product may be longer than n+1) to the stored tuple, and
-    ``_scalars``, the types multiplied coefficientwise.  A ring whose
-    relation drops the high degrees may also replace ``_product`` by one
-    that never forms them.
+    Subclasses define ``_relation(coeffs, n)``, the one normalising hook: it
+    brings any coefficient list to the stored tuple.
     """
 
     __slots__ = ("n", "coeffs")
-    _scalars = (int,)
 
     def __init__(self, n, coeffs=()):
         if n < 0:
@@ -56,14 +54,37 @@ class _Truncated:
     def zero(cls, n):
         return cls(n)
 
-    @classmethod
-    def one(cls, n):
-        return cls(n, (1,))
-
     def _check(self, other):
         if self.n != other.n:
             raise ValidationError(
                 f"{type(self).__name__} operands live on different projective spaces")
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and self.n == other.n and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
+
+
+class _Truncated(_Element):
+    """A class on P^n: ``coeffs`` holds n+1 basis coefficients.
+
+    The relation brings any coefficient list (a product may be longer than
+    n+1) to n+1 coefficients, and ``_scalars`` are the types multiplied
+    coefficientwise.  A ring whose relation drops the high degrees may also
+    replace ``_product`` by one that never forms them.
+    """
+
+    __slots__ = ()
+    _scalars = (int,)
+
+    @classmethod
+    def one(cls, n):
+        return cls(n, (1,))
 
     def __add__(self, other):
         self._check(other)
@@ -109,30 +130,18 @@ class _Truncated:
                 base = base * base
         return result
 
-    def is_zero(self):
-        return not any(self.coeffs)
 
-    def __eq__(self, other):
-        return (isinstance(other, type(self))
-                and self.n == other.n and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
-
-class _YPoly:
+class _YPoly(_Element):
     """Polynomial in y whose coefficients lie in the ring ``_ring``.
 
-    Trailing zero coefficients are trimmed, so ``coeffs`` is empty exactly
-    for the zero polynomial.
+    Trailing zero coefficients are trimmed, so ``coeffs`` (ring values,
+    each true) is empty exactly for the zero polynomial.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ()
     _ring = None
 
-    def __init__(self, n, coeffs=()):
-        if n < 0:
-            raise ValidationError("projective dimension must be >= 0")
+    def _relation(self, coeffs, n):
         coeffs = list(coeffs)
         for c in coeffs:
             if c.n != n:
@@ -140,24 +149,11 @@ class _YPoly:
                     f"{type(self).__name__} coefficients live on different projective spaces")
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
-        self.n = n
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValidationError(
-                f"{type(self).__name__} operands live on different projective spaces")
+        return tuple(coeffs)
 
     @property
     def y_degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
 
     def coefficient(self, k):
         if 0 <= k < len(self.coeffs):
@@ -183,13 +179,6 @@ class _YPoly:
         coeffs = [ring(n, [col[k] if k < len(col) else 0 for col in cols])
                   for k in range(ylen)]
         return cls(n, coeffs, **kwargs)
-
-    def __eq__(self, other):
-        return (isinstance(other, type(self))
-                and self.n == other.n and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
 
 
 def deflate(coeffs, root):

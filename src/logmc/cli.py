@@ -77,32 +77,13 @@ def build_parser():
                     "hyperplane arrangements and plane-curve singularities",
         epilog=TERAO_NOTE)
     sub = parser.add_subparsers(dest="command", required=True)
-    command_help = {
-        "lattice": "intersection lattice with Möbius values",
-        "charpoly": "characteristic polynomial",
-        "exponents": "candidate exponents (integer roots of charpoly)",
-        "mc": "motivic Chern class of the complement",
-        "logclass": "twisted logarithmic-form class",
-        "diff": "difference class and is_zero verdict",
-        "csm": "CSM class comparison at y = -1",
-        "euler": "Euler characteristic of the complement",
-        "curve": "difference-class weights of curve singularities",
-    }
-    for name, help_text in command_help.items():
+    for name, (_, help_text, options) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text,
                             epilog=TERAO_NOTE if name == "exponents" else None)
         sp.add_argument("input", help="input file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        if name in ("mc", "diff", "csm", "euler"):
-            sp.add_argument("--route", choices=("lattice", "charpoly", "exponents", "all"),
-                            default="all")
-        if name in ("mc", "logclass", "diff", "csm", "euler"):
-            sp.add_argument("--exponents", default=None, metavar="e1,e2,...",
-                            help="override the candidate exponents")
-        if name in ("mc", "logclass", "diff"):
-            sp.add_argument("--basis", choices=("s", "one_minus_s"), default=None,
-                            help="basis for rendered K-classes "
-                                 "(default: one_minus_s for text, s for json)")
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -376,21 +357,35 @@ def _cmd_curve(config):
     return payload, lines
 
 
+# the options a command may accept, as add_argument's flag and keywords
+_ROUTE = ("--route", {"choices": ("lattice", "charpoly", "exponents", "all"), "default": "all"})
+_EXPONENTS = ("--exponents", {"default": None, "metavar": "e1,e2,...",
+                              "help": "override the candidate exponents"})
+_BASIS = ("--basis", {"choices": ("s", "one_minus_s"), "default": None,
+                      "help": "basis for rendered K-classes "
+                              "(default: one_minus_s for text, s for json)"})
+
+# command -> (handler, help text, options); the handler of an arrangement
+# command takes an _Input, that of ``curve`` the RunConfig
+COMMANDS = {
+    "lattice": (_cmd_lattice, "intersection lattice with Möbius values", ()),
+    "charpoly": (_cmd_charpoly, "characteristic polynomial", ()),
+    "exponents": (_cmd_exponents, "candidate exponents (integer roots of charpoly)", ()),
+    "mc": (_cmd_mc, "motivic Chern class of the complement", (_ROUTE, _EXPONENTS, _BASIS)),
+    "logclass": (_cmd_logclass, "twisted logarithmic-form class", (_EXPONENTS, _BASIS)),
+    "diff": (_cmd_diff, "difference class and is_zero verdict", (_ROUTE, _EXPONENTS, _BASIS)),
+    "csm": (_cmd_csm, "CSM class comparison at y = -1", (_ROUTE, _EXPONENTS)),
+    "euler": (_cmd_euler, "Euler characteristic of the complement", (_ROUTE, _EXPONENTS)),
+    "curve": (_cmd_curve, "difference-class weights of curve singularities", ()),
+}
+
+
 def _dispatch(config):
+    handler = COMMANDS[config.command][0]
     if config.command == "curve":
-        return _cmd_curve(config)
+        return handler(config)
     arr = arrmod.parse_arrangement(_read_file(config.input_path))
-    handlers = {
-        "lattice": _cmd_lattice,
-        "charpoly": _cmd_charpoly,
-        "exponents": _cmd_exponents,
-        "mc": _cmd_mc,
-        "logclass": _cmd_logclass,
-        "diff": _cmd_diff,
-        "csm": _cmd_csm,
-        "euler": _cmd_euler,
-    }
-    return handlers[config.command](_Input(arr, config))
+    return handler(_Input(arr, config))
 
 
 def run(config):

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._linalg import int_row
-from ._poly import power, render
+from ._poly import exact_scalar, power, render
 from .errors import (BranchCountRequiredError, InconsistencyError,
                      NonIsolatedSingularityError, ValidationError)
 
@@ -43,7 +43,8 @@ class LocalPolynomial:
     """Bivariate polynomial with exact rational coefficients.
 
     ``terms`` maps exponent pairs (i, j) for x^i y^j to nonzero Fractions.
-    Instances are immutable; arithmetic returns new values.
+    Coefficients and scalars must be exact (ints or rationals); a float is
+    refused.  Instances are immutable; arithmetic returns new values.
     """
 
     __slots__ = ("terms",)
@@ -52,7 +53,8 @@ class LocalPolynomial:
         clean = {}
         if terms:
             for (i, j), c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = exact_scalar(c, rational=True)
                 if c:
                     clean[(int(i), int(j))] = c
         self.terms = clean
@@ -67,7 +69,7 @@ class LocalPolynomial:
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def variable(cls, name):
@@ -106,16 +108,14 @@ class LocalPolynomial:
         return LocalPolynomial(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return LocalPolynomial(out)
+        return self + -other
 
     def __neg__(self):
         return LocalPolynomial({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LocalPolynomial):
+            other = exact_scalar(other, rational=True)
             return LocalPolynomial({k: c * other for k, c in self.terms.items()})
         out = {}
         for (i1, j1), c1 in self.terms.items():
@@ -136,8 +136,8 @@ class LocalPolynomial:
 
     def substitute_linear(self, a, b, c, d):
         """Linear coordinate change x -> a x + b y, y -> c x + d y."""
-        nx = LocalPolynomial({(1, 0): Fraction(a), (0, 1): Fraction(b)})
-        ny = LocalPolynomial({(1, 0): Fraction(c), (0, 1): Fraction(d)})
+        nx = LocalPolynomial({(1, 0): a, (0, 1): b})
+        ny = LocalPolynomial({(1, 0): c, (0, 1): d})
         out = LocalPolynomial.zero()
         for (i, j), coeff in self.terms.items():
             out = out + (nx ** i) * (ny ** j) * coeff
@@ -459,6 +459,8 @@ class CurveSingularity:
     delta: int
 
     def __post_init__(self):
+        for name in ("mu", "tau", "r", "delta"):
+            _require_int(name, getattr(self, name))
         if self.mu < 0 or self.tau < 0 or self.delta < 0:
             raise ValidationError("mu, tau and delta must be nonnegative")
         if self.r < 1:
@@ -508,8 +510,9 @@ def singularity_from_poly(f, r=None):
     mu, tau = local_invariants(f)
     if r is None:
         r = 1 if mu == 0 else branch_count(f)
-    return CurveSingularity(mu=mu, tau=tau, r=int(r),
-                            delta=delta_from_milnor(mu, int(r)))
+    else:
+        r = exact_scalar(r)
+    return CurveSingularity(mu=mu, tau=tau, r=r, delta=delta_from_milnor(mu, r))
 
 
 def difference_class_curve(sings):
@@ -556,18 +559,17 @@ def singularity_from_json(obj):
     if "poly" in obj:
         if not isinstance(obj["poly"], str):
             raise ValidationError("'poly' must be a string")
-        r = None if obj.get("r") is None else _json_int(obj, "r")
+        r = None if obj.get("r") is None else _require_int("r", obj["r"])
         return singularity_from_poly(LocalPolynomial.from_string(obj["poly"]), r=r)
     missing = [key for key in ("mu", "tau", "r") if key not in obj]
     if missing:
         raise ValidationError(
             f"singularity object needs 'poly' or mu/tau/r (missing {missing})")
-    mu, tau, r = (_json_int(obj, key) for key in ("mu", "tau", "r"))
+    mu, tau, r = (_require_int(key, obj[key]) for key in ("mu", "tau", "r"))
     return CurveSingularity(mu=mu, tau=tau, r=r, delta=delta_from_milnor(mu, r))
 
 
-def _json_int(obj, key):
-    value = obj[key]
+def _require_int(name, value):
     if type(value) is not int:  # also refuses true and false
-        raise ValidationError(f"'{key}' must be an integer, got {type(value).__name__}")
+        raise ValidationError(f"'{name}' must be an integer, got {type(value).__name__}")
     return value

@@ -59,11 +59,12 @@ def _swap_s_basis(coeffs, n):
     """The first n+1 coefficients in the other of the bases s^j and (1-s)^j.
 
     The change of basis is the involution substituting s = 1 - (1-s), so
-    one map goes both ways.
+    one map goes both ways: Horner's rule, one product by 1 - x per term.
     """
-    head = list(coeffs)[:n + 1]
-    return [(-1) ** j * sum(a * comb(k, j) for k, a in enumerate(head))
-            for j in range(n + 1)]
+    out = [0] * (n + 1)
+    for a in reversed(list(coeffs)[:n + 1]):
+        out = [a + out[0]] + [u - v for u, v in zip(out[1:], out)]
+    return out
 
 
 class KClass(_Truncated):
@@ -142,19 +143,15 @@ class KPoly(_YPoly):
 def kclass_O(k, n):
     """Class of the twisting sheaf O(k), i.e. s^{-k} reduced.
 
-    For positive k this uses the geometric-series inverse
-    s^{-1} = sum_{j<=n} (1-s)^j, valid because 1-s is nilpotent.
+    With t = 1-s nilpotent, s^{-k} = (1-t)^{-k} = sum_{j<=n} c_j t^j, with
+    c_j = k(k+1)...(k+j-1)/j! for every integer k: O(n^2) for any |k|.
     """
-    if k <= 0:
-        coeffs = [0] * (-k) + [1]
-        return KClass(n, coeffs)
-    one_minus_s = KClass(n, (1, -1))
-    inv = KClass.zero(n)
-    power = KClass.one(n)
-    for _ in range(n + 1):
-        inv = inv + power
-        power = power * one_minus_s
-    return inv ** k
+    if type(k) is not int:
+        k = exact_scalar(k)
+    coeffs = [1]
+    for j in range(1, n + 1):
+        coeffs.append(coeffs[-1] * (k + j - 1) // j)
+    return KClass.from_one_minus_s_basis(n, coeffs)
 
 
 def kclass_linear_subspace(m, k, n):
@@ -272,9 +269,8 @@ def log_class_free(exps, n):
     exps = _validate_exponents(exps, n)
     prod = KPoly.one(n)
     for e in exps:
-        s_e = [0] * (e + 1)
-        s_e[e] = 1
-        factor = KPoly(n, (KClass(n, s_e), KClass(n, (0, 1))))
+        s_e = KClass(n, [0] * e + [1]) if e <= n else kclass_O(-e, n)
+        factor = KPoly(n, (s_e, KClass(n, (0, 1))))
         prod = prod * factor
     return exact_div_one_plus_y(prod)
 

@@ -11,6 +11,7 @@ from logmc import (Arrangement, IntPolynomial, Subspace, ValidationError,
                    build_lattice, characteristic_polynomial, exponents_via_terao,
                    parse_arrangement)
 from logmc._linalg import IntEchelon
+from logmc.arrangement import MAX_AMBIENT_DIM
 from logmc.errors import InconsistencyError
 
 BOOLEAN3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -380,6 +381,16 @@ def test_parse_rejects_bad_tokens():
         parse_arrangement("# nothing here\n")
     with pytest.raises(ValidationError, match="has 2 coefficients"):
         parse_arrangement("3\n1 0\n")
+
+
+def test_parse_refuses_ambient_dimension_above_the_limit():
+    assert parse_arrangement(f"{MAX_AMBIENT_DIM}\n").ambient_dim == MAX_AMBIENT_DIM
+    # refused at the header, before the forms that follow are read
+    text = f"# too big\n{MAX_AMBIENT_DIM + 1}\n1 0 z\n"
+    with pytest.raises(ValidationError,
+                       match=f"line 2: ambient dimension {MAX_AMBIENT_DIM + 1} "
+                             f"exceeds the limit {MAX_AMBIENT_DIM}"):
+        parse_arrangement(text)
 
 
 def fraction_rref(rows, width):

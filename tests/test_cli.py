@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from logmc import arrangement
-from logmc import (Arrangement, build_lattice, characteristic_polynomial,
-                   cohclass_from_json, csm_at_minus_one, kpoly_from_json,
-                   mc_complement_lattice_sum)
+from logmc import (Arrangement, ValidationError, build_lattice,
+                   characteristic_polynomial, cohclass_from_json, csm_at_minus_one,
+                   kpoly_from_json, log_class_free, mc_complement_lattice_sum)
+from logmc.arrangement import MAX_AMBIENT_DIM
 from logmc.cli import RunConfig, config_from_args, main, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,6 +139,55 @@ def test_nonessential_exponents_is_exit_2(tmp_path):
 def test_bad_exponent_flag_rejected(capsys):
     assert main(["logclass", corpus_path("braid"), "--exponents", "1,two"]) == 1
     assert main(["nonsense-command", "x"]) == 1
+
+
+# the options each command accepts, besides the input and --format
+ACCEPTED_OPTIONS = {
+    "lattice": set(), "charpoly": set(), "exponents": set(), "curve": set(),
+    "mc": {"--route", "--exponents", "--basis"},
+    "logclass": {"--exponents", "--basis"},
+    "diff": {"--route", "--exponents", "--basis"},
+    "csm": {"--route", "--exponents"},
+    "euler": {"--route", "--exponents"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_OPTIONS))
+def test_each_command_accepts_exactly_its_options(command):
+    values = {"--route": "charpoly", "--exponents": "3,1,2", "--basis": "s"}
+    for flag, value in values.items():
+        argv = [command, "input", flag, value]
+        if flag not in ACCEPTED_OPTIONS[command]:
+            with pytest.raises(ValidationError, match="unrecognized arguments"):
+                config_from_args(argv)
+            continue
+        config = config_from_args(argv)
+        assert (config.mc_route, config.exponents_override, config.basis) == (
+            "charpoly" if flag == "--route" else "all",
+            (3, 1, 2) if flag == "--exponents" else None,
+            "s" if flag == "--basis" else None)
+
+
+def test_logclass_with_a_huge_exponent_answers(capsys):
+    # the twist s^e is a closed form in K(P^n), so e = 10^11 costs no more than e = 2
+    argv = ["logclass", corpus_path("braid"), "--exponents", "1,2,100000000000",
+            "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exponents"] == [1, 2, 10 ** 11]
+    assert kpoly_from_json(payload["log_class"]) == log_class_free([1, 2, 10 ** 11], 2)
+
+
+def test_ambient_dimension_above_the_limit_refused(tmp_path):
+    path = tmp_path / "huge.arr"
+    path.write_text(f"{MAX_AMBIENT_DIM + 1}\n")
+    for command in ("mc", "csm", "charpoly"):
+        code, report = run(RunConfig(command=command, input_path=str(path),
+                                     output_format="json"))
+        assert code == 1
+        assert json.loads(report)["error"] == (
+            f"line 1: ambient dimension {MAX_AMBIENT_DIM + 1} exceeds the limit "
+            f"{MAX_AMBIENT_DIM}")
 
 
 def test_lattice_cap_env(monkeypatch):

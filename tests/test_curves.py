@@ -9,6 +9,7 @@ the dense truncation loop that rebuilds one matrix per bound.
 
 import random
 import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -186,6 +187,39 @@ def test_singularity_type_invariants():
         CurveSingularity(mu=0, tau=0, r=2, delta=0)
     with pytest.raises(ValidationError):
         CurveSingularity(mu=1, tau=1, r=0, delta=1)
+
+
+def test_inexact_curve_inputs_refused():
+    # 0.1 is stored as 3602879701896397/36028797018963968 if accepted
+    with pytest.raises(ValidationError, match="floats are not accepted"):
+        LocalPolynomial({(2, 0): 0.1, (0, 3): 1})
+    f = P("x^2 - y^3")
+    for bad in (lambda: f * 0.5, lambda: 0.5 * f, lambda: LocalPolynomial.constant(0.5),
+                lambda: f.substitute_linear(1, 0.5, 0, 1)):
+        with pytest.raises(ValidationError, match="floats are not accepted"):
+            bad()
+    with pytest.raises(ValidationError, match="floats are not accepted"):
+        singularity_from_poly(f, r=1.7)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        singularity_from_poly(f, r="1")
+    for field in ("mu", "tau", "r", "delta"):
+        values = {"mu": 2, "tau": 2, "r": 1, "delta": 1}
+        for bad in (float(values[field]), bool(values[field]),
+                    Fraction(values[field])):
+            with pytest.raises(ValidationError, match=f"'{field}' must be an integer"):
+                CurveSingularity(**{**values, field: bad})
+
+
+def test_exact_curve_inputs_accepted():
+    f = P("x^2 - y^3")
+    assert (f * Fraction(1, 2)).terms == {(2, 0): Fraction(1, 2), (0, 3): Fraction(-1, 2)}
+    assert (f * 2).terms == {(2, 0): 2, (0, 3): -2}
+    assert f.substitute_linear(Fraction(1, 2), 0, 0, 1).terms == {(2, 0): Fraction(1, 4),
+                                                                  (0, 3): -1}
+    assert LocalPolynomial.constant(Fraction(2, 3)).constant_term() == Fraction(2, 3)
+    assert singularity_from_poly(f, r=1) == CurveSingularity(2, 2, 1, 1)
+    assert (f - LocalPolynomial({(2, 0): Fraction(1, 2), (0, 3): -1})).terms == {
+        (2, 0): Fraction(1, 2)}
 
 
 # --- difference class

@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -50,6 +51,56 @@ def test_kclass_O_positive_twist():
     for n in range(1, 5):
         for k in range(1, n + 3):
             assert s_class(n) ** k * kclass_O(k, n) == KClass.one(n)
+
+
+def _twist_reference(k, n):
+    """O(k) the slow ways: for k > 0 the geometric-series inverse of s,
+    s^{-1} = sum_{j<=n} (1-s)^j, raised to k; otherwise the plain
+    (|k|+1)-long list s^{-k} reduced modulo (s-1)^{n+1}."""
+    if k <= 0:
+        return KClass(n, [0] * -k + [1])
+    inv = KClass.zero(n)
+    for j in range(n + 1):
+        inv = inv + KClass(n, (1, -1)) ** j
+    return inv ** k
+
+
+def _log_class_reference(exps, n):
+    """prod_i (s^{e_i} + s y) / (1+y) with each s^e a plain (e+1)-long list."""
+    prod = KPoly.one(n)
+    for e in exps:
+        prod = prod * KPoly(n, (_twist_reference(-e, n), s_class(n)))
+    return exact_div_one_plus_y(prod)
+
+
+def test_kclass_O_matches_reference_twists():
+    for n in range(0, 9):
+        for k in range(-3 * n, 3 * n + 1):
+            assert kclass_O(k, n) == _twist_reference(k, n), (k, n)
+
+
+def test_large_twists_and_exponents_cost_does_not_grow():
+    for k in (10 ** 4, -10 ** 4):
+        assert kclass_O(k, 3) == _twist_reference(k, 3)
+    assert log_class_free([1, 1, 10 ** 4], 2) == _log_class_reference([1, 1, 10 ** 4], 2)
+    big = 10 ** 6
+    assert kclass_O(-big, 3) * kclass_O(big, 3) == KClass.one(3)
+    assert s_class(3) ** big * kclass_O(big, 3) == KClass.one(3)
+    for call in (lambda: kclass_O(big, 3), lambda: kclass_O(-big, 3),
+                 lambda: log_class_free([1, 1, 4_000_000], 2)):
+        best = float("inf")
+        for _ in range(3):  # the best of three, against a busy machine
+            start = time.perf_counter()
+            call()
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
+
+
+def test_kclass_O_refuses_inexact_twists():
+    with pytest.raises(ValidationError, match="floats are not accepted"):
+        kclass_O(1.0, 2)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        kclass_O(Fraction(1, 2), 2)
 
 
 def test_kclass_linear_subspace():
