@@ -22,10 +22,13 @@ def exact_scalar(v, rational=False):
 
     A float is refused even when its value is whole, and so is any value
     the conversion would change (1.9 or Fraction(1, 2) as an int), so no
-    input is silently rounded.
+    input is silently rounded.  Text is refused as well, although
+    ``Fraction`` would parse it: parsing is the caller's business.
     """
     if isinstance(v, float):
         raise ValidationError(f"inexact number {v!r}: floats are not accepted")
+    if rational and isinstance(v, str):
+        raise ValidationError(f"not a number: {v!r}")
     try:
         exact = Fraction(v) if rational else int(v)
     except (TypeError, ValueError):

@@ -36,7 +36,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import arrangement as arrmod
 from . import curves as curvemod
@@ -139,11 +138,16 @@ def _read_file(path):
         raise ValidationError(f"cannot read {path}: {e}") from None
 
 
+_UNSET = object()
+
+
 class _Input:
     """One arrangement and its run configuration.
 
     The lattice, chi and candidate exponents are derived on first use and
-    kept, so each is computed at most once per run and only when read.
+    kept, so each is computed at most once per run and only when read.  A
+    derivation that raises (the node cap, say) keeps nothing, so the next
+    read raises again.
     """
 
     def __init__(self, arr, config):
@@ -152,17 +156,28 @@ class _Input:
         self.n = arr.ambient_dim - 1
         self.json_basis = config.basis or "s"
         self.text_basis = config.basis or "one_minus_s"
+        self._lattice = self._chi = self._exponents = _UNSET
 
-    @cached_property
+    @property
     def lattice(self):
-        return arrmod.build_lattice(self.arr, max_nodes=self.config.max_lattice_nodes)
+        if self._lattice is _UNSET:
+            self._lattice = arrmod.build_lattice(
+                self.arr, max_nodes=self.config.max_lattice_nodes)
+        return self._lattice
 
-    @cached_property
+    @property
     def chi(self):
-        return arrmod.characteristic_polynomial(self.lattice)
+        if self._chi is _UNSET:
+            self._chi = arrmod.characteristic_polynomial(self.lattice)
+        return self._chi
 
-    @cached_property
+    @property
     def exponents(self):
+        if self._exponents is _UNSET:
+            self._exponents = self._derive_exponents()
+        return self._exponents
+
+    def _derive_exponents(self):
         """Candidate exponents from an override or a Terao split; None if absent.
 
         A nonpositive-root inconsistency (non-essential arrangement) counts as

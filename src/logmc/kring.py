@@ -5,9 +5,19 @@ s = [O(-1)]; a ``KClass`` is the reduced representative in the s-power
 basis.  A ``KPoly`` is a polynomial in the parameter y with KClass
 coefficients.  A product of two KPolys is formed one y-row at a time: the
 row's integer convolutions in s are summed unreduced, and the sum is
-reduced modulo the relation once, since the reduction is linear.  On top
-of this the module computes, for a central arrangement with intersection
-lattice L and characteristic polynomial chi:
+reduced modulo the relation once, since the reduction is linear.
+
+The two exponent products below are not formed that way.  In tau = s - 1
+the relation is tau^{n+1} = 0, plain truncation, and their factors have
+nonnegative tau-coefficients: s^e = (1+tau)^e and 1 - e + e s = 1 + e tau.
+So each y-row of the product is one packed int, tau -> 2^w, and a factor
+costs one int product and mask per row.  The digit width w is safe because
+every factor is coefficientwise at most (1+tau)^{e_i} (1+y), so every
+coefficient of tau^j y^k is at most C(n+1, k) C(sum e_i, j); w = n + 2 +
+bitlen C(sum e_i, min(n, sum e_i // 2)) leaves no digit able to carry.
+
+On top of this the module computes, for a central arrangement with
+intersection lattice L and characteristic polynomial chi:
 
   * the motivic Chern class of the arrangement complement, via the lattice
     sum  sum_x mobius(x) (1-s)^{n-dim(x)+1} (1+sy)^{dim(x)} / (1+y),
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from ._poly import _Truncated, _YPoly, deflate, exact_scalar
 from .arrangement import (IntersectionLattice, IntPolynomial,
@@ -55,15 +66,24 @@ def _reduce_mod_relation(coeffs, n):
     return tuple(c)
 
 
+@lru_cache(maxsize=64)
+def _binomial_columns(n):
+    """(C(i, i), C(i+1, i), ..., C(n, i)) for i = 0..n."""
+    return tuple(tuple(comb(j, i) for j in range(i, n + 1)) for i in range(n + 1))
+
+
 def _swap_s_basis(coeffs, n):
     """The first n+1 coefficients in the other of the bases s^j and (1-s)^j.
 
     The change of basis is the involution substituting s = 1 - (1-s), so
-    one map goes both ways: Horner's rule, one product by 1 - x per term.
+    one map goes both ways: out[i] = (-1)^i sum_{j>=i} C(j, i) c_j, one
+    cached binomial column per i.  A shorter input is padded with zeros.
     """
-    out = [0] * (n + 1)
-    for a in reversed(list(coeffs)[:n + 1]):
-        out = [a + out[0]] + [u - v for u, v in zip(out[1:], out)]
+    c = [v if type(v) is int else exact_scalar(v) for v in list(coeffs)[:n + 1]]
+    out = []
+    for i, col in enumerate(_binomial_columns(n)):
+        v = sum(map(mul, col, c[i:]))
+        out.append(-v if i & 1 else v)
     return out
 
 
@@ -245,18 +265,65 @@ def _validate_exponents(exps, n):
     return exps
 
 
+def _product_over_one_plus_y(heads, n, total):
+    """prod_i (head_i + s y) / (1+y), each head given by its tau-coefficients.
+
+    In tau = s - 1 the relation is truncation after tau^n.  ``heads[i]``
+    lists the nonnegative tau-coefficients of a head at most (1+tau)^{e_i}
+    coefficientwise, and ``total`` = sum e_i.  Each y-row is one int, packed
+    by tau -> 2^w; a factor costs per row one masked int product, plus the
+    packed s * (previous row) = (1+tau) * (previous row).
+
+    No digit carries: coefficients are nonnegative and every factor has
+    constant term 1, so partial products are at most the whole product,
+    which is at most (1+tau)^total (1+y)^{n+1} since s <= (1+tau)^{e_i}
+    too.  Its tau^j y^k coefficient is at most C(n+1, k) C(total, j) <
+    2^{n+1} C(total, min(n, total // 2)) <= 2^{w-1} for j <= n.
+
+    The unpacked rows are read in t = 1 - s = -tau (odd digits negated) and
+    brought to the s basis; the checked ``exact_div_one_plus_y`` divides.
+    """
+    width = n + 2 + comb(total, min(n, total // 2)).bit_length()
+    mask = (1 << width * (n + 1)) - 1
+    rows = [1]
+    # the longest heads first, while the product has few rows
+    for head in sorted(heads, key=len, reverse=True):
+        h = 0
+        for c in reversed(head[:n + 1]):
+            h = (h << width) | c
+        shifted = 0
+        out = []
+        for r in rows:
+            out.append(((r * h) & mask) + shifted)
+            shifted = (r + (r << width)) & mask
+        out.append(shifted)
+        rows = out
+    digit = (1 << width) - 1
+    classes = []
+    for r in rows:
+        t = [(r >> width * j) & digit for j in range(n + 1)]
+        t[1::2] = [-c for c in t[1::2]]
+        classes.append(KClass(n, _swap_s_basis(t, n)))
+    return exact_div_one_plus_y(KPoly(n, classes))
+
+
 def mc_free_exponents(exps, n):
     """Motivic Chern class of the complement from candidate exponents.
 
     prod_i (1 - e_i + (e_i + y) s) / (1+y); the factor for e = 1 is
-    (1+y) s, so the division is always exact.
+    (1+y) s, so the division is always exact.  In tau = s - 1 the head
+    1 - e + e s is 1 + e tau.
     """
     exps = _validate_exponents(exps, n)
-    prod = KPoly.one(n)
-    for e in exps:
-        factor = KPoly(n, (KClass(n, (1 - e, e)), KClass(n, (0, 1))))
-        prod = prod * factor
-    return exact_div_one_plus_y(prod)
+    return _product_over_one_plus_y([(1, e) for e in exps], n, sum(exps))
+
+
+def _binomial_row(e, n):
+    """C(e, j) for j = 0..min(e, n): s^e = (1 + tau)^e truncated."""
+    row = [1]
+    for j in range(1, min(e, n) + 1):
+        row.append(row[-1] * (e - j + 1) // j)
+    return row
 
 
 def log_class_free(exps, n):
@@ -267,12 +334,7 @@ def log_class_free(exps, n):
     given exponents.
     """
     exps = _validate_exponents(exps, n)
-    prod = KPoly.one(n)
-    for e in exps:
-        s_e = KClass(n, [0] * e + [1]) if e <= n else kclass_O(-e, n)
-        factor = KPoly(n, (s_e, KClass(n, (0, 1))))
-        prod = prod * factor
-    return exact_div_one_plus_y(prod)
+    return _product_over_one_plus_y([_binomial_row(e, n) for e in exps], n, sum(exps))
 
 
 def difference_class_arrangement(exps, lat_or_chi, n):

@@ -273,6 +273,27 @@ def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
     assert seen["logclass", "all", (3, 1, 2)] == (0, 0, 0)
 
 
+def test_input_derivation_errors_are_raised_again_not_kept(monkeypatch):
+    """A failed derivation (here the node cap) stores nothing; success is kept."""
+    from logmc.cli import _Input
+    calls = []
+    build = arrangement.build_lattice
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["max_nodes"])
+        return build(*args, **kwargs)
+    monkeypatch.setattr(arrangement, "build_lattice", counted)
+    arr = arrangement.parse_arrangement(Path(corpus_path("braid")).read_text())
+    inp = _Input(arr, RunConfig("mc", "x", max_lattice_nodes=2))
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            inp.chi
+    assert calls == [2, 2]
+    inp = _Input(arr, RunConfig("mc", "x"))
+    assert inp.chi is inp.chi and inp.lattice is inp.lattice
+    assert calls == [2, 2, 25000]
+
+
 # --- JSON round trips against in-memory values
 
 def test_mc_json_roundtrip_matches_library():

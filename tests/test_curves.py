@@ -210,6 +210,16 @@ def test_inexact_curve_inputs_refused():
                 CurveSingularity(**{**values, field: bad})
 
 
+def test_curve_inputs_refuse_text_as_numbers():
+    # Fraction parses strings, so "1/2" was stored as 1/2 and "3" tripled f
+    with pytest.raises(ValidationError, match="not a number: '1/2'"):
+        LocalPolynomial({(2, 0): "1/2"})
+    f = LocalPolynomial.from_string("x^2-y^3")
+    for bad in (lambda: f * "3", lambda: "3" * f):
+        with pytest.raises(ValidationError, match="not a number: '3'"):
+            bad()
+
+
 def test_exact_curve_inputs_accepted():
     f = P("x^2 - y^3")
     assert (f * Fraction(1, 2)).terms == {(2, 0): Fraction(1, 2), (0, 3): Fraction(-1, 2)}

@@ -170,6 +170,14 @@ def test_cohclass_refuses_floats():
     assert CohClass(1, [F(1, 10), 1]).coeffs == (F(1, 10), F(1))
 
 
+def test_cohclass_refuses_text_but_json_still_parses():
+    with pytest.raises(ValidationError, match="not a number: '1/3'"):
+        CohClass(1, ["1/3", "2"])
+    assert cohclass_from_json({"n": 1, "coeffs": ["1/3", "2"]}).coeffs == (F(1, 3), F(2))
+    p = cohpoly_from_json({"n": 1, "denominator_power": 0, "coeffs_y": [["1/3", "2"]]})
+    assert p.coeffs[0].coeffs == (F(1, 3), F(2))
+
+
 def test_chern_product_refuses_inexact_exponents():
     with pytest.raises(ValidationError, match="floats"):
         chern_class_free_exponents([1, 2.5], 1)

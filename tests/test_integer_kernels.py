@@ -16,12 +16,16 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logmc import (CohClass, CohPoly, DivisionRemainderError, IntPolynomial,
                    KClass, KPoly, clear_denominator, cohpoly_to_json,
                    csm_at_minus_one, exact_div_one_plus_y, grr_transform,
                    kpoly_to_json, log_class_free, mc_complement_charpoly,
                    mc_free_exponents, normalize)
+from logmc.arrangement import MAX_AMBIENT_DIM
+from logmc.kring import _swap_s_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -278,3 +282,84 @@ def test_exponent_sets_match_reference(name, exps):
         cd = clear_denominator(nm)
         assert_same_cohpoly(cd, ref_clear_denominator(nm))
         assert csm_at_minus_one(got) == cd.at_y(-1)
+
+
+# --- the packed exponent-product kernel -------------------------------------------
+
+def ref_s_power(e, n):
+    """s^e reduced, by squaring with the pairwise reference product."""
+    result, base = ref_reduce((1,), n), ref_reduce((0, 1), n)
+    while e:
+        if e & 1:
+            result = ref_kclass_mul(result, base, n)
+        base = ref_kclass_mul(base, base, n)
+        e >>= 1
+    return result
+
+
+def log_factor_any(e, n):
+    """s^e + s y for any e; ``log_factor`` writes s^e out, so e must be small."""
+    return KPoly(n, (KClass(n, ref_s_power(e, n)), KClass(n, (0, 1))))
+
+
+def ref_swap_s_basis(coeffs, n):
+    """Horner's rule, one product by 1 - x per term."""
+    out = [0] * (n + 1)
+    for a in reversed(list(coeffs)[:n + 1]):
+        out = [a + out[0]] + [u - v for u, v in zip(out[1:], out)]
+    return out
+
+
+exponent = st.one_of(st.integers(1, 60), st.integers(10 ** 11 - 50, 10 ** 11 + 50))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 20).flatmap(lambda n: st.lists(exponent, min_size=n, max_size=n)))
+def test_exponent_products_match_reference(rest):
+    exps = [1] + rest
+    n = len(rest)
+    assert mc_free_exponents(exps, n) == ref_exponent_product(exps, mc_factor)
+    got = log_class_free(exps, n)
+    assert got == ref_exponent_product(exps, log_factor_any)
+    assert all(type(v) is int for c in got.coeffs for v in c.coeffs)
+
+
+def test_exponent_products_on_a_point():
+    one = KPoly.one(0)
+    assert mc_free_exponents([1], 0) == one == ref_exponent_product([1], mc_factor)
+    assert log_class_free([1], 0) == one == ref_exponent_product([1], log_factor)
+
+
+def test_all_ones_give_the_narrowest_digits():
+    # every factor is s (1+y): both classes are s^{n+1} (1+y)^n
+    for n in range(12):
+        want = KPoly(n, [KClass(n, ref_s_power(n + 1, n)) * comb(n, k) for k in range(n + 1)])
+        for lib in (mc_free_exponents, log_class_free):
+            assert lib([1] * (n + 1), n) == want
+
+
+def test_exponent_products_at_the_largest_dimension():
+    n = MAX_AMBIENT_DIM - 1
+    exps = list(range(1, n + 2))
+    chi = [1]
+    for e in exps:
+        chi = [a - e * b for a, b in zip(chi + [0], [0] + chi)]
+    assert mc_free_exponents(exps, n) == mc_complement_charpoly(IntPolynomial(chi[::-1]), n)
+    # the general KPoly product, one factor at a time
+    for lib, factor in ((mc_free_exponents, mc_factor), (log_class_free, log_factor)):
+        prod = KPoly.one(n)
+        for e in exps:
+            prod = prod * factor(e, n)
+        assert lib(exps, n) == exact_div_one_plus_y(prod)
+
+
+def test_swap_s_basis_is_an_involution_on_the_first_n_plus_1():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        c = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(rng.randint(0, 2 * n + 3))]
+        head = c[:n + 1] + [0] * (n + 1 - len(c[:n + 1]))
+        once = _swap_s_basis(c, n)
+        assert once == ref_swap_s_basis(c, n)
+        assert len(once) == n + 1
+        assert _swap_s_basis(once, n) == head
