@@ -329,7 +329,7 @@ def _cmd_csm(inp):
 def _cmd_euler(inp):
     # the lattice before any route, so a node-cap refusal precedes exponent errors
     lat = inp.lattice
-    mobius_sum = sum(mu * node.dim for node, mu in zip(lat.nodes, lat.mobius))
+    mobius_sum = sum(mu * dim for dim, mu in zip(lat.dims, lat.mobius))
     csm_mc = hzmod.csm_at_minus_one(_mc_value(inp))
     euler = hzmod.euler_characteristic(csm_mc)
     if euler != mobius_sum:

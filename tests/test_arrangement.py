@@ -11,7 +11,7 @@ from logmc import (Arrangement, IntPolynomial, Subspace, ValidationError,
                    build_lattice, characteristic_polynomial, exponents_via_terao,
                    parse_arrangement)
 from logmc._linalg import IntEchelon
-from logmc.arrangement import MAX_AMBIENT_DIM
+from logmc.arrangement import MAX_AMBIENT_DIM, _residual_table
 from logmc.errors import InconsistencyError
 
 BOOLEAN3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -70,11 +70,11 @@ def brute_force_node_count(forms, width):
     return len(reps)
 
 
-def random_arrangement(rng, max_forms=8, max_dim=4):
+def random_arrangement(rng, max_forms=8, max_dim=4, bound=3):
     width = rng.randint(1, max_dim)
     forms = []
     for _ in range(rng.randint(0, max_forms)):
-        row = tuple(rng.randint(-3, 3) for _ in range(width))
+        row = tuple(rng.randint(-bound, bound) for _ in range(width))
         if any(row):
             forms.append(row)
     # constructor may still reject proportional picks; retry via dedupe
@@ -246,6 +246,46 @@ def test_lattice_matches_subset_oracle_on_random():
                 assert lat.contains(i, j) == (hyperplanes[i] <= hyperplanes[j])
 
 
+def test_node_order_dims_and_masks_on_random():
+    # the integer sort gives Subspace.sort_key order, also with pivots other
+    # than 1, and dims, masks and Möbius values stay paired with the nodes
+    rng = random.Random(1618)
+    for _ in range(60):
+        arr = random_arrangement(rng, max_forms=7, bound=4)
+        width, forms = arr.ambient_dim, arr.forms
+        lat = build_lattice(arr)
+        assert list(lat.nodes) == sorted(lat.nodes, key=Subspace.sort_key)
+        assert lat.dims == tuple(node.dim for node in lat.nodes)
+        got = {}
+        for node, mask, mu in zip(lat.nodes, lat.masks, lat.mobius):
+            hyperplanes = frozenset(k for k in range(len(forms)) if mask >> k & 1)
+            assert all(Subspace.from_forms(width, [form]).contains(node) == (k in hyperplanes)
+                       for k, form in enumerate(forms))
+            got[hyperplanes] = (node.dim, mu)
+        assert got == subset_flats(list(forms), width)
+
+
+def test_residual_tables_are_echelon_reductions():
+    # each table, derived from the last by one elimination step, holds what
+    # IntEchelon.reduce gives for every form off the flat
+    rng = random.Random(577)
+    for _ in range(80):
+        arr = random_arrangement(rng, max_forms=9, max_dim=5)
+        table, mask = arr.forms, 0
+        ech = IntEchelon(arr.ambient_dim)
+        while any(r is not None for r in table):
+            row = rng.choice([r for r in table if r is not None])
+            ech.add(row)
+            mask |= sum(1 << k for k, r in enumerate(table) if r == row)
+            table = _residual_table(table, row, mask)
+            for k, form in enumerate(arr.forms):
+                reduced = tuple(ech.reduce(form))
+                if mask >> k & 1:
+                    assert table[k] is None and not any(reduced)
+                else:
+                    assert table[k] == reduced and any(reduced)
+
+
 def test_lattice_nodes_keep_no_closure_echelon():
     # the echelon cache of a node fills only when Subspace methods need it
     lat = build_lattice(Arrangement(3, BRAID3))
@@ -381,6 +421,16 @@ def test_parse_rejects_bad_tokens():
         parse_arrangement("# nothing here\n")
     with pytest.raises(ValidationError, match="has 2 coefficients"):
         parse_arrangement("3\n1 0\n")
+
+
+def test_parse_reports_the_first_faulty_line():
+    # each form is checked as its line is read: the duplicate on line 3 is
+    # refused before the malformed line 5 is converted
+    text = "3\n1 0 0\n-2 0 0\n0 1 0\n1 z 0\n"
+    with pytest.raises(ValidationError, match="form 1 is proportional to form 0"):
+        parse_arrangement(text)
+    with pytest.raises(ValidationError, match="line 5: expected integers"):
+        parse_arrangement("3\n1 0 0\n0 0 1\n0 1 0\n1 z 0\n")
 
 
 def test_parse_refuses_ambient_dimension_above_the_limit():

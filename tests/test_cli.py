@@ -22,6 +22,7 @@ GOLDEN_MATRIX = {
     "generic4": ["charpoly", "exponents", "mc", "csm", "euler"],
     "concurrent3": ["exponents", "diff", "csm"],
     "empty": ["charpoly", "mc"],
+    "skew5": ["lattice", "charpoly"],
     "node": ["curve"],
     "cusp": ["curve"],
     "tacnode": ["curve"],
@@ -233,6 +234,23 @@ def test_exponent_override_never_builds_lattice(monkeypatch):
             code, report = run_json(command, "braid", mc_route=route,
                                     exponents_override=exps)
             assert code == 1 and message in json.loads(report)["error"]
+
+
+def test_only_the_lattice_command_builds_subspaces(monkeypatch):
+    """The other lattice commands read dims, masks and Möbius values only."""
+    built = []
+    init = arrangement.Subspace.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(arrangement.Subspace, "__init__", counting_init)
+    for command in ("charpoly", "exponents", "mc", "diff", "csm", "euler"):
+        code, _ = run_json(command, "braid")
+        assert code == 0 and built == [], command
+    code, _ = run_json("lattice", "braid")
+    assert code == 0 and len(built) == 15  # one per flat
 
 
 def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
