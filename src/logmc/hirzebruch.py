@@ -28,6 +28,12 @@ the Todd denominator for the h^m column of step 1), multiplies or divides
 the numerators by (1+y) and forms Fractions only for the result.  Division
 by the monic 1+y keeps the numerators integral, and its remainder over the
 same denominator is the rational remainder.
+
+``csm_at_minus_one`` runs steps 1-4 as one integer pass.  (1+y)^n divides
+(1+y)^j G_j exactly when (1+y)^{n-j} divides G_j, so it divides the h^j
+column G_j of step 1 by (1+y) n-j times, with the same check and error as
+step 3, evaluates the quotient at -1 on ints and forms one Fraction per
+column.
 """
 
 from __future__ import annotations
@@ -154,24 +160,27 @@ def _fractions(nums, den):
     return [Fraction(v, den) if v else _ZERO for v in nums]
 
 
-def grr_transform(p):
-    """Chern character coefficientwise in y, times the Todd class of P^n.
+def _grr_columns(p):
+    """Integer h^m columns of ch(c)*td for the y-coefficients c of ``p``.
 
     With ch(c) = sum_j A_j/j! h^j and td = sum_i T_i/D h^i, the h^m
-    coefficient of ch(c)*td is sum_j A_j T_{m-j} (m!/j!) over m! D.
+    coefficient of ch(c)*td is sum_j A_j T_{m-j} (m!/j!) over m! D.  Returns
+    the columns (one numerator per y-degree) and their denominators m! D.
     """
     n = p.n
     todd, den = _over_lcm(todd_class(n).coeffs)
     facts = [factorial(m) for m in range(n + 1)]
     weights = [[todd[m - j] * (facts[m] // facts[j]) for j in range(m + 1)]
                for m in range(n + 1)]
-    denoms = [f * den for f in facts]
-    rows = []
-    for c in p.coeffs:
-        chern = _chern_numerators(c.coeffs, n)
-        rows.append(CohClass(n, [Fraction(sum(map(mul, chern, w)), d)
-                                 for w, d in zip(weights, denoms)]))
-    return CohPoly(n, rows, delta=0)
+    cherns = [_chern_numerators(c.coeffs, n) for c in p.coeffs]
+    cols = [[sum(map(mul, chern, w)) for chern in cherns] for w in weights]
+    return cols, [f * den for f in facts]
+
+
+def grr_transform(p):
+    """Chern character coefficientwise in y, times the Todd class of P^n."""
+    cols, denoms = _grr_columns(p)
+    return CohPoly.from_columns(p.n, [_fractions(col, d) for col, d in zip(cols, denoms)])
 
 
 def normalize(p):
@@ -194,6 +203,21 @@ def normalize(p):
     return CohPoly.from_columns(p.n, cols, delta=p.n)
 
 
+def _divide_column(nums, den, times, j, delta):
+    """nums/(1+y)^times on integer numerators, checking every remainder.
+
+    ``nums`` is the h^j column over ``den`` of a class whose denominator
+    power is ``delta``; a nonzero remainder raises with its rational value.
+    """
+    for _ in range(times):
+        nums, rem = deflate(nums, -1)
+        if rem:
+            raise DivisionRemainderError(
+                f"h^{j} component is not divisible by (1+y)^{delta}",
+                remainder=Fraction(rem, den))
+    return nums
+
+
 def clear_denominator(p):
     """Divide the stored numerator by (1+y)^delta, exactly.
 
@@ -206,19 +230,24 @@ def clear_denominator(p):
     out = []
     for j, col in enumerate(p.columns()):
         nums, den = _over_lcm(col)
-        for _ in range(p.delta):
-            nums, rem = deflate(nums, -1)
-            if rem != 0:
-                raise DivisionRemainderError(
-                    f"h^{j} component is not divisible by (1+y)^{p.delta}",
-                    remainder=Fraction(rem, den))
-        out.append(_fractions(nums, den))
+        out.append(_fractions(_divide_column(nums, den, p.delta, j, p.delta), den))
     return CohPoly.from_columns(p.n, out)
 
 
 def csm_at_minus_one(p):
-    """CSM-type class of a K-theory polynomial: the full pipeline at y = -1."""
-    return clear_denominator(normalize(grr_transform(p))).at_y(-1)
+    """CSM-type class of a K-theory polynomial: the full pipeline at y = -1.
+
+    Equal to ``clear_denominator(normalize(grr_transform(p))).at_y(-1)``,
+    failing with the same error, in one integer pass: the h^j column is
+    divided by (1+y)^{n-j} and evaluated at -1 before any Fraction is formed.
+    """
+    n = p.n
+    cols, denoms = _grr_columns(p)
+    out = []
+    for j, (col, den) in enumerate(zip(cols, denoms)):
+        q = _divide_column(col, den, n - j, j, n)
+        out.append(Fraction(sum(q[::2]) - sum(q[1::2]), den))
+    return CohClass(n, out)
 
 
 def euler_characteristic(c):
@@ -228,11 +257,17 @@ def euler_characteristic(c):
 
 def chern_class_free_exponents(exps, n):
     """prod_i (1 + (1-e_i) h) truncated: the expected CSM class of the
-    complement when the cone splits with the given exponents."""
-    result = CohClass.one(n)
+    complement when the cone splits with the given exponents.
+
+    The h^k coefficient is the k-th elementary symmetric function of the
+    integers 1 - e_i, accumulated on ints up to k = n.
+    """
+    elem = [1] + [0] * n
     for e in exps:
-        result = result * CohClass(n, (1, 1 - exact_scalar(e)))
-    return result
+        a = 1 - exact_scalar(e)
+        for k in range(n, 0, -1):
+            elem[k] += a * elem[k - 1]
+    return CohClass(n, elem)
 
 
 def cohclass_to_json(c):

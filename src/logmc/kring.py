@@ -87,6 +87,13 @@ def _swap_s_basis(coeffs, n):
     return out
 
 
+def _s_basis(tau_coeffs, n):
+    """s-basis coefficients of the class given by its tau = s - 1 coefficients."""
+    t = list(tau_coeffs)
+    t[1::2] = [-c for c in t[1::2]]
+    return _swap_s_basis(t, n)
+
+
 class KClass(_Truncated):
     """A coherent-sheaf class on P^n in the s-power basis, s = [O(-1)].
 
@@ -280,8 +287,11 @@ def _product_over_one_plus_y(heads, n, total):
     too.  Its tau^j y^k coefficient is at most C(n+1, k) C(total, j) <
     2^{n+1} C(total, min(n, total // 2)) <= 2^{w-1} for j <= n.
 
-    The unpacked rows are read in t = 1 - s = -tau (odd digits negated) and
-    brought to the s basis; the checked ``exact_div_one_plus_y`` divides.
+    Division by (1+y) acts on y alone, so it commutes with the change of
+    basis: each tau-digit's column is divided (checked, as in
+    ``exact_div_one_plus_y``, whose error and s-basis remainder it raises),
+    and only the quotient rows are read in t = 1 - s = -tau (odd digits
+    negated) and brought to the s basis, one KClass each.
     """
     width = n + 2 + comb(total, min(n, total // 2)).bit_length()
     mask = (1 << width * (n + 1)) - 1
@@ -299,12 +309,12 @@ def _product_over_one_plus_y(heads, n, total):
         out.append(shifted)
         rows = out
     digit = (1 << width) - 1
-    classes = []
-    for r in rows:
-        t = [(r >> width * j) & digit for j in range(n + 1)]
-        t[1::2] = [-c for c in t[1::2]]
-        classes.append(KClass(n, _swap_s_basis(t, n)))
-    return exact_div_one_plus_y(KPoly(n, classes))
+    quotients, remainders = zip(*(deflate([(r >> width * j) & digit for r in rows], -1)
+                                  for j in range(n + 1)))
+    if any(remainders):
+        raise DivisionRemainderError(
+            "class is not divisible by 1+y", remainder=KClass(n, _s_basis(remainders, n)))
+    return KPoly(n, [KClass(n, _s_basis(t, n)) for t in zip(*quotients)])
 
 
 def mc_free_exponents(exps, n):

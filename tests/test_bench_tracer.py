@@ -9,7 +9,7 @@ the tracer once over a real command.
 import sys
 from pathlib import Path
 
-from logmc import cli
+from logmc import cli, hirzebruch, kring
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -37,6 +37,10 @@ def test_tracer_records_and_restores():
     try:
         code, _ = cli.run(cli.RunConfig(command="csm", output_format="json",
                                         input_path=str(ROOT / "corpus" / "braid.arr")))
+        # csm runs the stages fused; call them through the module attributes
+        # the tracer replaces, so their wrappers are exercised too
+        hirzebruch.clear_denominator(hirzebruch.normalize(hirzebruch.grr_transform(
+            kring.mc_free_exponents((1, 2, 3), 2))))
     finally:
         tracer.uninstall()
     assert code == 0

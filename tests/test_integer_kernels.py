@@ -20,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmc import (CohClass, CohPoly, DivisionRemainderError, IntPolynomial,
-                   KClass, KPoly, clear_denominator, cohpoly_to_json,
-                   csm_at_minus_one, exact_div_one_plus_y, grr_transform,
-                   kpoly_to_json, log_class_free, mc_complement_charpoly,
-                   mc_free_exponents, normalize)
+                   KClass, KPoly, chern_class_free_exponents, clear_denominator,
+                   cohclass_to_json, cohpoly_to_json, csm_at_minus_one,
+                   exact_div_one_plus_y, grr_transform, kpoly_to_json,
+                   log_class_free, mc_complement_charpoly, mc_free_exponents,
+                   normalize)
 from logmc.arrangement import MAX_AMBIENT_DIM
-from logmc.kring import _swap_s_basis
+from logmc.kring import _binomial_row, _product_over_one_plus_y, _swap_s_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -152,7 +153,8 @@ def assert_same_cohpoly(got, want):
 def outcome(fn, p):
     """("ok", json) or ("error", message, remainder, its type, details)."""
     try:
-        return ("ok", cohpoly_to_json(fn(p)))
+        got = fn(p)
+        return ("ok", (cohclass_to_json if isinstance(got, CohClass) else cohpoly_to_json)(got))
     except DivisionRemainderError as e:
         return ("error", str(e), e.remainder, type(e.remainder), e.details)
 
@@ -242,6 +244,73 @@ def test_normalize_matches_reference_on_random_cohpolys():
         p = random_cohpoly(rng, n, rng.randint(0, 5), 0)
         assert_same_cohpoly(normalize(p), ref_normalize(p))
     assert_same_cohpoly(normalize(CohPoly.zero(4)), ref_normalize(CohPoly.zero(4)))
+
+
+def staged_csm(p):
+    return clear_denominator(normalize(grr_transform(p))).at_y(-1)
+
+
+def test_fused_csm_matches_the_staged_pipeline():
+    rng = random.Random(12)
+    errors = 0
+    for i in range(300):
+        n = rng.randint(0, 8)
+        kind = i % 4
+        if kind == 0:
+            p = random_kpoly(rng, n, rng.randint(0, 6), rng.choice((0.2, 0.6, 1.0)))
+        elif kind == 1:
+            p = KPoly.zero(n)
+        else:
+            exps = [1] + [rng.randint(1, 12) for _ in range(n)]
+            p = (mc_free_exponents if kind == 2 else log_class_free)(exps, n)
+        want = outcome(staged_csm, p)
+        assert outcome(csm_at_minus_one, p) == want
+        if want[0] == "ok":
+            assert all(type(v) is Fraction for v in csm_at_minus_one(p).coeffs)
+        errors += want[0] == "error"
+    assert 30 < errors < 75
+
+
+def test_chern_product_matches_fraction_product():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(0, 10)
+        exps = [rng.choice((rng.randint(-5, 30), F(rng.randint(1, 9) * 2, 2)))
+                for _ in range(rng.randint(0, 12))]
+        want = CohClass.one(n)
+        for e in exps:
+            want = want * CohClass(n, (1, 1 - e))
+        got = chern_class_free_exponents(exps, n)
+        assert got == want
+        assert cohclass_to_json(got) == cohclass_to_json(want)
+        assert all(type(v) is Fraction for v in got.coeffs)
+
+
+def test_product_remainder_matches_exact_division():
+    # no head is s (e = 1): at y = -1 each factor is a multiple of 1 - s, so
+    # only n + 1 or more factors make the product divisible by 1 + y
+    rng = random.Random(14)
+    errors = 0
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        exps = [rng.choice((0, 2, 3, 4, 7, 11)) for _ in range(rng.randint(1, n + 2))]
+        mc_heads = rng.random() < 0.5
+        heads = [(1, e) if mc_heads else _binomial_row(e, n) for e in exps]
+        factor = mc_factor if mc_heads else log_factor_any
+        prod = KPoly.one(n)
+        for e in exps:
+            prod = ref_kpoly_mul(prod, factor(e, n))
+        try:
+            want = ("ok", exact_div_one_plus_y(prod))
+        except DivisionRemainderError as err:
+            want = ("error", str(err), err.remainder, err.details)
+        try:
+            got = ("ok", _product_over_one_plus_y(heads, n, sum(exps)))
+        except DivisionRemainderError as err:
+            got = ("error", str(err), err.remainder, err.details)
+        assert got == want
+        errors += want[0] == "error"
+    assert 90 < errors < 150
 
 
 # --- the bench's exponent sets ---------------------------------------------------
