@@ -116,6 +116,26 @@ class IntEchelon:
         return [work[c] for c in cols]
 
 
+def quotient_rows(matrix, cache):
+    """Entries v / pivot of integer reduced rows (pivot: the first nonzero
+    entry): an int where the pivot divides v, else a Fraction, so ``str`` of
+    one is ``str(Fraction(v, pivot))``.  A row with pivot 1 is returned as it
+    is; equal entries are shared through the caller's dict ``cache``."""
+    out = []
+    for row in matrix:
+        lead = row[_first_nonzero(row, 0)]
+        if lead != 1:
+            entries = []
+            for v in row:
+                value = cache.get((v, lead))
+                if value is None:
+                    value = cache[v, lead] = v // lead if v % lead == 0 else Fraction(v, lead)
+                entries.append(value)
+            row = tuple(entries)
+        out.append(row)
+    return tuple(out)
+
+
 def rref(rows, width):
     """Canonical reduced row echelon form as a tuple of Fraction tuples.
 
@@ -126,8 +146,4 @@ def rref(rows, width):
     ech = IntEchelon(width)
     for row in rows:
         ech.add(int_row(row))
-    out = []
-    for row in ech.reduced_rows():
-        lead = row[_first_nonzero(row, 0)]
-        out.append(tuple(Fraction(v, lead) for v in row))
-    return tuple(out)
+    return tuple(tuple(map(Fraction, row)) for row in quotient_rows(ech.reduced_rows(), {}))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._linalg import IntEchelon, _strip_content, int_row, rref
+from ._linalg import IntEchelon, _strip_content, int_row, quotient_rows, rref
 from ._poly import deflate, exact_scalar, power, render
 from .errors import InconsistencyError, ValidationError
 
@@ -198,7 +198,7 @@ class IntersectionLattice:
 
     ``nodes``, the flats as ``Subspace`` objects with Fraction matrices, is
     built from ``rows`` on its first read (two threads reading it first at
-    once may both build it; the results are equal).
+    once may both build it; the results are equal).  No command reads it.
     """
 
     __slots__ = ("ambient_dim", "rows", "dims", "mobius", "masks", "_nodes")
@@ -213,27 +213,13 @@ class IntersectionLattice:
 
     @property
     def nodes(self):
-        """The flats as Subspaces, in node order.
-
-        Every RREF entry v / lead is one shared Fraction per (v, lead), so
-        equal entries of two matrices are mostly the same object.
-        """
+        """The flats as Subspaces with Fraction matrices, in node order."""
         if self._nodes is None:
-            fractions = {}
-            nodes = []
-            for matrix in self.rows:
-                rational = []
-                for row in matrix:
-                    lead = next(v for v in row if v)
-                    entries = []
-                    for v in row:
-                        value = fractions.get((v, lead))
-                        if value is None:
-                            value = fractions[v, lead] = Fraction(v, lead)
-                        entries.append(value)
-                    rational.append(tuple(entries))
-                nodes.append(Subspace(self.ambient_dim, tuple(rational)))
-            self._nodes = tuple(nodes)
+            cache = {}
+            self._nodes = tuple(
+                Subspace(self.ambient_dim,
+                         tuple(tuple(map(Fraction, row)) for row in quotient_rows(matrix, cache)))
+                for matrix in self.rows)
         return self._nodes
 
     def __len__(self):
@@ -344,30 +330,14 @@ def _residual_table(table, row, mask):
 def _render(width, flats, mobius):
     """The lattice in ``Subspace.sort_key`` order, without a Subspace.
 
-    That order is (descending dimension, Fraction RREF matrix), and each
-    Fraction row is an integer reduced row over its pivot.  A row with pivot
-    1 is its own key; in any other row an entry the pivot divides is keyed by
-    the int quotient and only the rest by a Fraction.  Rows are not scaled
-    to a common denominator: the lcm of all pivots of 26 random forms in
-    dimension 5 (17903 flats) runs to thousands of digits, and sorting on
-    such keys took longer than the closure.
+    That order is (descending dimension, Fraction RREF matrix): the flats
+    sort on ``quotient_rows`` of their integer rows.  Rows are not scaled to
+    a common denominator: the lcm of all pivots of 26 random forms in
+    dimension 5 (17903 flats) runs to thousands of digits.
     """
     rows = {mask: tuple(map(tuple, ech.reduced_rows())) for mask, ech in flats.items()}
-    quotients = {}  # (v, pivot) -> v / pivot, an int where the pivot divides v
-
-    def row_key(row):
-        lead = next(v for v in row if v)
-        if lead == 1:
-            return row
-        entries = []
-        for v in row:
-            value = quotients.get((v, lead))
-            if value is None:
-                value = quotients[v, lead] = v // lead if v % lead == 0 else Fraction(v, lead)
-            entries.append(value)
-        return tuple(entries)
-
-    order = sorted(rows, key=lambda mask: (len(rows[mask]), tuple(map(row_key, rows[mask]))))
+    cache = {}
+    order = sorted(rows, key=lambda mask: (len(rows[mask]), quotient_rows(rows[mask], cache)))
     return IntersectionLattice(width, [rows[mask] for mask in order],
                                [mobius[mask] for mask in order], order)
 

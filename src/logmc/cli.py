@@ -41,6 +41,7 @@ from . import arrangement as arrmod
 from . import curves as curvemod
 from . import hirzebruch as hzmod
 from . import kring
+from ._linalg import quotient_rows
 from ._poly import power, render
 from .errors import InconsistencyError, ValidationError
 
@@ -100,7 +101,9 @@ def config_from_args(argv=None):
     try:
         max_nodes = int(os.environ.get("LOGMC_MAX_LATTICE", DEFAULT_MAX_LATTICE))
     except ValueError:
-        raise ValidationError("LOGMC_MAX_LATTICE must be an integer") from None
+        max_nodes = 0
+    if max_nodes < 1:
+        raise ValidationError("LOGMC_MAX_LATTICE must be a positive integer")
     return RunConfig(command=args.command,
                      input_path=args.input,
                      output_format=args.format,
@@ -134,7 +137,7 @@ def _read_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
 
 
@@ -235,13 +238,14 @@ def _mc_value(inp):
 
 def _cmd_lattice(inp):
     lat = inp.lattice
+    cache = {}
     nodes = []
     lines = [f"ambient_dim {lat.ambient_dim}, {len(lat)} nodes"]
-    for node, mu in zip(lat.nodes, lat.mobius):
-        matrix = [[str(v) for v in row] for row in node.matrix]
-        nodes.append({"dim": node.dim, "mobius": mu, "matrix": matrix})
+    for dim, rows, mu in zip(lat.dims, lat.rows, lat.mobius):
+        matrix = [[str(v) for v in row] for row in quotient_rows(rows, cache)]
+        nodes.append({"dim": dim, "mobius": mu, "matrix": matrix})
         rendered = "; ".join(" ".join(row) for row in matrix) or "(ambient)"
-        lines.append(f"dim {node.dim}  mobius {mu:3d}  [{rendered}]")
+        lines.append(f"dim {dim}  mobius {mu:3d}  [{rendered}]")
     payload = {"ambient_dim": lat.ambient_dim, "node_count": len(lat), "nodes": nodes}
     return payload, lines
 
@@ -347,7 +351,7 @@ def _cmd_curve(config):
     text = _read_file(config.input_path)
     try:
         data = json.loads(text)
-    except ValueError as e:  # malformed JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as e:  # malformed, an over-long integer, too deep
         raise ValidationError(f"invalid JSON in {config.input_path}: {e}") from None
     entries = data if isinstance(data, list) else [data]
     sings = [curvemod.singularity_from_json(obj) for obj in entries]

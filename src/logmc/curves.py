@@ -163,6 +163,10 @@ class LocalPolynomial:
 # about 4 s to pass the Bezout bound.
 MAX_PARSE_DEGREE = 32
 
+# Deepest parenthesis nesting parsed: four frames a level (expr, term, factor,
+# atom) use 400 of Python's default limit of 1000, leaving 600 to callers.
+MAX_PARSE_DEPTH = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -198,6 +202,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -267,10 +272,14 @@ class _Parser:
         if kind == "var":
             return LocalPolynomial.variable(val)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_PARSE_DEPTH:
+                raise ValidationError(f"parentheses nested over the limit {MAX_PARSE_DEPTH}")
             value = self.expr()
             if self.peek() != ")":
                 raise ValidationError("missing closing parenthesis")
             self.take()
+            self.depth -= 1
             return value
         raise ValidationError(f"unexpected token {val!r} in polynomial")
 

@@ -1,9 +1,14 @@
 """Command-line tests: golden JSON comparison, exit codes, round trips."""
 
 import json
+import os
+import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logmc import arrangement
 from logmc import (Arrangement, ValidationError, build_lattice,
@@ -199,6 +204,13 @@ def test_lattice_cap_env(monkeypatch):
     assert code == 1 and "node cap" in report
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_lattice_cap_env_must_be_positive(monkeypatch, value):
+    monkeypatch.setenv("LOGMC_MAX_LATTICE", value)
+    with pytest.raises(ValidationError, match="LOGMC_MAX_LATTICE must be a positive integer"):
+        config_from_args(["lattice", corpus_path("braid")])
+
+
 def test_node_cap_refusal_precedes_exponent_errors():
     for command in ("mc", "diff", "csm", "euler"):
         code, report = run_json(command, "braid", mc_route="all", max_lattice_nodes=3,
@@ -236,8 +248,9 @@ def test_exponent_override_never_builds_lattice(monkeypatch):
             assert code == 1 and message in json.loads(report)["error"]
 
 
-def test_only_the_lattice_command_builds_subspaces(monkeypatch):
-    """The other lattice commands read dims, masks and Möbius values only."""
+def test_no_command_builds_subspaces(monkeypatch):
+    """The node sort and the ``lattice`` printout read the integer rows of
+    ``IntersectionLattice``; nothing reads ``nodes``."""
     built = []
     init = arrangement.Subspace.__init__
 
@@ -246,11 +259,39 @@ def test_only_the_lattice_command_builds_subspaces(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(arrangement.Subspace, "__init__", counting_init)
-    for command in ("charpoly", "exponents", "mc", "diff", "csm", "euler"):
+    for command in ("charpoly", "exponents", "mc", "diff", "csm", "euler", "lattice"):
         code, _ = run_json(command, "braid")
         assert code == 0 and built == [], command
-    code, _ = run_json("lattice", "braid")
-    assert code == 0 and len(built) == 15  # one per flat
+    code, _ = run_json("lattice", "skew5")  # pivots other than 1
+    assert code == 0 and built == []
+
+
+def test_lattice_matrices_match_fraction_nodes_on_random(tmp_path):
+    """The printed entries are ``str`` of the Fraction RREF entries of ``nodes``,
+    also for pivots other than 1."""
+    rng = random.Random(4231)
+    path = tmp_path / "random.arr"
+    fractions = 0
+    for _ in range(25):
+        width = rng.randint(2, 5)
+        forms = {}
+        for _ in range(rng.randint(1, 8)):
+            form = tuple(rng.randint(-5, 5) for _ in range(width))
+            if any(form):
+                forms[Arrangement(width, [form]).forms[0]] = None
+        arr = Arrangement(width, forms)
+        path.write_text(f"{width}\n" + "".join(" ".join(map(str, f)) + "\n" for f in arr.forms))
+        code, report = run(RunConfig(command="lattice", input_path=str(path),
+                                     output_format="json"))
+        assert code == 0
+        payload = json.loads(report)
+        lat = build_lattice(arr)
+        expected = [{"dim": node.dim, "mobius": mu,
+                     "matrix": [[str(v) for v in row] for row in node.matrix]}
+                    for node, mu in zip(lat.nodes, lat.mobius)]
+        assert payload["nodes"] == expected
+        fractions += sum("/" in v for node in expected for row in node["matrix"] for v in row)
+    assert fractions > 0
 
 
 def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
@@ -391,10 +432,61 @@ def test_run_text_and_json_agree_on_verdicts():
     '{"mu": [1], "tau": 1, "r": 1}',
     '{"poly": 5}',
     '{"poly": "x^2-y^3", "r": "a"}',
-], ids=["long-integer", "mu-string", "mu-list", "poly-number", "r-string"])
+    b'{"poly": "x^2-y^3"}\xff',
+    json.dumps({"poly": "(" * 250 + "x^2-y^3" + ")" * 250}),
+    "[" * 1000 + "]" * 1000,
+], ids=["long-integer", "mu-string", "mu-list", "poly-number", "r-string", "not-utf8",
+        "deep-parentheses", "deep-json"])
 def test_curve_malformed_entries_are_validation_errors(tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     code, report = run(RunConfig(command="curve", input_path=str(path), output_format="json"))
     assert code == 1
     assert json.loads(report)["kind"] == "validation"
+
+
+def test_non_utf8_arrangement_is_validation_error(tmp_path):
+    path = tmp_path / "bad.arr"
+    path.write_bytes(b"3\n1 0 0\n\xff\n")
+    for command in ("lattice", "charpoly"):
+        code, report = run(RunConfig(command=command, input_path=str(path),
+                                     output_format="json"))
+        payload = json.loads(report)
+        assert code == 1 and payload["kind"] == "validation"
+        assert str(path) in payload["error"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=120),
+    st.text(alphabet="0123456789 -#\n", max_size=60).map(str.encode)))
+def test_arbitrary_arrangement_bytes_give_an_exit_code(data):
+    """No input escapes ``run``: every outcome is an exit code and, in JSON
+    mode, a parseable report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.arr")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for command in ("charpoly", "lattice"):
+            code, report = run(RunConfig(command=command, input_path=path,
+                                         output_format="json", max_lattice_nodes=40))
+            assert code in (0, 1, 2)
+            json.loads(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=120),
+    st.text(alphabet="xy^*+-()0123456789", max_size=8).map(
+        lambda poly: json.dumps({"poly": poly}).encode())))
+def test_arbitrary_curve_bytes_give_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, report = run(RunConfig(command="curve", input_path=path, output_format="json"))
+        assert code in (0, 1, 2)
+        json.loads(report)

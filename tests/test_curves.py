@@ -22,7 +22,7 @@ from logmc import (BranchCountRequiredError, CurveSingularity, LocalPolynomial,
                    difference_class_curve, genus_defect, local_invariants,
                    singularity_from_json, singularity_from_poly)
 from logmc import curves
-from logmc.curves import MAX_PARSE_DEGREE
+from logmc.curves import MAX_PARSE_DEGREE, MAX_PARSE_DEPTH
 
 P = LocalPolynomial.from_string
 
@@ -55,6 +55,14 @@ def test_parse_refuses_oversized_input():
         assert time.perf_counter() - start < 0.1, text
     assert P(f"x^{limit} - y^{limit - 1}*x").total_degree() == limit
     assert P(f"(x+y)^{limit // 2}*(x-y)^{limit // 2}").total_degree() == limit
+
+
+def test_parse_refuses_deep_nesting():
+    depth = MAX_PARSE_DEPTH
+    assert P("(" * depth + "x - y^2" + ")" * depth) == P("x - y^2")
+    for text in ("(" * (depth + 1) + "x" + ")" * (depth + 1), "(" * 10 ** 5):
+        with pytest.raises(ValidationError, match=f"limit {depth}"):
+            P(text)
 
 
 def test_polynomial_arithmetic():
