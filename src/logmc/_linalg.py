@@ -1,9 +1,9 @@
 """Fraction-free exact linear algebra over the rationals.
 
-Rows are scaled to primitive integer vectors and eliminated by
-cross-multiplication with gcd reduction, so no rational arithmetic happens
-until the final normalisation of a reduced row echelon form to Fraction
-entries.  Row spaces, ranks and membership tests are exact by construction.
+Rows are scaled to primitive integer vectors and eliminated by one step,
+``eliminate``: cross-multiplication with gcd reduction.  No rational arithmetic
+happens until the final normalisation of a reduced row echelon form to
+Fraction entries.  Row spaces, ranks and membership tests are exact.
 """
 
 from __future__ import annotations
@@ -45,18 +45,28 @@ def int_row(row):
     return _strip_content(ints)
 
 
-def _first_nonzero(row, start):
-    for c in range(start, len(row)):
-        if row[c]:
+def _first_nonzero(row):
+    for c, v in enumerate(row):
+        if v:
             return c
     return None
 
 
-class IntEchelon:
-    """Incremental integer row-echelon accumulator.
+def eliminate(row, pivot_row, col):
+    """One elimination step: ``row`` with column ``col`` cleared against
+    ``pivot_row``, whose pivot is there, as a primitive tuple (callers skip a
+    zero ``row[col]``).  A reduced form stepped row by row against a row zero
+    in its pivot columns, plus that row, is the reduced form of the sum."""
+    a, b = pivot_row[col], row[col]
+    return tuple(_strip_content([a * x - b * y for x, y in zip(row, pivot_row)]))
 
-    Maintains one primitive row per pivot column.  ``add`` inserts a row and
-    reports whether the rank grew; ``contains`` tests row-space membership.
+
+class IntEchelon:
+    """Incremental integer reduced row echelon form.
+
+    One primitive row per pivot column, positive there and zero in the other
+    pivot columns.  ``add`` inserts a row and reports whether the rank grew;
+    ``contains`` tests row-space membership.
     """
 
     __slots__ = ("width", "pivots")
@@ -65,25 +75,19 @@ class IntEchelon:
         self.width = width
         self.pivots = {}
 
-    @property
-    def rank(self):
-        return len(self.pivots)
-
     def add(self, row):
         row = self.reduce(row)
-        col = _first_nonzero(row, 0)
+        col = _first_nonzero(row)
         if col is None:
             return False
-        self.pivots[col] = _strip_content(row)
+        row = tuple(_strip_content(row))
+        self.pivots = {c: eliminate(piv, row, col) if piv[col] else piv
+                       for c, piv in self.pivots.items()}
+        self.pivots[col] = row
         return True
 
     def contains(self, row):
         return not any(self.reduce(row))
-
-    def copy(self):
-        ech = IntEchelon(self.width)
-        ech.pivots = dict(self.pivots)
-        return ech
 
     def reduce(self, row):
         """``row`` modulo the row space: a primitive row that is zero in every
@@ -92,28 +96,14 @@ class IntEchelon:
         Two rows outside the row space span the same line modulo it exactly
         when their reductions are equal.
         """
-        row = list(row)
-        for col, piv in sorted(self.pivots.items()):
-            b = row[col]
-            if b:
-                a = piv[col]
-                row = _strip_content([a * r - b * p for r, p in zip(row, piv)])
+        for col, piv in self.pivots.items():
+            if row[col]:
+                row = eliminate(row, piv, col)
         return row
 
     def reduced_rows(self):
-        """Integer rows of the reduced row echelon form, ordered by pivot
-        column: each row is primitive, its first nonzero entry (the pivot) is
-        positive, and every other pivot column is zero in it."""
-        cols = sorted(self.pivots)
-        work = {c: list(self.pivots[c]) for c in cols}
-        for i, c in enumerate(cols):
-            for c2 in cols[i + 1:]:
-                row = work[c]
-                if row[c2]:
-                    piv = work[c2]
-                    a, b = piv[c2], row[c2]
-                    work[c] = _strip_content([a * r - b * p for r, p in zip(row, piv)])
-        return [work[c] for c in cols]
+        """The rows by pivot column, which on reduced rows is descending order."""
+        return sorted(self.pivots.values(), reverse=True)
 
 
 def quotient_rows(matrix, cache):
@@ -123,7 +113,7 @@ def quotient_rows(matrix, cache):
     is; equal entries are shared through the caller's dict ``cache``."""
     out = []
     for row in matrix:
-        lead = row[_first_nonzero(row, 0)]
+        lead = row[_first_nonzero(row)]
         if lead != 1:
             entries = []
             for v in row:

@@ -21,9 +21,9 @@ All arithmetic is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from ._linalg import IntEchelon, _strip_content, int_row, quotient_rows, rref
+from ._linalg import (IntEchelon, _first_nonzero, _strip_content, eliminate, int_row,
+                      quotient_rows, rref)
 from ._poly import deflate, exact_scalar, power, render
 from .errors import InconsistencyError, ValidationError
 
@@ -119,8 +119,12 @@ def _integer_lines(text):
 
 
 def load_arrangement(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_arrangement(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"cannot read {path}: {e}") from None
+    return parse_arrangement(text)
 
 
 class Subspace:
@@ -201,7 +205,7 @@ class IntersectionLattice:
     once may both build it; the results are equal).  No command reads it.
     """
 
-    __slots__ = ("ambient_dim", "rows", "dims", "mobius", "masks", "_nodes")
+    __slots__ = ("ambient_dim", "rows", "dims", "mobius", "masks", "_nodes", "_quotients")
 
     def __init__(self, ambient_dim, rows, mobius, masks):
         self.ambient_dim = ambient_dim
@@ -210,16 +214,21 @@ class IntersectionLattice:
         self.mobius = tuple(mobius)
         self.masks = tuple(masks)
         self._nodes = None
+        self._quotients = None
+
+    def _quotient_rows(self):
+        """``quotient_rows`` of each flat's rows in node order: the sort keys."""
+        if self._quotients is None:
+            self._quotients = tuple(quotient_rows(matrix, {}) for matrix in self.rows)
+        return self._quotients
 
     @property
     def nodes(self):
         """The flats as Subspaces with Fraction matrices, in node order."""
         if self._nodes is None:
-            cache = {}
             self._nodes = tuple(
-                Subspace(self.ambient_dim,
-                         tuple(tuple(map(Fraction, row)) for row in quotient_rows(matrix, cache)))
-                for matrix in self.rows)
+                Subspace(self.ambient_dim, tuple(tuple(map(Fraction, row)) for row in matrix))
+                for matrix in self._quotient_rows())
         return self._nodes
 
     def __len__(self):
@@ -237,16 +246,16 @@ class IntersectionLattice:
 def build_lattice(arr, max_nodes=None):
     """Intersection lattice of ``arr`` with Möbius values.
 
-    A flat is the set of hyperplanes containing it, kept as a bitmask with an
-    integer echelon basis of those forms (Orlik–Terao, §2.1).  The closure
+    A flat is the set of hyperplanes containing it, kept as a bitmask with the
+    integer reduced rows of those forms (Orlik–Terao, §2.1).  The closure
     runs rank by rank.  The covers of a flat F are the lines spanned by the
-    forms outside F modulo F's forms, and forms with equal residuals cut out
-    the same cover.  When F is visited it derives its residual table (the
-    reduction of every form modulo its row space, as ``IntEchelon.reduce``
-    gives it) from the table of the flat that created it, by one elimination
-    step against its new pivot row.  A table lives only until the last flat
-    it created has been visited, and a closure stopped by the node cap has
-    paid only for the tables of the flats it visited.
+    forms outside F modulo F's forms; forms with equal residuals cut out the
+    same cover, whose rows are F's rows stepped (``eliminate``) against the
+    residual, plus the residual.  When F is visited it derives its residual
+    table (each form modulo its row space) from the table of the flat that
+    created it by the same step against its new row.  A table lives only
+    until the last flat it created has been visited, and a closure stopped by
+    the node cap has paid only for the tables of the flats it visited.
 
     Möbius values follow Weisner's theorem for geometric lattices: with a the
     lowest hyperplane of a flat G, mu(G) is minus the sum of mu(F) over the
@@ -260,7 +269,7 @@ def build_lattice(arr, max_nodes=None):
     width = arr.ambient_dim
     forms = arr.forms
     every = (1 << len(forms)) - 1
-    flats = {0: IntEchelon(width)}
+    flats = {0: ()}
     mobius = {0: 1}
     _check_node_cap(flats, max_nodes)
     # flat -> (the residual table of the flat that created it, its new pivot
@@ -270,14 +279,14 @@ def build_lattice(arr, max_nodes=None):
     while layer:
         weisner = {}
         for mask in layer:
-            ech = flats[mask]
+            rows = flats[mask]
             origin = created.pop(mask, None)
             if mask == every:
                 continue  # no hyperplane outside: no cover
-            if ech.rank == width - 1:
+            if len(rows) == width - 1:
                 # the one cover of a line is the origin, on every hyperplane;
                 # each form outside reduces to the unit row of the free column
-                free = next(c for c in range(width) if c not in ech.pivots)
+                (free,) = set(range(width)) - {_first_nonzero(row) for row in rows}
                 added = {tuple(int(c == free) for c in range(width)): every & ~mask}
                 table = None
             else:
@@ -290,9 +299,9 @@ def build_lattice(arr, max_nodes=None):
             for residual, bits in added.items():
                 cover = mask | bits
                 if cover not in flats:
-                    child = ech.copy()
-                    child.add(residual)
-                    flats[cover] = child
+                    col = _first_nonzero(residual)
+                    flats[cover] = tuple(eliminate(row, residual, col) if row[col] else row
+                                         for row in rows) + (residual,)
                     created[cover] = (table, residual)
                     weisner[cover] = 0
                     _check_node_cap(flats, max_nodes)
@@ -313,16 +322,13 @@ def _residual_table(table, row, mask):
     pivot column loses it by one elimination step; forms on the flat (bits of
     ``mask``) get None.
     """
-    col = next(c for c, v in enumerate(row) if v)
-    a = row[col]
+    col = _first_nonzero(row)
     out = []
     for k, residual in enumerate(table):
         if mask >> k & 1:
             residual = None
-        else:
-            b = residual[col]
-            if b:
-                residual = tuple(_strip_content([a * x - b * y for x, y in zip(residual, row)]))
+        elif residual[col]:
+            residual = eliminate(residual, row, col)
         out.append(residual)
     return out
 
@@ -335,11 +341,16 @@ def _render(width, flats, mobius):
     a common denominator: the lcm of all pivots of 26 random forms in
     dimension 5 (17903 flats) runs to thousands of digits.
     """
-    rows = {mask: tuple(map(tuple, ech.reduced_rows())) for mask, ech in flats.items()}
     cache = {}
-    order = sorted(rows, key=lambda mask: (len(rows[mask]), quotient_rows(rows[mask], cache)))
-    return IntersectionLattice(width, [rows[mask] for mask in order],
-                               [mobius[mask] for mask in order], order)
+    entries = []
+    for mask, rows in flats.items():
+        rows = tuple(sorted(rows, reverse=True))  # pivot order on reduced rows
+        entries.append((len(rows), quotient_rows(rows, cache), rows, mask))
+    entries.sort()  # the first two fields tell any two flats apart
+    _, quotients, rows, masks = zip(*entries)
+    lat = IntersectionLattice(width, rows, [mobius[mask] for mask in masks], masks)
+    lat._quotients = quotients
+    return lat
 
 
 def _check_node_cap(flats, max_nodes):

@@ -41,7 +41,6 @@ from . import arrangement as arrmod
 from . import curves as curvemod
 from . import hirzebruch as hzmod
 from . import kring
-from ._linalg import quotient_rows
 from ._poly import power, render
 from .errors import InconsistencyError, ValidationError
 
@@ -238,11 +237,10 @@ def _mc_value(inp):
 
 def _cmd_lattice(inp):
     lat = inp.lattice
-    cache = {}
     nodes = []
     lines = [f"ambient_dim {lat.ambient_dim}, {len(lat)} nodes"]
-    for dim, rows, mu in zip(lat.dims, lat.rows, lat.mobius):
-        matrix = [[str(v) for v in row] for row in quotient_rows(rows, cache)]
+    for dim, rows, mu in zip(lat.dims, lat._quotient_rows(), lat.mobius):
+        matrix = [[str(v) for v in row] for row in rows]
         nodes.append({"dim": dim, "mobius": mu, "matrix": matrix})
         rendered = "; ".join(" ".join(row) for row in matrix) or "(ambient)"
         lines.append(f"dim {dim}  mobius {mu:3d}  [{rendered}]")

@@ -2,6 +2,7 @@
 subset oracle that never touches the library's elimination code."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,8 +11,9 @@ import pytest
 from logmc import (Arrangement, IntPolynomial, Subspace, ValidationError,
                    build_lattice, characteristic_polynomial, exponents_via_terao,
                    parse_arrangement)
-from logmc._linalg import IntEchelon
-from logmc.arrangement import MAX_AMBIENT_DIM, _residual_table
+from logmc import arrangement
+from logmc._linalg import IntEchelon, quotient_rows
+from logmc.arrangement import MAX_AMBIENT_DIM, _residual_table, load_arrangement
 from logmc.errors import InconsistencyError
 
 BOOLEAN3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -177,21 +179,36 @@ def test_lattice_node_cap_boundary():
 
 
 def test_lattice_node_cap_checked_per_node(monkeypatch):
-    # the closure adds one echelon row per new flat, so a refusal at cap c
-    # must come after c additions, not after the rank layer is complete
-    calls = []
-    add = IntEchelon.add
+    # the cap is checked as each flat is created, so a refusal at cap c comes
+    # right after flat c + 1, not after the rank layer is complete
+    created = []
+    check = arrangement._check_node_cap
 
-    def counting_add(self, row):
-        calls.append(row)
-        return add(self, row)
+    def counting_check(flats, max_nodes):
+        created.append(len(flats))
+        return check(flats, max_nodes)
 
-    monkeypatch.setattr(IntEchelon, "add", counting_add)
+    monkeypatch.setattr(arrangement, "_check_node_cap", counting_check)
     for cap in (1, 5, 12, 30):
-        calls.clear()
+        created.clear()
         with pytest.raises(ValidationError, match="exceeds the node cap"):
             build_lattice(Arrangement(4, BRAID5), max_nodes=cap)
-        assert len(calls) == cap
+        assert created == list(range(1, cap + 2))
+
+
+def test_build_lattice_constructs_no_echelon(monkeypatch):
+    made = []
+    init = IntEchelon.__init__
+
+    def counting_init(self, width):
+        made.append(width)
+        init(self, width)
+
+    monkeypatch.setattr(IntEchelon, "__init__", counting_init)
+    rng = random.Random(99)
+    for arr in [Arrangement(4, BRAID5)] + [random_arrangement(rng) for _ in range(20)]:
+        build_lattice(arr)
+    assert made == []
 
 
 # --- lattice against subsets of hyperplanes
@@ -284,6 +301,31 @@ def test_residual_tables_are_echelon_reductions():
                     assert table[k] is None and not any(reduced)
                 else:
                     assert table[k] == reduced and any(reduced)
+
+
+def test_lattice_rows_are_reduced_forms_of_their_hyperplanes():
+    # rows built by elimination steps during the closure equal plain
+    # Gauss-Jordan over Fraction on the forms of each flat, pivots other
+    # than 1 included
+    rng = random.Random(4242)
+    pivots = set()
+    for _ in range(30):
+        width = rng.randint(3, 5)
+        kept = []
+        for _ in range(rng.randint(3, 8)):
+            row = [rng.randint(-9, 9) for _ in range(width)]
+            try:
+                Arrangement(width, kept + [row])
+            except ValidationError:
+                continue
+            kept.append(row)
+        arr = Arrangement(width, kept)
+        lat = build_lattice(arr)
+        for rows, mask in zip(lat.rows, lat.masks):
+            forms = [form for k, form in enumerate(arr.forms) if mask >> k & 1]
+            assert quotient_rows(rows, {}) == fraction_rref(forms, width)
+            pivots.update(next(v for v in row if v) for row in rows)
+    assert pivots - {1}
 
 
 def test_lattice_nodes_keep_no_closure_echelon():
@@ -441,6 +483,15 @@ def test_parse_refuses_ambient_dimension_above_the_limit():
                        match=f"line 2: ambient dimension {MAX_AMBIENT_DIM + 1} "
                              f"exceeds the limit {MAX_AMBIENT_DIM}"):
         parse_arrangement(text)
+
+
+def test_load_arrangement_refuses_undecodable_file(tmp_path):
+    path = tmp_path / "bad.arr"
+    path.write_bytes(b"3\n1 0 0\n\xff\n")
+    with pytest.raises(ValidationError, match=re.escape(f"cannot read {path}:")):
+        load_arrangement(path)
+    path.write_bytes(b"3\n1 0 0\n")
+    assert load_arrangement(path) == Arrangement(3, [(1, 0, 0)])
 
 
 def fraction_rref(rows, width):
