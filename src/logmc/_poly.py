@@ -7,7 +7,10 @@ classes stored as n+1 coefficients in a fixed basis; a subclass supplies
 the ring's relation.  ``_YPoly`` is a polynomial in y over such a ring.
 ``deflate`` is the one synthetic division in the package, ``render`` the
 one renderer of polynomial text and ``exact_scalar`` the one check that an
-input number is exact.
+input number is exact; ``check_dimension`` is the one check that a
+projective dimension is one.  ``shift_minus_one``, the Taylor shift
+p(x) -> p(x - 1), is the one change of basis between powers of x and of
+x - 1, and ``unpack`` reads the balanced digits of a packed polynomial.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ def exact_scalar(v, rational=False):
     return exact
 
 
+def check_dimension(n):
+    """Refuse ``n`` unless it is a projective dimension: an int >= 0."""
+    if type(n) is not int:
+        raise ValidationError(f"projective dimension must be an integer, got {n!r}")
+    if n < 0:
+        raise ValidationError("projective dimension must be >= 0")
+
+
 class _Element:
     """An element of a ring over P^n, stored as the tuple ``coeffs``.
 
@@ -48,8 +59,8 @@ class _Element:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs=()):
-        if n < 0:
-            raise ValidationError("projective dimension must be >= 0")
+        if type(n) is not int or n < 0:
+            check_dimension(n)
         self.n = n
         self.coeffs = self._relation(coeffs, n)
 
@@ -198,6 +209,41 @@ def deflate(coeffs, root):
     remainder = quotient.pop() if quotient else 0
     quotient.reverse()
     return quotient, remainder
+
+
+def unpack(value, width, count):
+    """The ``count`` lowest digits of ``value`` in [-2^(width-1), 2^(width-1)).
+
+    These are the coefficients of a polynomial packed by x -> 2^width when
+    every coefficient lies in that range.
+    """
+    base = 1 << width
+    half = base >> 1
+    mask = base - 1
+    out = []
+    for _ in range(count):
+        d = value & mask
+        value >>= width
+        if d >= half:
+            d -= base
+            value += 1
+        out.append(d)
+    return out
+
+
+def shift_minus_one(coeffs, count):
+    """The first ``count`` coefficients of p(x - 1), for p = sum c_k x^k.
+
+    One Horner pass at x = 2^w - 1 packs p(x - 1) at x = 2^w into one int,
+    and its balanced digits are the coefficients.  Each one is a signed sum
+    of at most 2^len(coeffs) copies of the largest |c_k|, so with
+    w = bitlen(max |c_k|) + len(coeffs) + 2 no digit leaves its range.
+    """
+    width = max(map(abs, coeffs), default=0).bit_length() + len(coeffs) + 2
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << width) - acc + c
+    return unpack(acc, width, count)
 
 
 def power(symbol, k):

@@ -29,11 +29,13 @@ the numerators by (1+y) and forms Fractions only for the result.  Division
 by the monic 1+y keeps the numerators integral, and its remainder over the
 same denominator is the rational remainder.
 
-``csm_at_minus_one`` runs steps 1-4 as one integer pass.  (1+y)^n divides
-(1+y)^j G_j exactly when (1+y)^{n-j} divides G_j, so it divides the h^j
-column G_j of step 1 by (1+y) n-j times, with the same check and error as
-step 3, evaluates the quotient at -1 on ints and forms one Fraction per
-column.
+``csm_at_minus_one`` runs steps 1-4 as one integer pass.  Step 1 is one
+integer matrix per Todd class, applied to each y-row's s-coefficients.
+(1+y)^n divides (1+y)^j G_j exactly when (1+y)^{n-j} divides G_j, that is
+when the first n-j Taylor coefficients of the h^j column G_j at y = -1
+vanish; coefficient n-j is then the quotient's value at -1.  One Taylor
+shift (``_poly.shift_minus_one``) gives all of them, with the same check
+and error as step 3, and one Fraction is formed per column.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 
-from ._poly import _Truncated, _YPoly, deflate, exact_scalar
+from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
+                    shift_minus_one)
 from .errors import DivisionRemainderError, ValidationError
 
 
@@ -111,36 +114,25 @@ class CohPoly(_YPoly):
         return f"CohPoly(n={self.n}, y_degree={self.y_degree}, delta={self.delta})"
 
 
-def _chern_numerators(coeffs, n):
-    """A_j = sum_k a_k (-k)^j for j = 0..n, so ch(sum_k a_k s^k) = sum_j A_j/j! h^j."""
-    terms = list(coeffs)
-    steps = [-k for k in range(len(terms))]
-    out = []
-    for _ in range(n + 1):
-        out.append(sum(terms))
-        terms = list(map(mul, terms, steps))
-    return out
-
-
 def chern_character(c):
     """Chern character of a KClass: the ring map determined by s -> e^{-h}.
 
     It is linear in the s-power basis: s^k maps to e^{-kh}, so the h^j
     coefficient of ch(sum_k a_k s^k) is (-1)^j/j! * sum_k a_k k^j.
     """
-    return CohClass(c.n, [Fraction(a, factorial(j))
-                          for j, a in enumerate(_chern_numerators(c.coeffs, c.n))])
+    return CohClass(c.n, [Fraction(sum(a * (-k) ** j for k, a in enumerate(c.coeffs)),
+                                   factorial(j)) for j in range(c.n + 1)])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def todd_class(n):
     """Todd class of the tangent bundle of P^n: (h/(1-e^{-h}))^{n+1}.
 
     1 - e^{-h} = h * sum_j (-1)^j h^j/(j+1)!, so the base series is the
-    exact reciprocal of that sum.  The class is computed once per n.
+    exact reciprocal of that sum.  The class is computed once per n (keyed
+    by type too, so 3.0 is refused rather than served the class of 3).
     """
-    if n < 0:
-        raise ValidationError("projective dimension must be >= 0")
+    check_dimension(n)
     denom = [Fraction((-1) ** j, factorial(j + 1)) for j in range(n + 1)]
     inv = [Fraction(0)] * (n + 1)
     inv[0] = Fraction(1)
@@ -160,21 +152,35 @@ def _fractions(nums, den):
     return [Fraction(v, den) if v else _ZERO for v in nums]
 
 
+# id(todd class) -> (todd class, matrix, denominators) for _grr_columns.
+# Keyed by identity, as hashing a class hashes its n+1 Fractions (with large
+# denominators); holding the class keeps its id from being reused.
+_GRR_MATRICES = {}
+
+
 def _grr_columns(p):
     """Integer h^m columns of ch(c)*td for the y-coefficients c of ``p``.
 
-    With ch(c) = sum_j A_j/j! h^j and td = sum_i T_i/D h^i, the h^m
-    coefficient of ch(c)*td is sum_j A_j T_{m-j} (m!/j!) over m! D.  Returns
-    the columns (one numerator per y-degree) and their denominators m! D.
+    With ch(sum_k a_k s^k) = sum_j A_j/j! h^j, A_j = sum_k a_k (-k)^j, and
+    td = sum_i T_i/D h^i, the h^m coefficient of ch(c)*td is
+    sum_j A_j T_{m-j} (m!/j!) over m! D: row m of one integer matrix per
+    Todd class, sum_j T_{m-j} (m!/j!) (-k)^j for k = 0..n, applied to the
+    s-coefficients of c.  Returns the columns (one numerator per y-degree)
+    and their denominators m! D.
     """
-    n = p.n
-    todd, den = _over_lcm(todd_class(n).coeffs)
-    facts = [factorial(m) for m in range(n + 1)]
-    weights = [[todd[m - j] * (facts[m] // facts[j]) for j in range(m + 1)]
-               for m in range(n + 1)]
-    cherns = [_chern_numerators(c.coeffs, n) for c in p.coeffs]
-    cols = [[sum(map(mul, chern, w)) for chern in cherns] for w in weights]
-    return cols, [f * den for f in facts]
+    todd = todd_class(p.n)
+    entry = _GRR_MATRICES.get(id(todd))
+    if entry is None:
+        n = todd.n
+        nums, den = _over_lcm(todd.coeffs)
+        facts = [factorial(m) for m in range(n + 1)]
+        matrix = [tuple(sum(nums[m - j] * (facts[m] // facts[j]) * (-k) ** j
+                            for j in range(m + 1)) for k in range(n + 1))
+                  for m in range(n + 1)]
+        entry = _GRR_MATRICES[id(todd)] = (todd, matrix, [f * den for f in facts])
+    _, matrix, denoms = entry
+    rows = [c.coeffs for c in p.coeffs]
+    return [[sum(map(mul, row, weights)) for row in rows] for weights in matrix], denoms
 
 
 def grr_transform(p):
@@ -203,19 +209,12 @@ def normalize(p):
     return CohPoly.from_columns(p.n, cols, delta=p.n)
 
 
-def _divide_column(nums, den, times, j, delta):
-    """nums/(1+y)^times on integer numerators, checking every remainder.
-
-    ``nums`` is the h^j column over ``den`` of a class whose denominator
-    power is ``delta``; a nonzero remainder raises with its rational value.
-    """
-    for _ in range(times):
-        nums, rem = deflate(nums, -1)
-        if rem:
-            raise DivisionRemainderError(
-                f"h^{j} component is not divisible by (1+y)^{delta}",
-                remainder=Fraction(rem, den))
-    return nums
+def _check_remainder(rem, den, j, delta):
+    """Refuse a nonzero remainder rem/den of the h^j column divided by (1+y)^delta."""
+    if rem:
+        raise DivisionRemainderError(
+            f"h^{j} component is not divisible by (1+y)^{delta}",
+            remainder=Fraction(rem, den))
 
 
 def clear_denominator(p):
@@ -230,7 +229,10 @@ def clear_denominator(p):
     out = []
     for j, col in enumerate(p.columns()):
         nums, den = _over_lcm(col)
-        out.append(_fractions(_divide_column(nums, den, p.delta, j, p.delta), den))
+        for _ in range(p.delta):
+            nums, rem = deflate(nums, -1)
+            _check_remainder(rem, den, j, p.delta)
+        out.append(_fractions(nums, den))
     return CohPoly.from_columns(p.n, out)
 
 
@@ -238,15 +240,20 @@ def csm_at_minus_one(p):
     """CSM-type class of a K-theory polynomial: the full pipeline at y = -1.
 
     Equal to ``clear_denominator(normalize(grr_transform(p))).at_y(-1)``,
-    failing with the same error, in one integer pass: the h^j column is
-    divided by (1+y)^{n-j} and evaluated at -1 before any Fraction is formed.
+    failing with the same error, in one integer pass before any Fraction is
+    formed.  The Taylor coefficients g_0, g_1, ... of the h^j column at
+    y = -1 are the successive remainders of dividing it by (1+y), so one
+    shift gives them all: the first nonzero one among g_0..g_{n-j-1} is the
+    remainder the staged division raises, and g_{n-j} is the quotient's
+    value at -1.
     """
     n = p.n
     cols, denoms = _grr_columns(p)
     out = []
     for j, (col, den) in enumerate(zip(cols, denoms)):
-        q = _divide_column(col, den, n - j, j, n)
-        out.append(Fraction(sum(q[::2]) - sum(q[1::2]), den))
+        *rems, value = shift_minus_one(col, n - j + 1)
+        _check_remainder(next(filter(None, rems), 0), den, j, n)
+        out.append(Fraction(value, den))
     return CohClass(n, out)
 
 
@@ -262,6 +269,7 @@ def chern_class_free_exponents(exps, n):
     The h^k coefficient is the k-th elementary symmetric function of the
     integers 1 - e_i, accumulated on ints up to k = n.
     """
+    check_dimension(n)
     elem = [1] + [0] * n
     for e in exps:
         a = 1 - exact_scalar(e)

@@ -15,6 +15,11 @@ costs one int product and mask per row.  The digit width w is safe because
 every factor is coefficientwise at most (1+tau)^{e_i} (1+y), so every
 coefficient of tau^j y^k is at most C(n+1, k) C(sum e_i, j); w = n + 2 +
 bitlen C(sum e_i, min(n, sum e_i // 2)) leaves no digit able to carry.
+The packed rows are divided by (1+y) as they are.
+
+Every change of basis is the one kernel ``_poly.shift_minus_one``, the
+Taylor shift p(x) -> p(x - 1) as one packed Horner pass: tau-coefficients
+to s-coefficients, and s <-> 1-s after negating the odd coefficients.
 
 On top of this the module computes, for a central arrangement with
 intersection lattice L and characteristic polynomial chi:
@@ -27,9 +32,10 @@ intersection lattice L and characteristic polynomial chi:
     prod_i (s^{e_i} + s y) / (1+y)  from a splitting with exponents e_i;
   * the difference of the two.
 
-Every division by (1+y) is synthetic division with a mandatory
-zero-remainder check.  The substitution of (1+sy)/(1-s) into chi is always
-performed in homogenised form; the nilpotent 1-s is never inverted.
+Every division by (1+y) is synthetic division (``_poly.deflate``, on
+integer columns or on packed rows) with a mandatory zero-remainder check.
+The substitution of (1+sy)/(1-s) into chi is always performed in
+homogenised form; the nilpotent 1-s is never inverted.
 
 All values are immutable and all functions are pure.
 """
@@ -38,9 +44,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import mul
 
-from ._poly import _Truncated, _YPoly, deflate, exact_scalar
+from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
+                    shift_minus_one, unpack)
 from .arrangement import (IntersectionLattice, IntPolynomial,
                           characteristic_polynomial)
 from .errors import DivisionRemainderError, ValidationError
@@ -66,32 +72,17 @@ def _reduce_mod_relation(coeffs, n):
     return tuple(c)
 
 
-@lru_cache(maxsize=64)
-def _binomial_columns(n):
-    """(C(i, i), C(i+1, i), ..., C(n, i)) for i = 0..n."""
-    return tuple(tuple(comb(j, i) for j in range(i, n + 1)) for i in range(n + 1))
-
-
 def _swap_s_basis(coeffs, n):
     """The first n+1 coefficients in the other of the bases s^j and (1-s)^j.
 
     The change of basis is the involution substituting s = 1 - (1-s), so
-    one map goes both ways: out[i] = (-1)^i sum_{j>=i} C(j, i) c_j, one
-    cached binomial column per i.  A shorter input is padded with zeros.
+    one map goes both ways: c(1 - x) = r(x - 1) for r(x) = c(-x), the odd
+    coefficients negated and then one Taylor shift by -1.  A shorter input
+    is padded with zeros.
     """
     c = [v if type(v) is int else exact_scalar(v) for v in list(coeffs)[:n + 1]]
-    out = []
-    for i, col in enumerate(_binomial_columns(n)):
-        v = sum(map(mul, col, c[i:]))
-        out.append(-v if i & 1 else v)
-    return out
-
-
-def _s_basis(tau_coeffs, n):
-    """s-basis coefficients of the class given by its tau = s - 1 coefficients."""
-    t = list(tau_coeffs)
-    t[1::2] = [-c for c in t[1::2]]
-    return _swap_s_basis(t, n)
+    c[1::2] = [-v for v in c[1::2]]
+    return shift_minus_one(c, n + 1)
 
 
 class KClass(_Truncated):
@@ -110,6 +101,7 @@ class KClass(_Truncated):
 
     @classmethod
     def from_one_minus_s_basis(cls, n, coeffs):
+        check_dimension(n)
         return cls(n, _swap_s_basis(coeffs, n))
 
     def __repr__(self):
@@ -173,6 +165,7 @@ def kclass_O(k, n):
     With t = 1-s nilpotent, s^{-k} = (1-t)^{-k} = sum_{j<=n} c_j t^j, with
     c_j = k(k+1)...(k+j-1)/j! for every integer k: O(n^2) for any |k|.
     """
+    check_dimension(n)
     if type(k) is not int:
         k = exact_scalar(k)
     coeffs = [1]
@@ -186,6 +179,7 @@ def kclass_linear_subspace(m, k, n):
 
     Koszul resolution of the subspace gives (1 - s)^{n-m} * s^{-k}.
     """
+    check_dimension(n)
     if not 0 <= m <= n:
         raise ValidationError(f"subspace dimension {m} outside [0, {n}]")
     return KClass(n, (1, -1)) ** (n - m) * kclass_O(k, n)
@@ -195,15 +189,15 @@ def exact_div_one_plus_y(num):
     """Exact synthetic division of a KPoly by (1+y).
 
     Division by (1+y) is linear, so it runs on each s-degree's column of
-    integer coefficients.  The remainder is the value at y = -1; if it is
-    nonzero the division is refused and the remainder is attached to the
-    raised error.
+    integer coefficients, and each quotient row becomes one KClass.  The
+    remainder is the value at y = -1; if it is nonzero the division is
+    refused and the remainder is attached to the raised error.
     """
     quotients, remainders = zip(*(deflate(col, -1) for col in num.columns()))
     if any(remainders):
         raise DivisionRemainderError(
             "class is not divisible by 1+y", remainder=KClass(num.n, remainders))
-    return KPoly.from_columns(num.n, quotients)
+    return KPoly(num.n, [KClass(num.n, row) for row in zip(*quotients)])
 
 
 def _one_plus_sy_power(d, n):
@@ -222,6 +216,7 @@ def omega_log_trivial(n):
     Computed as the exact quotient (1 + s y)^{n+1} / (1+y); the division
     must leave no remainder.
     """
+    check_dimension(n)
     return exact_div_one_plus_y(_one_plus_sy_power(n + 1, n))
 
 
@@ -241,26 +236,25 @@ def mc_complement_charpoly(chi, n):
 
     Evaluates the homogenised substitution
     sum_j chi_j (1+sy)^j (1-s)^{n+1-j}, then divides exactly by (1+y).
-    Its y^p row is s^p sum_{j>=p} chi_j C(j, p) (1-s)^{n+1-j}, an integer
-    polynomial of degree at most n+1 in s.
+    Its y^p row is s^p g_p(1-s) with g_p(b) = sum_{j>=p} chi_j C(j, p)
+    b^{n+1-j}, an integer polynomial of degree at most n+1 in s: g_p is
+    read at b = 1 - s by the change of basis, one Taylor shift per row.
     """
+    check_dimension(n)
     if chi.degree != n + 1:
         raise ValidationError(
             f"characteristic polynomial has degree {chi.degree}, expected {n + 1}")
-    one_minus_s = [[comb(m, k) * (-1) ** k for k in range(m + 1)] for m in range(n + 2)]
     rows = []
     for p in range(n + 2):
-        acc = [0] * (n + 2)
-        for j in range(p, n + 2):
-            w = chi.coeffs[j] * comb(j, p)
-            if w:
-                for k, b in enumerate(one_minus_s[n + 1 - j], p):
-                    acc[k] += w * b
-        rows.append(KClass(n, acc))
+        # g_p(-b), ascending in b: the odd powers of b negated
+        g = [chi.coeffs[n + 1 - k] * comb(n + 1 - k, p) * (-1) ** k
+             for k in range(n + 2 - p)]
+        rows.append(KClass(n, [0] * p + shift_minus_one(g, n + 2 - p)))
     return exact_div_one_plus_y(KPoly(n, rows))
 
 
 def _validate_exponents(exps, n):
+    check_dimension(n)
     exps = tuple(sorted(exact_scalar(e) for e in exps))
     if len(exps) != n + 1:
         raise ValidationError(
@@ -288,10 +282,13 @@ def _product_over_one_plus_y(heads, n, total):
     2^{n+1} C(total, min(n, total // 2)) <= 2^{w-1} for j <= n.
 
     Division by (1+y) acts on y alone, so it commutes with the change of
-    basis: each tau-digit's column is divided (checked, as in
-    ``exact_div_one_plus_y``, whose error and s-basis remainder it raises),
-    and only the quotient rows are read in t = 1 - s = -tau (odd digits
-    negated) and brought to the s basis, one KClass each.
+    basis: ``deflate`` divides the packed rows themselves.  A quotient or
+    remainder digit is a signed sum of the product's tau^j digits, which add
+    up to at most 2^{n+1} C(total, j) < 2^{w-1}: the remainder is zero
+    exactly when each of its digits is, and each quotient row is read as
+    balanced digits.  The check raises the error and s-basis remainder of
+    ``exact_div_one_plus_y``.  A tau-coefficient list q gives the s-basis
+    coefficients of q(s - 1), one Taylor shift by -1, and one KClass.
     """
     width = n + 2 + comb(total, min(n, total // 2)).bit_length()
     mask = (1 << width * (n + 1)) - 1
@@ -308,13 +305,15 @@ def _product_over_one_plus_y(heads, n, total):
             shifted = (r + (r << width)) & mask
         out.append(shifted)
         rows = out
-    digit = (1 << width) - 1
-    quotients, remainders = zip(*(deflate([(r >> width * j) & digit for r in rows], -1)
-                                  for j in range(n + 1)))
-    if any(remainders):
-        raise DivisionRemainderError(
-            "class is not divisible by 1+y", remainder=KClass(n, _s_basis(remainders, n)))
-    return KPoly(n, [KClass(n, _s_basis(t, n)) for t in zip(*quotients)])
+
+    def s_class(packed):
+        return KClass(n, shift_minus_one(unpack(packed, width, n + 1), n + 1))
+
+    quotients, remainder = deflate(rows, -1)
+    if remainder:
+        raise DivisionRemainderError("class is not divisible by 1+y",
+                                     remainder=s_class(remainder))
+    return KPoly(n, [s_class(q) for q in quotients])
 
 
 def mc_free_exponents(exps, n):

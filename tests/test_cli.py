@@ -56,6 +56,24 @@ def test_golden_bit_exact(stem, command):
     assert report + "\n" == expected
 
 
+# text output in the default one_minus_s basis: (stem, command) -> extra arguments
+TEXT_GOLDENS = {
+    ("braid", "mc"): [], ("braid", "diff"): [],
+    ("braid", "logclass"): ["--exponents", "1,2,3"],
+    ("generic4", "mc"): [],
+    ("generic4", "diff"): ["--route", "lattice", "--exponents", "1,1,2"],
+    ("generic4", "logclass"): ["--exponents", "1,1,2"],
+    ("boolean3", "mc"): [], ("boolean3", "diff"): [],
+    ("boolean3", "logclass"): ["--exponents", "1,1,1"],
+}
+
+
+@pytest.mark.parametrize("stem,command", list(TEXT_GOLDENS))
+def test_text_golden_bit_exact(stem, command, capsys):
+    assert main([command, corpus_path(stem), *TEXT_GOLDENS[stem, command]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}_{command}.txt").read_text()
+
+
 def test_no_inconsistency_exit_on_corpus():
     """Exit code 2 never occurs on the bundled example corpus."""
     for stem, commands in GOLDEN_MATRIX.items():

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmc import (Arrangement, CohClass, CohPoly, DivisionRemainderError,
-                   ValidationError,
+                   IntPolynomial, ValidationError,
                    KClass, KPoly, build_lattice, chern_character, chern_class_free_exponents,
                    clear_denominator, cohclass_from_json, cohclass_to_json,
                    cohpoly_from_json, cohpoly_to_json, csm_at_minus_one,
                    euler_characteristic, grr_transform, kclass_O,
-                   kclass_linear_subspace, log_class_free,
+                   kclass_linear_subspace, log_class_free, mc_complement_charpoly,
                    mc_complement_lattice_sum, mc_free_exponents, normalize,
                    omega_log_trivial, todd_class)
 from test_arrangement import BRAID3, random_arrangement
@@ -83,6 +83,21 @@ def test_negative_projective_dimension_refused():
         with pytest.raises(ValidationError) as info:
             make()
         assert str(info.value) == "projective dimension must be >= 0"
+
+
+def test_non_integer_projective_dimension_refused():
+    chi = IntPolynomial([0, -1, 1])
+    todd_class(3)  # a cached class must not answer for 3.0
+    makers = (lambda: KClass(1.0, [1]), lambda: KPoly(1.0), lambda: CohClass(True),
+              lambda: CohPoly("2"), lambda: KClass.from_one_minus_s_basis(1.0, [1]),
+              lambda: mc_free_exponents([1, 2], 1.0), lambda: log_class_free([1, 2], 1.0),
+              lambda: mc_complement_charpoly(chi, Fraction(1)),
+              lambda: chern_class_free_exponents([1], 1.0), lambda: kclass_O(1, 1.5),
+              lambda: kclass_linear_subspace(0, 0, "3"), lambda: omega_log_trivial(2.0),
+              lambda: todd_class("3"), lambda: todd_class(3.0))
+    for make in makers:
+        with pytest.raises(ValidationError, match="projective dimension must be an integer"):
+            make()
 
 
 # --- GRR transform

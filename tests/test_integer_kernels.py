@@ -1,7 +1,8 @@
 """The integer kernels agree with the rational and pairwise code they replace.
 
 The references below are the Fraction implementations of ``grr_transform``,
-``normalize`` and ``clear_denominator``, the pairwise ``KPoly`` product
+``normalize`` and ``clear_denominator``, the binomial sums of a Taylor
+shift, column-by-column synthetic division, the pairwise ``KPoly`` product
 (one KClass product and one KClass sum per pair of y-coefficients) and the
 term-by-term χ substitution of ``mc_complement_charpoly``, kept here in
 substance as they were.  Results must be equal and serialise to the
@@ -25,6 +26,7 @@ from logmc import (CohClass, CohPoly, DivisionRemainderError, IntPolynomial,
                    exact_div_one_plus_y, grr_transform, kpoly_to_json,
                    log_class_free, mc_complement_charpoly, mc_free_exponents,
                    normalize)
+from logmc._poly import deflate, shift_minus_one, unpack
 from logmc.arrangement import MAX_AMBIENT_DIM
 from logmc.kring import _binomial_row, _product_over_one_plus_y, _swap_s_basis
 
@@ -250,6 +252,21 @@ def staged_csm(p):
     return clear_denominator(normalize(grr_transform(p))).at_y(-1)
 
 
+def test_csm_refusal_at_a_later_division():
+    # every column of (1+y) q is divisible by 1+y once, but the h^0 column
+    # must be divisible n times: its second division leaves a remainder
+    rng = random.Random(15)
+    n = 3
+    p = random_kpoly(rng, n, 3) * KPoly(n, (KClass.one(n), KClass.one(n)))
+    once, first = ref_deflate([c.coeffs[0] for c in grr_transform(p).coeffs], -1)
+    _, second = ref_deflate(once, -1)
+    assert first == 0 and second != 0
+    want = outcome(staged_csm, p)
+    assert want[:4] == ("error", f"h^0 component is not divisible by (1+y)^{n}",
+                        second, Fraction)
+    assert outcome(csm_at_minus_one, p) == want
+
+
 def test_fused_csm_matches_the_staged_pipeline():
     rng = random.Random(12)
     errors = 0
@@ -432,3 +449,68 @@ def test_swap_s_basis_is_an_involution_on_the_first_n_plus_1():
         assert once == ref_swap_s_basis(c, n)
         assert len(once) == n + 1
         assert _swap_s_basis(once, n) == head
+
+
+# --- the Taylor shift and packed division -------------------------------------------
+
+def ref_shift_minus_one(coeffs, count):
+    """sum_j c_j (x - 1)^j by binomial sums: out_i = sum_j C(j, i) (-1)^(j-i) c_j."""
+    return [sum(comb(j, i) * (-1) ** (j - i) * c for j, c in enumerate(coeffs) if j >= i)
+            for i in range(count)]
+
+
+def test_shift_minus_one_matches_binomial_sums():
+    rng = random.Random(16)
+    for _ in range(400):
+        length = rng.randint(0, 24)
+        big = 1 << rng.randint(0, 90)
+        c = [rng.randint(-big, big) for _ in range(length)]
+        count = rng.randint(0, length + 4)
+        assert shift_minus_one(c, count) == ref_shift_minus_one(c, count)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [], [0], [0, 0, 0], [-1], [-5, -7, -1, -30], [-(1 << 40)] * 12,
+    [1 << 20] * 9, [-(1 << 20)] * 9, [(-1) ** j * (1 << 33) for j in range(15)],
+    [1 << 7, -(1 << 7), 1 << 7], [1, -1] * 10])
+def test_shift_minus_one_edges(coeffs):
+    # empty input, count past the length, all-negative rows and
+    # coefficients of exactly +-2^k, where the digit width is tightest
+    for count in (0, 1, len(coeffs), len(coeffs) + 3):
+        assert shift_minus_one(coeffs, count) == ref_shift_minus_one(coeffs, count)
+
+
+def test_unpack_reads_balanced_digits():
+    rng = random.Random(17)
+    for _ in range(300):
+        width = rng.randint(2, 80)
+        half = 1 << width - 1
+        digits = [rng.choice((-half, half - 1, 0, rng.randint(-half, half - 1)))
+                  for _ in range(rng.randint(0, 20))]
+        value = sum(d << width * i for i, d in enumerate(digits))
+        assert unpack(value, width, len(digits) + 2) == digits + [0, 0]
+
+
+def test_packed_deflate_matches_column_deflate():
+    # deflate on packed y-rows equals deflate on each digit's column,
+    # while every digit of the quotient and remainder stays in range
+    rng = random.Random(18)
+    exact = 0
+    for _ in range(200):
+        ncols, nrows = rng.randint(1, 10), rng.randint(0, 8)
+        big = 1 << rng.randint(0, 50)
+        rows = [[rng.randint(-big, big) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3 and nrows:
+            # make the rows divisible by 1+y
+            rows.append([-sum((-1) ** k * r[j] for k, r in enumerate(rows)) * (-1) ** nrows
+                         for j in range(ncols)])
+        width = big.bit_length() + (nrows + 1).bit_length() + 2
+        packed = [sum(c << width * j for j, c in enumerate(r)) for r in rows]
+        quotient, remainder = deflate(packed, -1)
+        columns = [deflate([r[j] for r in rows], -1) for j in range(ncols)]
+        assert unpack(remainder, width, ncols) == [rem for _, rem in columns]
+        assert (remainder == 0) == all(rem == 0 for _, rem in columns)
+        assert [unpack(q, width, ncols) for q in quotient] == [
+            list(t) for t in zip(*(q for q, _ in columns))]
+        exact += remainder == 0
+    assert 40 < exact < 100
