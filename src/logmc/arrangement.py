@@ -40,7 +40,7 @@ class Arrangement:
     __slots__ = ("ambient_dim", "forms")
 
     def __init__(self, ambient_dim, forms):
-        if not isinstance(ambient_dim, int) or ambient_dim < 1:
+        if type(ambient_dim) is not int or ambient_dim < 1:
             raise ValidationError("ambient dimension must be a positive integer")
         normalized = []
         seen = {}

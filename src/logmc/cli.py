@@ -213,7 +213,10 @@ def _mc_routes(inp):
     routes = {}
     if route in ("lattice", "all"):
         routes["lattice"] = kring.mc_complement_lattice_sum(inp.lattice)
-    if route in ("charpoly", "all"):
+    if route == "all":
+        # the lattice sum, grouped by dimension, is the chi substitution
+        routes["charpoly"] = routes["lattice"]
+    elif route == "charpoly":
         routes["charpoly"] = kring.mc_complement_charpoly(inp.chi, inp.n)
     if route in ("exponents", "all"):
         if inp.exponents is not None:

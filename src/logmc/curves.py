@@ -10,16 +10,18 @@ per singular point, where delta is the delta-invariant, r the number of
 local branches and tau the Tjurina number.  Milnor's formula
 mu = 2*delta - r + 1 ties these to the Milnor number mu.
 
-The module computes mu and tau as colengths of the Jacobian ideals
-(f_x, f_y) and (f, f_x, f_y) in the local ring at the origin, by exact
-linear algebra on monomials below a truncation bound B, one integer echelon
-growing with B (Greuel-Pfister, *A Singular Introduction to Commutative
-Algebra*, 1.7).  B grows until the monomial staircase of the quotient
-closes strictly inside the truncation window, which also makes the last two
-quotient dimensions agree; Nakayama's lemma makes that stopping rule exact.
-An isolated germ has tau <= mu <= (deg f - 1)^2 by Bezout, so a truncated
-dimension above that bound certifies a non-isolated singularity at once,
-and one of the two exits is reached by B = (deg f - 1)^2 + 1.
+The module computes mu and tau as colengths of the ideals J = (f_x, f_y)
+and J + (f) in the local ring at the origin, by exact linear algebra on
+monomials below a truncation bound B, in one integer echelon for both
+ideals and every B (Greuel-Pfister, *A Singular Introduction to Commutative
+Algebra*, 1.7).  The rows of f_x and f_y grow B until the monomial
+staircase of J closes strictly inside the truncation window; Nakayama's
+lemma makes that stopping rule exact, and mu is read there.  J + (f)
+contains J, so its staircase is closed at the same B: the rows of f below
+that bound join the echelon once, and tau is read at the same B.  An
+isolated germ has mu <= (deg f - 1)^2 by Bezout, so a truncated dimension
+above that bound certifies a non-isolated singularity at once, and one of
+the two exits is reached by B = (deg f - 1)^2 + 1.
 
 Branch counts are computed only where elementary arguments are rigorous:
 two-term equations x^a + c y^b (gcd(a, b) branches) and squarefree
@@ -42,9 +44,10 @@ from .errors import (BranchCountRequiredError, InconsistencyError,
 class LocalPolynomial:
     """Bivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent pairs (i, j) for x^i y^j to nonzero Fractions.
-    Coefficients and scalars must be exact (ints or rationals); a float is
-    refused.  Instances are immutable; arithmetic returns new values.
+    ``terms`` maps exponent pairs (i, j) of nonnegative ints, for x^i y^j,
+    to nonzero Fractions.  Coefficients and scalars must be exact (ints or
+    rationals); a float is refused.  Instances are immutable; arithmetic
+    returns new values.
     """
 
     __slots__ = ("terms",)
@@ -53,10 +56,13 @@ class LocalPolynomial:
         clean = {}
         if terms:
             for (i, j), c in terms.items():
+                if type(i) is not int or type(j) is not int or i < 0 or j < 0:
+                    raise ValidationError(
+                        f"exponents must be nonnegative integers, got {(i, j)!r}")
                 if type(c) is not Fraction:
                     c = exact_scalar(c, rational=True)
                 if c:
-                    clean[(int(i), int(j))] = c
+                    clean[i, j] = c
         self.terms = clean
 
     @classmethod
@@ -332,60 +338,62 @@ def _add_row(pivots, row):
             row = {c: v // content for c, v in row.items()}
 
 
-def _stable_colength(gens, bezout, what):
-    """Colength of the ideal generated by ``gens`` in the local ring.
+def _add_products(pivots, gen, degrees):
+    """Add the rows m*g whose lowest degree lies in ``degrees`` to ``pivots``.
 
-    One echelon serves every truncation bound B.  Columns are monomials in
-    ascending degree and rows are the whole products m*g, reduced on their
-    lowest column; the rows added at bound B are those of lowest degree
-    B - 1, so pivots of degree < B never change afterwards and the rank of
-    the truncation below degree B is their number.  Then
-    dim_B = dim k[x,y]/(I + m^B) = B(B+1)/2 - #pivots(deg < B).
-
-    The staircase is closed at B when every monomial of degree B - 1 is a
-    pivot, i.e. m^(B-1) lies in I + m^B; Nakayama then puts m^(B-1) in I,
-    so dim_B = dim_(B-1) is the colength and the closed staircase alone is
-    the exact stopping rule.  A colength c closes it by B = c + 1.  A
-    truncated dimension never exceeds the colength, so one above ``bezout``
-    certifies a non-isolated singularity; such a germ has dim_B >= B, so
-    that exit fires by B = bezout + 1.
+    ``gen`` is the order of g and its terms with integer coefficients.
     """
-    gens = [(g.order(), list(zip(g.terms, int_row(list(g.terms.values())))))
-            for g in gens if not g.is_zero()]
-    pivots = {}
-    below = 0
-    for bound in range(1, bezout + 2):
-        for order, terms in gens:
-            k = bound - 1 - order
-            for b in range(k + 1):
-                _add_row(pivots, {_column(i + k - b, j + b): c for (i, j), c in terms})
-        first = _column(bound - 1, 0)
-        top = sum(col in pivots for col in range(first, first + bound))
-        below += top
-        dim = bound * (bound + 1) // 2 - below
-        if top == bound:
-            return dim
-        if dim > bezout:
-            break
-    raise NonIsolatedSingularityError(
-        f"{what} did not stabilise: truncated colength {dim} exceeds the "
-        f"Bezout bound (deg f - 1)^2 = {bezout}: the singularity is not "
-        "isolated (the local equation is not reduced)")
+    order, terms = gen
+    for k in (d - order for d in degrees):
+        for b in range(k + 1):
+            _add_row(pivots, {_column(i + k - b, j + b): c for (i, j), c in terms})
 
 
 def local_invariants(f):
     """Milnor and Tjurina numbers of the germ of f at the origin.
 
-    mu = dim O/(f_x, f_y) and tau = dim O/(f, f_x, f_y) in the local ring;
-    both are colengths computed by stabilised truncation.  A smooth point
-    yields (0, 0).
+    mu = dim O/J with J = (f_x, f_y), and tau = dim O/(J + (f)), in the
+    local ring; a smooth point yields (0, 0).  One echelon serves both
+    numbers and every truncation bound B.  Columns are monomials in
+    ascending degree and rows are the whole products m*g, reduced on their
+    lowest column.  Once the rows of an ideal I of lowest degree < B are in,
+    dim_B = dim k[x,y]/(I + m^B) = B(B+1)/2 - #pivots(deg < B); the rows
+    added at bound B have lowest degree B - 1, so pivots of degree < B
+    never change afterwards.
+
+    The rows of f_x and f_y close the staircase of J at B when every
+    monomial of degree B - 1 is a pivot, i.e. m^(B-1) lies in J + m^B;
+    Nakayama then puts m^(B-1) in J, so dim_B = mu.  A colength c closes it
+    by B = c + 1.  As J + (f) contains J, m^(B-1) lies in it too, so tau is
+    dim_B once the rows m*f of lowest degree < B join the same echelon.  A
+    truncated dimension never exceeds the colength, so one above ``bezout``
+    = (deg f - 1)^2 certifies a non-isolated singularity; such a germ has
+    dim_B >= B, so that exit fires by B = bezout + 1.
     """
     _require_local_equation(f)
     bezout = (f.total_degree() - 1) ** 2
-    fx, fy = f.diff("x"), f.diff("y")
-    mu = _stable_colength([fx, fy], bezout, "Milnor number")
-    tau = _stable_colength([f, fx, fy], bezout, "Tjurina number")
-    return mu, tau
+    # f itself is nonzero, so it is the last generator
+    *jacobian, whole = [(g.order(), list(zip(g.terms, int_row(list(g.terms.values())))))
+                        for g in (f.diff("x"), f.diff("y"), f) if not g.is_zero()]
+    pivots = {}
+    below = 0
+    for bound in range(1, bezout + 2):
+        for gen in jacobian:
+            _add_products(pivots, gen, [bound - 1])
+        first = _column(bound - 1, 0)
+        top = sum(col in pivots for col in range(first, first + bound))
+        below += top
+        mu = bound * (bound + 1) // 2 - below
+        if top == bound:
+            _add_products(pivots, whole, range(bound))
+            end = first + bound
+            return mu, end - sum(col < end for col in pivots)
+        if mu > bezout:
+            break
+    raise NonIsolatedSingularityError(
+        f"Milnor number did not stabilise: truncated colength {mu} exceeds the "
+        f"Bezout bound (deg f - 1)^2 = {bezout}: the singularity is not "
+        "isolated (the local equation is not reduced)")
 
 
 def branch_count(f):

@@ -97,8 +97,9 @@ class CohPoly(_YPoly):
     _ring = CohClass
 
     def __init__(self, n, coeffs=(), delta=0):
-        if delta < 0:
-            raise ValidationError("denominator exponent must be >= 0")
+        if type(delta) is not int or delta < 0:
+            raise ValidationError(
+                f"denominator exponent must be an integer >= 0, got {delta!r}")
         super().__init__(n, coeffs)
         self.delta = delta
 
@@ -152,9 +153,9 @@ def _fractions(nums, den):
     return [Fraction(v, den) if v else _ZERO for v in nums]
 
 
-# id(todd class) -> (todd class, matrix, denominators) for _grr_columns.
-# Keyed by identity, as hashing a class hashes its n+1 Fractions (with large
-# denominators); holding the class keeps its id from being reused.
+# n -> (todd class, matrix, denominators) for _grr_columns.  An entry is
+# rebuilt when todd_class(n) returns another object, so it always belongs to
+# the class that todd_class serves; there is one entry per n ever used.
 _GRR_MATRICES = {}
 
 
@@ -168,16 +169,16 @@ def _grr_columns(p):
     s-coefficients of c.  Returns the columns (one numerator per y-degree)
     and their denominators m! D.
     """
-    todd = todd_class(p.n)
-    entry = _GRR_MATRICES.get(id(todd))
-    if entry is None:
-        n = todd.n
+    n = p.n
+    todd = todd_class(n)
+    entry = _GRR_MATRICES.get(n)
+    if entry is None or entry[0] is not todd:
         nums, den = _over_lcm(todd.coeffs)
         facts = [factorial(m) for m in range(n + 1)]
         matrix = [tuple(sum(nums[m - j] * (facts[m] // facts[j]) * (-k) ** j
                             for j in range(m + 1)) for k in range(n + 1))
                   for m in range(n + 1)]
-        entry = _GRR_MATRICES[id(todd)] = (todd, matrix, [f * den for f in facts])
+        entry = _GRR_MATRICES[n] = (todd, matrix, [f * den for f in facts])
     _, matrix, denoms = entry
     rows = [c.coeffs for c in p.coeffs]
     return [[sum(map(mul, row, weights)) for row in rows] for weights in matrix], denoms
@@ -282,8 +283,18 @@ def cohclass_to_json(c):
     return {"n": c.n, "coeffs": [str(v) for v in c.coeffs]}
 
 
+def _json_scalar(v):
+    """A JSON coefficient: text as written by ``str(Fraction)``, else an exact number."""
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"not a number: {v!r}") from None
+    return exact_scalar(v, rational=True)
+
+
 def cohclass_from_json(data):
-    return CohClass(data["n"], [Fraction(v) for v in data["coeffs"]])
+    return CohClass(data["n"], [_json_scalar(v) for v in data["coeffs"]])
 
 
 def cohpoly_to_json(p):
@@ -296,5 +307,5 @@ def cohpoly_to_json(p):
 
 def cohpoly_from_json(data):
     n = data["n"]
-    coeffs = [CohClass(n, [Fraction(v) for v in row]) for row in data["coeffs_y"]]
+    coeffs = [CohClass(n, [_json_scalar(v) for v in row]) for row in data["coeffs_y"]]
     return CohPoly(n, coeffs, delta=data["denominator_power"])

@@ -475,6 +475,14 @@ def test_parse_reports_the_first_faulty_line():
         parse_arrangement("3\n1 0 0\n0 0 1\n0 1 0\n1 z 0\n")
 
 
+def test_ambient_dimension_must_be_an_int():
+    # isinstance(True, int) let True stand for dimension 1
+    for bad in (True, 1.0, "1", 0):
+        with pytest.raises(ValidationError, match="ambient dimension must be a positive integer"):
+            Arrangement(bad, [[1]])
+    assert Arrangement(1, [[1]]).ambient_dim == 1
+
+
 def test_parse_refuses_ambient_dimension_above_the_limit():
     assert parse_arrangement(f"{MAX_AMBIENT_DIM}\n").ambient_dim == MAX_AMBIENT_DIM
     # refused at the header, before the forms that follow are read

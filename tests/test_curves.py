@@ -218,6 +218,14 @@ def test_inexact_curve_inputs_refused():
                 CurveSingularity(**{**values, field: bad})
 
 
+def test_exponents_must_be_nonnegative_ints():
+    # int() truncated 1.5 to 1, and -1 stored x^-1
+    for key in ((1.5, 0), (-1, 0), (0, -2), (True, 1), ("1", 0)):
+        with pytest.raises(ValidationError, match="exponents must be nonnegative integers"):
+            LocalPolynomial({key: 1})
+    assert LocalPolynomial({(1, 0): 1}).terms == {(1, 0): 1}
+
+
 def test_curve_inputs_refuse_text_as_numbers():
     # Fraction parses strings, so "1/2" was stored as 1/2 and "3" tripled f
     with pytest.raises(ValidationError, match="not a number: '1/2'"):
@@ -340,9 +348,11 @@ def _dense_colength(gens, cap):
     """Reference: the truncation loop with one dense integer matrix rebuilt
     for every bound B (rows m*g truncated below degree B), as the engine
     computed colengths before it kept one echelon for all bounds.  Returns
-    None where the loop reaches the cap without stabilising."""
+    the colength, None where the loop reaches the cap without stabilising,
+    and the truncated dimension at each bound B = 1, 2, ..."""
     gens = [g for g in gens if not g.is_zero()]
     prev = None
+    dims = []
     for bound in range(1, cap + 1):
         mons = [(d - k, k) for d in range(bound) for k in range(d + 1)]
         index = {m: n for n, m in enumerate(mons)}
@@ -370,26 +380,35 @@ def _dense_colength(gens, cap):
                     if content > 1:
                         row = [v // content for v in row]
         standard = [m for n, m in enumerate(mons) if n not in pivots]
+        dims.append(len(standard))
         if (prev is not None and len(standard) == prev
                 and all(i + j < bound - 1 for i, j in standard)):
-            return len(standard)
+            return len(standard), dims
         prev = len(standard)
-    return None
+    return None, dims
 
 
 def _dense_invariants(f, cap):
+    """(mu, tau) by the reference, or the refusal a non-isolated germ must
+    get: its exception type and message, which name the first truncated
+    dimension above the Bezout bound."""
     fx, fy = f.diff("x"), f.diff("y")
-    mu = _dense_colength([fx, fy], cap)
+    mu, dims = _dense_colength([fx, fy], cap)
     if mu is None:
-        return None
-    return mu, _dense_colength([f, fx, fy], cap)
+        bezout = (f.total_degree() - 1) ** 2
+        dim = next(d for d in dims if d > bezout)
+        return NonIsolatedSingularityError, (
+            f"Milnor number did not stabilise: truncated colength {dim} exceeds the "
+            f"Bezout bound (deg f - 1)^2 = {bezout}: the singularity is not "
+            "isolated (the local equation is not reduced)")
+    return mu, _dense_colength([f, fx, fy], cap)[0]
 
 
 def _engine_invariants(f):
     try:
         return local_invariants(f)
-    except NonIsolatedSingularityError:
-        return None
+    except ValidationError as exc:
+        return type(exc), str(exc)
 
 
 def _random_germ(rng):
@@ -418,7 +437,7 @@ def test_engine_matches_dense_truncation_on_random_germs():
         d = f.total_degree()
         cap = 2 * d * d if d <= 3 else (d - 1) ** 2 + 2
         expected = _dense_invariants(f, cap)
-        outcomes.add((d, expected is None))
+        outcomes.add((d, expected[0] is NonIsolatedSingularityError))
         assert _engine_invariants(f) == expected, str(f)
     assert outcomes == {(d, refused) for d in (2, 3, 4) for refused in (False, True)}
 
@@ -488,3 +507,24 @@ def test_non_isolated_degree_four_refused_early(text, monkeypatch):
     def rows_through(bound):
         return sum(k * (k + 1) // 2 for k in (max(bound - g.order(), 0) for g in gens))
     assert 0 < len(rows) <= rows_through((d - 1) ** 2 + 1)
+
+
+@pytest.mark.parametrize("text, bound, rows, invariants", [
+    ("x^10 - y^11", 19, 145, (90, 90)), ("x^3 + y^7 + x*y^5", 9, 59, (12, 11))])
+def test_mu_and_tau_share_one_echelon(text, bound, rows, invariants, monkeypatch):
+    # J = (f_x, f_y) closes its staircase at ``bound`` (for x^10 - y^11,
+    # (x^9, y^10) holds every monomial of degree 18 but not x^8*y^9), and
+    # J + (f) is closed there too, so the rows are the products m*g, g in
+    # (f_x, f_y, f), of lowest degree below that bound and no others; one
+    # echelon per ideal took 245 and 80 rows
+    calls = []
+    add_row = curves._add_row
+
+    def counting(pivots, row):
+        calls.append(row)
+        add_row(pivots, row)
+    monkeypatch.setattr(curves, "_add_row", counting)
+    f = P(text)
+    assert local_invariants(f) == invariants
+    orders = [g.order() for g in (f.diff("x"), f.diff("y"), f)]
+    assert len(calls) == rows == sum((bound - k) * (bound - k + 1) // 2 for k in orders)

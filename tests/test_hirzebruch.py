@@ -7,6 +7,7 @@ chi(P^n, O(k)) = C(n+k, n).
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -23,6 +24,7 @@ from logmc import (Arrangement, CohClass, CohPoly, DivisionRemainderError,
                    kclass_linear_subspace, log_class_free, mc_complement_charpoly,
                    mc_complement_lattice_sum, mc_free_exponents, normalize,
                    omega_log_trivial, todd_class)
+from logmc import hirzebruch
 from test_arrangement import BRAID3, random_arrangement
 
 F = Fraction
@@ -119,6 +121,20 @@ def test_grr_euler_characteristics_binomial():
 
 def test_grr_zero():
     assert grr_transform(KPoly.zero(3)).is_zero()
+
+
+def test_grr_matrices_stay_one_per_dimension(monkeypatch):
+    # todd_class keeps 64 classes, so two sweeps over n = 0..69 hand out a
+    # new class for every n on the second; matrices keyed by the class's id
+    # then grew by 70 a sweep.  A cache of 4 over ten dimensions evicts the
+    # same way, in a fraction of the time the 70 Todd classes take.
+    monkeypatch.setattr(hirzebruch, "todd_class",
+                        lru_cache(maxsize=4)(hirzebruch.todd_class.__wrapped__))
+    monkeypatch.setattr(hirzebruch, "_GRR_MATRICES", {})
+    for _ in range(2):
+        for n in range(10):
+            assert grr_transform(KPoly(n, (KClass.one(n),))).coefficient(0) == todd_class(n)
+    assert sorted(hirzebruch._GRR_MATRICES) == list(range(10))
 
 
 # --- normalisation bookkeeping
@@ -301,6 +317,27 @@ def test_cohclass_json_roundtrip():
     data = cohclass_to_json(c)
     assert data["coeffs"] == ["1", "-3/2", "7/5"]
     assert cohclass_from_json(data) == c
+
+
+def test_json_readers_refuse_inexact_input():
+    # 0.1 was stored as 3602879701896397/36028797018963968 and "1/0" raised
+    # ZeroDivisionError
+    for bad, match in ((0.1, "floats are not accepted"), ("1/0", "not a number: '1/0'"),
+                       ("x", "not a number: 'x'"), (None, "not a number")):
+        with pytest.raises(ValidationError, match=match):
+            cohclass_from_json({"n": 1, "coeffs": [bad, "1/2"]})
+        with pytest.raises(ValidationError, match=match):
+            cohpoly_from_json({"n": 1, "denominator_power": 0, "coeffs_y": [[bad, "1/2"]]})
+    assert cohclass_from_json({"n": 1, "coeffs": [2, "-3/4"]}).coeffs == (F(2), F(-3, 4))
+
+
+def test_cohpoly_denominator_exponent_must_be_a_nonnegative_int():
+    for bad in (0.5, "a", True, -1, F(1)):
+        with pytest.raises(ValidationError, match="denominator exponent must be an integer >= 0"):
+            CohPoly(1, (), delta=bad)
+    with pytest.raises(ValidationError, match="denominator exponent"):
+        cohpoly_from_json({"n": 1, "denominator_power": 1.0, "coeffs_y": [["1"]]})
+    assert CohPoly(1, (), delta=2).delta == 2
 
 
 def test_cohpoly_json_roundtrip():
