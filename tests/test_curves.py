@@ -515,8 +515,7 @@ def test_mu_and_tau_share_one_echelon(text, bound, rows, invariants, monkeypatch
     # J = (f_x, f_y) closes its staircase at ``bound`` (for x^10 - y^11,
     # (x^9, y^10) holds every monomial of degree 18 but not x^8*y^9), and
     # J + (f) is closed there too, so the rows are the products m*g, g in
-    # (f_x, f_y, f), of lowest degree below that bound and no others; one
-    # echelon per ideal took 245 and 80 rows
+    # (f_x, f_y, f), of lowest degree below that bound and no others
     calls = []
     add_row = curves._add_row
 
