@@ -26,8 +26,13 @@ def exact_scalar(v, rational=False):
     A float is refused even when its value is whole, and so is any value
     the conversion would change (1.9 or Fraction(1, 2) as an int), so no
     input is silently rounded.  Text is refused as well, although
-    ``Fraction`` would parse it: parsing is the caller's business.
+    ``Fraction`` would parse it: parsing is the caller's business.  A bool
+    is not a number, although it is an int.
     """
+    if type(v) is int:
+        return Fraction(v) if rational else v
+    if isinstance(v, bool):
+        raise ValidationError(f"not a number: {v!r}")
     if isinstance(v, float):
         raise ValidationError(f"inexact number {v!r}: floats are not accepted")
     if rational and isinstance(v, str):
@@ -89,8 +94,7 @@ class _Truncated(_Element):
 
     The relation brings any coefficient list (a product may be longer than
     n+1) to n+1 coefficients, and ``_scalars`` are the types multiplied
-    coefficientwise.  A ring whose relation drops the high degrees may also
-    replace ``_product`` by one that never forms them.
+    coefficientwise.
     """
 
     __slots__ = ()
@@ -131,6 +135,9 @@ class _Truncated(_Element):
         return prod
 
     def __pow__(self, k):
+        if type(k) is not int:
+            raise ValidationError(
+                f"{type(self).__name__} powers must be integers, got {k!r}")
         if k < 0:
             raise ValidationError(
                 f"negative {type(self).__name__} powers are not defined in general")

@@ -74,9 +74,10 @@ class Arrangement:
 
 
 # Largest ambient dimension ``parse_arrangement`` accepts.  On the empty
-# arrangement at the limit, ``logmc csm`` takes about 0.5 s and ``mc`` and
-# ``logclass`` about 0.3 s, process start (0.2 s) included; at dimension 128
-# ``csm`` takes 2.7 s, and at 300 it took 95 s (single runs, two-vCPU VM).
+# arrangement at the limit, ``logmc csm`` takes about 0.13 s and ``mc``
+# about 0.1 s, process start included; past it, ``csm`` takes about 0.5 s
+# in process at dimension 128 and 20 s at 300 (medians of nine runs at the
+# limit, single runs past it, shared two-vCPU VM).
 MAX_AMBIENT_DIM = 64
 
 

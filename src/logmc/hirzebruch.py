@@ -1,8 +1,8 @@
 """Todd transformation and Hirzebruch normalisation on projective space.
 
-Cohomology classes live in Q[h]/(h^{n+1}) with h the hyperplane class; all
-series (the exponential, the Todd series) are expanded with exact rational
-coefficients, so the evaluation at y = -1 witnesses cancellations exactly.
+Cohomology classes live in Q[h]/(h^{n+1}) with h the hyperplane class, with
+exact rational coefficients, so the evaluation at y = -1 witnesses
+cancellations exactly.
 
 The pipeline for a K-theory polynomial p(y):
 
@@ -23,14 +23,15 @@ y -> -1 is subsumed by exact division.
 
 Steps 1-3 compute on integers.  The h^j component of a CohPoly is a
 polynomial in y with rational coefficients; each step writes it as integer
-numerators over one denominator (the lcm of its denominators, or m! times
-the Todd denominator for the h^m column of step 1), multiplies or divides
-the numerators by (1+y) and forms Fractions only for the result.  Division
-by the monic 1+y keeps the numerators integral, and its remainder over the
-same denominator is the rational remainder.
+numerators over one denominator (the lcm of its denominators, or n!/(n-m)!
+for the h^m column of step 1), multiplies or divides the numerators by
+(1+y) and forms Fractions only for the result.  Division by the monic 1+y
+keeps the numerators integral, and its remainder over the same
+denominator is the rational remainder.
 
 ``csm_at_minus_one`` runs steps 1-4 as one integer pass.  Step 1 is one
-integer matrix per Todd class, applied to each y-row's s-coefficients.
+integer matrix per dimension, the Taylor coefficients of one integer
+polynomial at k = 0..n, applied to each y-row's s-coefficients.
 (1+y)^n divides (1+y)^j G_j exactly when (1+y)^{n-j} divides G_j, that is
 when the first n-j Taylor coefficients of the h^j column G_j at y = -1
 vanish; coefficient n-j is then the quotient's value at -1.  One Taylor
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, perm
 from operator import mul
 
 from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
@@ -67,20 +68,6 @@ class CohClass(_Truncated):
     __slots__ = ()
     _scalars = (int, Fraction)
     _relation = staticmethod(_truncate)
-
-    @staticmethod
-    def _product(xs, ys):
-        # only the degrees below n+1 survive the truncation
-        width = len(xs)
-        prod = [Fraction(0)] * width
-        for i, a in enumerate(xs):
-            if not a:
-                continue
-            for j in range(width - i):
-                b = ys[j]
-                if b:
-                    prod[i + j] += a * b
-        return prod
 
     def __repr__(self):
         return f"CohClass(n={self.n}, coeffs={[str(c) for c in self.coeffs]})"
@@ -125,21 +112,37 @@ def chern_character(c):
                                    factorial(j)) for j in range(c.n + 1)])
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
+def _grr_matrix(n):
+    """Integer rows and denominators of ch(s^k)*td(P^n) for k = 0..n.
+
+    e^{-kh} (h/(1-e^{-h}))^{n+1} is a Norlund polynomial in k: with
+    P(x) = (x-1)(x-2)...(x-n) and c_j(k) the t^j coefficient of P(k + t),
+    its h^m coefficient is (-1)^m c_{n-m}(k) over n!/(n-m)!; the h^n row is
+    Riemann-Roch, C(n-k, n).  P(n+1-x) = (-1)^n P(x), so the Taylor
+    coefficients at n+1 are those at 0 signed (-1)^{n+j}, and n shifts by
+    -1 walk down to k = n, ..., 1.  Row m holds the h^m numerators for
+    k = 0..n.
+    """
+    taylor = [1]
+    for i in range(1, n + 1):
+        taylor = [a - i * b for a, b in zip([0] + taylor, taylor + [0])]
+    cols = [taylor] + [None] * n
+    taylor = [v if (n + j) % 2 == 0 else -v for j, v in enumerate(taylor)]
+    for k in range(n, 0, -1):
+        taylor = cols[k] = shift_minus_one(taylor, n + 1)
+    return [tuple(col[n - m] if m % 2 == 0 else -col[n - m] for col in cols)
+            for m in range(n + 1)], [perm(n, m) for m in range(n + 1)]
+
+
 def todd_class(n):
     """Todd class of the tangent bundle of P^n: (h/(1-e^{-h}))^{n+1}.
 
-    1 - e^{-h} = h * sum_j (-1)^j h^j/(j+1)!, so the base series is the
-    exact reciprocal of that sum.  The class is computed once per n (keyed
-    by type too, so 3.0 is refused rather than served the class of 3).
+    It is ch(1)*td, column k = 0 of ``_grr_matrix``.
     """
     check_dimension(n)
-    denom = [Fraction((-1) ** j, factorial(j + 1)) for j in range(n + 1)]
-    inv = [Fraction(0)] * (n + 1)
-    inv[0] = Fraction(1)
-    for k in range(1, n + 1):
-        inv[k] = -sum(denom[i] * inv[k - i] for i in range(1, k + 1))
-    return CohClass(n, inv) ** (n + 1)
+    rows, denoms = _grr_matrix(n)
+    return CohClass(n, [Fraction(row[0], d) for row, d in zip(rows, denoms)])
 
 
 def _over_lcm(values):
@@ -153,35 +156,16 @@ def _fractions(nums, den):
     return [Fraction(v, den) if v else _ZERO for v in nums]
 
 
-# n -> (todd class, matrix, denominators) for _grr_columns.  An entry is
-# rebuilt when todd_class(n) returns another object, so it always belongs to
-# the class that todd_class serves; there is one entry per n ever used.
-_GRR_MATRICES = {}
-
-
 def _grr_columns(p):
     """Integer h^m columns of ch(c)*td for the y-coefficients c of ``p``.
 
-    With ch(sum_k a_k s^k) = sum_j A_j/j! h^j, A_j = sum_k a_k (-k)^j, and
-    td = sum_i T_i/D h^i, the h^m coefficient of ch(c)*td is
-    sum_j A_j T_{m-j} (m!/j!) over m! D: row m of one integer matrix per
-    Todd class, sum_j T_{m-j} (m!/j!) (-k)^j for k = 0..n, applied to the
-    s-coefficients of c.  Returns the columns (one numerator per y-degree)
-    and their denominators m! D.
+    Row m of ``_grr_matrix`` applied to the s-coefficients of each c gives
+    its h^m numerator.  Returns the columns (one numerator per y-degree)
+    and their denominators n!/(n-m)!.
     """
-    n = p.n
-    todd = todd_class(n)
-    entry = _GRR_MATRICES.get(n)
-    if entry is None or entry[0] is not todd:
-        nums, den = _over_lcm(todd.coeffs)
-        facts = [factorial(m) for m in range(n + 1)]
-        matrix = [tuple(sum(nums[m - j] * (facts[m] // facts[j]) * (-k) ** j
-                            for j in range(m + 1)) for k in range(n + 1))
-                  for m in range(n + 1)]
-        entry = _GRR_MATRICES[n] = (todd, matrix, [f * den for f in facts])
-    _, matrix, denoms = entry
-    rows = [c.coeffs for c in p.coeffs]
-    return [[sum(map(mul, row, weights)) for row in rows] for weights in matrix], denoms
+    rows, denoms = _grr_matrix(p.n)
+    ys = [c.coeffs for c in p.coeffs]
+    return [[sum(map(mul, y, weights)) for y in ys] for weights in rows], denoms
 
 
 def grr_transform(p):

@@ -180,8 +180,8 @@ def kclass_linear_subspace(m, k, n):
     Koszul resolution of the subspace gives (1 - s)^{n-m} * s^{-k}.
     """
     check_dimension(n)
-    if not 0 <= m <= n:
-        raise ValidationError(f"subspace dimension {m} outside [0, {n}]")
+    if type(m) is not int or not 0 <= m <= n:
+        raise ValidationError(f"subspace dimension must be an integer in [0, {n}], got {m!r}")
     return KClass(n, (1, -1)) ** (n - m) * kclass_O(k, n)
 
 

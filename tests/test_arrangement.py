@@ -429,6 +429,8 @@ def test_rejects_inexact_coefficients():
         Arrangement(2, [(1, 0), (0, 2.0)])
     with pytest.raises(ValidationError, match="not an integer"):
         Arrangement(2, [(1, 0), (Fraction(1, 2), 1)])
+    with pytest.raises(ValidationError, match="not a number: True"):
+        Arrangement(2, [(True, 0), (0, 1)])
     assert Arrangement(2, [(Fraction(2), 0), (0, 1)]).forms == ((1, 0), (0, 1))
 
 

@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` looks each traced function up with ``vars(owner)[attr]``,
 so renaming or moving one of them breaks ``bench/run.py --trace 1``.  The
-benchmark directory is not collected by the test suite, so this test runs
-the tracer once over a real command.
+benchmark directory's own tests (``bench/test_oracles.py``) check its
+oracles, not the tracer, so this test runs the tracer once over a real
+command.
 """
 
 import sys
@@ -37,10 +38,12 @@ def test_tracer_records_and_restores():
     try:
         code, _ = cli.run(cli.RunConfig(command="csm", output_format="json",
                                         input_path=str(ROOT / "corpus" / "braid.arr")))
-        # csm runs the stages fused; call them through the module attributes
-        # the tracer replaces, so their wrappers are exercised too
+        # csm runs the stages fused and reads the Todd class from the GRR
+        # table; call them through the module attributes the tracer
+        # replaces, so their wrappers are exercised too
         hirzebruch.clear_denominator(hirzebruch.normalize(hirzebruch.grr_transform(
             kring.mc_free_exponents((1, 2, 3), 2))))
+        hirzebruch.todd_class(2)
     finally:
         tracer.uninstall()
     assert code == 0

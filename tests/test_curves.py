@@ -201,6 +201,8 @@ def test_inexact_curve_inputs_refused():
     # 0.1 is stored as 3602879701896397/36028797018963968 if accepted
     with pytest.raises(ValidationError, match="floats are not accepted"):
         LocalPolynomial({(2, 0): 0.1, (0, 3): 1})
+    with pytest.raises(ValidationError, match="not a number: True"):
+        LocalPolynomial({(2, 0): True, (0, 3): 1})
     f = P("x^2 - y^3")
     for bad in (lambda: f * 0.5, lambda: 0.5 * f, lambda: LocalPolynomial.constant(0.5),
                 lambda: f.substitute_linear(1, 0.5, 0, 1)):

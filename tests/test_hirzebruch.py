@@ -7,9 +7,8 @@ chi(P^n, O(k)) = C(n+k, n).
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from logmc import (Arrangement, CohClass, CohPoly, DivisionRemainderError,
                    omega_log_trivial, todd_class)
 from logmc import hirzebruch
 from test_arrangement import BRAID3, random_arrangement
+from test_integer_kernels import ref_todd_class
 
 F = Fraction
 
@@ -89,7 +89,7 @@ def test_negative_projective_dimension_refused():
 
 def test_non_integer_projective_dimension_refused():
     chi = IntPolynomial([0, -1, 1])
-    todd_class(3)  # a cached class must not answer for 3.0
+    todd_class(3)  # the cached table of 3 must not answer for 3.0
     makers = (lambda: KClass(1.0, [1]), lambda: KPoly(1.0), lambda: CohClass(True),
               lambda: CohPoly("2"), lambda: KClass.from_one_minus_s_basis(1.0, [1]),
               lambda: mc_free_exponents([1, 2], 1.0), lambda: log_class_free([1, 2], 1.0),
@@ -111,30 +111,38 @@ def test_grr_of_one_is_todd():
     assert out.coefficient(0) == CohClass(1, (1, 1))
 
 
+def _binomial(x, n):
+    """C(x, n) as a polynomial in x, for every integer x."""
+    num = 1
+    for i in range(n):
+        num *= x - i
+    return F(num, factorial(n))
+
+
 def test_grr_euler_characteristics_binomial():
-    for n in range(0, 5):
-        for k in range(0, 4):
-            p = KPoly(n, (kclass_O(k, n),))
-            top = grr_transform(p).coefficient(0).coeffs[n]
-            assert top == comb(n + k, n)
+    # Riemann-Roch: chi(O(k)) = C(n+k, n), also for negative twists, where
+    # it vanishes for -n <= k <= -1
+    for n in range(0, 70):
+        twists = sorted({-n - 2, -n - 1, -n, -1, 0, 1, 2, 3, n, n + 5})
+        p = KPoly(n, [kclass_O(k, n) for k in twists])
+        out = grr_transform(p)
+        for i, k in enumerate(twists):
+            assert out.coefficient(i).coeffs[n] == _binomial(n + k, n)
 
 
 def test_grr_zero():
     assert grr_transform(KPoly.zero(3)).is_zero()
 
 
-def test_grr_matrices_stay_one_per_dimension(monkeypatch):
-    # todd_class keeps 64 classes, so two sweeps over n = 0..69 hand out a
-    # new class for every n on the second; matrices keyed by the class's id
-    # then grew by 70 a sweep.  A cache of 4 over ten dimensions evicts the
-    # same way, in a fraction of the time the 70 Todd classes take.
-    monkeypatch.setattr(hirzebruch, "todd_class",
-                        lru_cache(maxsize=4)(hirzebruch.todd_class.__wrapped__))
-    monkeypatch.setattr(hirzebruch, "_GRR_MATRICES", {})
+def test_grr_table_cache_is_bounded_and_matches_the_series():
+    # two sweeps over more dimensions than the table cache keeps
     for _ in range(2):
-        for n in range(10):
+        for n in range(70):
             assert grr_transform(KPoly(n, (KClass.one(n),))).coefficient(0) == todd_class(n)
-    assert sorted(hirzebruch._GRR_MATRICES) == list(range(10))
+    assert hirzebruch._grr_matrix.cache_info().currsize <= 64
+    # the series reciprocal raised to the (n+1)-th power, independent of the table
+    for n in [*range(13), 69]:
+        assert todd_class(n) == ref_todd_class(n)
 
 
 # --- normalisation bookkeeping
@@ -323,7 +331,8 @@ def test_json_readers_refuse_inexact_input():
     # 0.1 was stored as 3602879701896397/36028797018963968 and "1/0" raised
     # ZeroDivisionError
     for bad, match in ((0.1, "floats are not accepted"), ("1/0", "not a number: '1/0'"),
-                       ("x", "not a number: 'x'"), (None, "not a number")):
+                       ("x", "not a number: 'x'"), (None, "not a number"),
+                       (True, "not a number: True")):
         with pytest.raises(ValidationError, match=match):
             cohclass_from_json({"n": 1, "coeffs": [bad, "1/2"]})
         with pytest.raises(ValidationError, match=match):

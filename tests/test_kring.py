@@ -111,6 +111,13 @@ def test_kclass_linear_subspace():
         kclass_linear_subspace(3, 0, 2)
     with pytest.raises(ValidationError):
         kclass_linear_subspace(-1, 0, 2)
+    # 0.5 reached KClass ** 1.5 and raised TypeError there; True was P^1
+    for bad in (0.5, True, "1"):
+        with pytest.raises(ValidationError, match="subspace dimension must be an integer in"):
+            kclass_linear_subspace(bad, 0, 2)
+    for bad in (1.5, True, Fraction(2)):
+        with pytest.raises(ValidationError, match="powers must be integers"):
+            KClass(2, (1, 1)) ** bad
 
 
 def test_basis_conversion_roundtrip():
@@ -317,7 +324,11 @@ def test_kclass_refuses_inexact_coefficients():
         KClass(2, [1.0])
     with pytest.raises(ValidationError, match="not a number"):
         KClass(2, [None])
-    assert KClass(2, [Fraction(4, 2), 3, True]).coeffs == (2, 3, 1)
+    # a bool is an int to isinstance, but not a coefficient
+    for bad in ([Fraction(4, 2), 3, True], [True, False]):
+        with pytest.raises(ValidationError, match="not a number: True"):
+            KClass(2, bad)
+    assert KClass(2, [Fraction(4, 2), 3, 1]).coeffs == (2, 3, 1)
 
 
 def test_exponents_refuse_inexact_values():
@@ -328,6 +339,8 @@ def test_exponents_refuse_inexact_values():
             func([1, 2.0, 3], 2)
         with pytest.raises(ValidationError, match="not an integer"):
             func([1, Fraction(5, 2), 3], 2)
+        with pytest.raises(ValidationError, match="not a number: True"):
+            func([True, 2], 1)
         assert func([1, Fraction(4, 2), 3], 2) == func([1, 2, 3], 2)
 
 
