@@ -8,7 +8,8 @@ the ring's relation.  ``_YPoly`` is a polynomial in y over such a ring.
 ``deflate`` is the one synthetic division in the package, ``render`` the
 one renderer of polynomial text and ``exact_scalar`` the one check that an
 input number is exact; ``check_dimension`` is the one check that a
-projective dimension is one.  ``shift_minus_one``, the Taylor shift
+projective dimension is one, and ``json_fields`` reads the keys of a JSON
+object.  ``shift_minus_one``, the Taylor shift
 p(x) -> p(x - 1), is the one change of basis between powers of x and of
 x - 1, and ``unpack`` reads the balanced digits of a packed polynomial.
 """
@@ -46,6 +47,20 @@ def exact_scalar(v, rational=False):
     return exact
 
 
+def json_fields(data, *keys):
+    """The values of ``keys`` in the JSON object ``data``, in order.
+
+    A value that is not an object, or an object without one of the keys,
+    is refused with the key's name.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValidationError(f"JSON object has no key {key!r}")
+    return [data[key] for key in keys]
+
+
 def check_dimension(n):
     """Refuse ``n`` unless it is a projective dimension: an int >= 0."""
     if type(n) is not int:
@@ -58,7 +73,8 @@ class _Element:
     """An element of a ring over P^n, stored as the tuple ``coeffs``.
 
     Subclasses define ``_relation(coeffs, n)``, the one normalising hook: it
-    brings any coefficient list to the stored tuple.
+    brings any coefficient list to the stored tuple.  Two operands must be
+    of the same type on the same P^n.
     """
 
     __slots__ = ("n", "coeffs")
@@ -74,6 +90,9 @@ class _Element:
         return cls(n)
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise ValidationError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.n != other.n:
             raise ValidationError(
                 f"{type(self).__name__} operands live on different projective spaces")
@@ -94,7 +113,7 @@ class _Truncated(_Element):
 
     The relation brings any coefficient list (a product may be longer than
     n+1) to n+1 coefficients, and ``_scalars`` are the types multiplied
-    coefficientwise.
+    coefficientwise: exactly these types, so a bool is no scalar.
     """
 
     __slots__ = ()
@@ -116,7 +135,7 @@ class _Truncated(_Element):
         return type(self)(self.n, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, self._scalars):
+        if type(other) in self._scalars:
             return type(self)(self.n, [a * other for a in self.coeffs])
         self._check(other)
         return type(self)(self.n, self._product(self.coeffs, other.coeffs))
@@ -165,6 +184,10 @@ class _YPoly(_Element):
     def _relation(self, coeffs, n):
         coeffs = list(coeffs)
         for c in coeffs:
+            if type(c) is not self._ring:
+                raise ValidationError(
+                    f"{type(self).__name__} coefficients must be {self._ring.__name__}"
+                    f" values, got {type(c).__name__}")
             if c.n != n:
                 raise ValidationError(
                     f"{type(self).__name__} coefficients live on different projective spaces")

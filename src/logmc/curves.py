@@ -133,7 +133,7 @@ class LocalPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
+        if _require_int("power", k) < 0:
             raise ValidationError("negative powers are not polynomials")
         result = LocalPolynomial.constant(1)
         for _ in range(k):
@@ -510,6 +510,8 @@ class CurveDifferenceClass:
 
 def delta_from_milnor(mu, r):
     """delta = (mu + r - 1) / 2, from Milnor's formula mu = 2 delta - r + 1."""
+    _require_int("mu", mu)
+    _require_int("r", r)
     if mu < 0 or r < 1:
         raise ValidationError("need mu >= 0 and r >= 1")
     if (mu + r - 1) % 2:

@@ -21,33 +21,31 @@ Step 3 makes "the normalised class is an honest polynomial in y" a tested
 statement rather than an assumption; the classical limit argument for
 y -> -1 is subsumed by exact division.
 
-Steps 1-3 compute on integers.  The h^j component of a CohPoly is a
-polynomial in y with rational coefficients; each step writes it as integer
-numerators over one denominator (the lcm of its denominators, or n!/(n-m)!
-for the h^m column of step 1), multiplies or divides the numerators by
-(1+y) and forms Fractions only for the result.  Division by the monic 1+y
-keeps the numerators integral, and its remainder over the same
-denominator is the rational remainder.
+Step 1 computes on integers: one integer matrix per dimension, the Taylor
+coefficients of one integer polynomial at k = 0..n, applied to each
+y-row's s-coefficients, gives the h^m column as numerators over
+n!/(n-m)!.  Steps 2 and 3 are their plain definitions on the Fraction
+columns of the h^j component: j products by (1+y), and delta synthetic
+divisions by it.
 
-``csm_at_minus_one`` runs steps 1-4 as one integer pass.  Step 1 is one
-integer matrix per dimension, the Taylor coefficients of one integer
-polynomial at k = 0..n, applied to each y-row's s-coefficients.
-(1+y)^n divides (1+y)^j G_j exactly when (1+y)^{n-j} divides G_j, that is
-when the first n-j Taylor coefficients of the h^j column G_j at y = -1
-vanish; coefficient n-j is then the quotient's value at -1.  One Taylor
-shift (``_poly.shift_minus_one``) gives all of them, with the same check
-and error as step 3, and one Fraction is formed per column.
+``csm_at_minus_one``, what every command runs, does steps 1-4 as one
+integer pass on the numerators of step 1.  (1+y)^n divides (1+y)^j G_j
+exactly when (1+y)^{n-j} divides G_j, that is when the first n-j Taylor
+coefficients of the h^j column G_j at y = -1 vanish; coefficient n-j is
+then the quotient's value at -1.  One Taylor shift
+(``_poly.shift_minus_one``) gives all of them, with the same check and
+error as step 3, and one Fraction is formed per column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm
+from math import factorial, perm
 from operator import mul
 
 from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
-                    shift_minus_one)
+                    json_fields, shift_minus_one)
 from .errors import DivisionRemainderError, ValidationError
 
 
@@ -145,17 +143,6 @@ def todd_class(n):
     return CohClass(n, [Fraction(row[0], d) for row, d in zip(rows, denoms)])
 
 
-def _over_lcm(values):
-    """Integer numerators of the Fractions ``values`` over the lcm of their denominators."""
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _fractions(nums, den):
-    """The Fractions nums[i]/den, the inverse of ``_over_lcm``."""
-    return [Fraction(v, den) if v else _ZERO for v in nums]
-
-
 def _grr_columns(p):
     """Integer h^m columns of ch(c)*td for the y-coefficients c of ``p``.
 
@@ -171,7 +158,8 @@ def _grr_columns(p):
 def grr_transform(p):
     """Chern character coefficientwise in y, times the Todd class of P^n."""
     cols, denoms = _grr_columns(p)
-    return CohPoly.from_columns(p.n, [_fractions(col, d) for col, d in zip(cols, denoms)])
+    return CohPoly.from_columns(
+        p.n, [[Fraction(v, d) for v in col] for col, d in zip(cols, denoms)])
 
 
 def normalize(p):
@@ -187,19 +175,17 @@ def normalize(p):
         return CohPoly(p.n, (), delta=p.n)
     cols = []
     for j, col in enumerate(p.columns()):
-        nums, den = _over_lcm(col)
         for _ in range(j):
-            nums = [a + b for a, b in zip(nums + [0], [0] + nums)]
-        cols.append(_fractions(nums, den))
+            col = [a + b for a, b in zip(col + [_ZERO], [_ZERO] + col)]
+        cols.append(col)
     return CohPoly.from_columns(p.n, cols, delta=p.n)
 
 
-def _check_remainder(rem, den, j, delta):
-    """Refuse a nonzero remainder rem/den of the h^j column divided by (1+y)^delta."""
+def _check_remainder(rem, j, delta):
+    """Refuse a nonzero remainder of the h^j column divided by (1+y)^delta."""
     if rem:
         raise DivisionRemainderError(
-            f"h^{j} component is not divisible by (1+y)^{delta}",
-            remainder=Fraction(rem, den))
+            f"h^{j} component is not divisible by (1+y)^{delta}", remainder=rem)
 
 
 def clear_denominator(p):
@@ -213,11 +199,10 @@ def clear_denominator(p):
         return p
     out = []
     for j, col in enumerate(p.columns()):
-        nums, den = _over_lcm(col)
         for _ in range(p.delta):
-            nums, rem = deflate(nums, -1)
-            _check_remainder(rem, den, j, p.delta)
-        out.append(_fractions(nums, den))
+            col, rem = deflate(col, -1)
+            _check_remainder(rem, j, p.delta)
+        out.append(col)
     return CohPoly.from_columns(p.n, out)
 
 
@@ -237,7 +222,9 @@ def csm_at_minus_one(p):
     out = []
     for j, (col, den) in enumerate(zip(cols, denoms)):
         *rems, value = shift_minus_one(col, n - j + 1)
-        _check_remainder(next(filter(None, rems), 0), den, j, n)
+        rem = next(filter(None, rems), 0)
+        # a Fraction only for a refusal: Fraction(0, den) costs a microsecond
+        _check_remainder(rem and Fraction(rem, den), j, n)
         out.append(Fraction(value, den))
     return CohClass(n, out)
 
@@ -278,7 +265,8 @@ def _json_scalar(v):
 
 
 def cohclass_from_json(data):
-    return CohClass(data["n"], [_json_scalar(v) for v in data["coeffs"]])
+    n, coeffs = json_fields(data, "n", "coeffs")
+    return CohClass(n, [_json_scalar(v) for v in coeffs])
 
 
 def cohpoly_to_json(p):
@@ -290,6 +278,6 @@ def cohpoly_to_json(p):
 
 
 def cohpoly_from_json(data):
-    n = data["n"]
-    coeffs = [CohClass(n, [_json_scalar(v) for v in row]) for row in data["coeffs_y"]]
-    return CohPoly(n, coeffs, delta=data["denominator_power"])
+    n, rows, delta = json_fields(data, "n", "coeffs_y", "denominator_power")
+    coeffs = [CohClass(n, [_json_scalar(v) for v in row]) for row in rows]
+    return CohPoly(n, coeffs, delta=delta)

@@ -3,18 +3,18 @@
 The group of coherent-sheaf classes on P^n is Z[s]/((1-s)^{n+1}) with
 s = [O(-1)]; a ``KClass`` is the reduced representative in the s-power
 basis.  A ``KPoly`` is a polynomial in the parameter y with KClass
-coefficients.  A product of two KPolys is formed one y-row at a time: the
-row's integer convolutions in s are summed unreduced, and the sum is
-reduced modulo the relation once, since the reduction is linear.
+coefficients, and a product of two KPolys is the schoolbook sum of KClass
+products.
 
-The two exponent products below are not formed that way.  In tau = s - 1
-the relation is tau^{n+1} = 0, plain truncation, and their factors have
-nonnegative tau-coefficients: s^e = (1+tau)^e and 1 - e + e s = 1 + e tau.
-So each y-row of the product is one packed int, tau -> 2^w, and a factor
-costs one int product and mask per row.  The digit width w is safe because
-every factor is coefficientwise at most (1+tau)^{e_i} (1+y), so every
-coefficient of tau^j y^k is at most C(n+1, k) C(sum e_i, j); w = n + 2 +
-bitlen C(sum e_i, min(n, sum e_i // 2)) leaves no digit able to carry.
+The exponent products below, and (1+sy)^{n+1}, are not formed that way.
+In tau = s - 1 the relation is tau^{n+1} = 0, plain truncation, and their
+factors have nonnegative tau-coefficients: s^e = (1+tau)^e and
+1 - e + e s = 1 + e tau.  So each y-row of the product is one packed int,
+tau -> 2^w, and a factor costs one int product and mask per row.  The
+digit width w is safe because every factor is coefficientwise at most
+(1+tau)^{e_i} (1+y), so every coefficient of tau^j y^k is at most
+C(n+1, k) C(sum e_i, j); w = n + 2 + bitlen C(sum e_i, min(n, sum e_i // 2))
+leaves no digit able to carry.
 The packed rows are divided by (1+y) as they are.
 
 Every change of basis is the one kernel ``_poly.shift_minus_one``, the
@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import comb
 
 from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
-                    shift_minus_one, unpack)
+                    json_fields, shift_minus_one, unpack)
 from .arrangement import (IntersectionLattice, IntPolynomial,
                           characteristic_polynomial)
 from .errors import DivisionRemainderError, ValidationError
@@ -132,26 +132,14 @@ class KPoly(_YPoly):
         return KPoly(self.n, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, KClass)):
+        if type(other) in (int, KClass):
             return KPoly(self.n, [c * other for c in self.coeffs])
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return KPoly.zero(self.n)
-        n = self.n
-        xs = [c.coeffs for c in self.coeffs]
-        # the nonzero (s-degree, coefficient) pairs of each y-row of other
-        ys = [[(q, v) for q, v in enumerate(c.coeffs) if v] for c in other.coeffs]
-        rows = []
-        for r in range(len(xs) + len(ys) - 1):
-            acc = [0] * (2 * n + 1)
-            for i in range(max(0, r - len(ys) + 1), min(r, len(xs) - 1) + 1):
-                b = ys[r - i]
-                for p, u in enumerate(xs[i]):
-                    if u:
-                        for q, v in b:
-                            acc[p + q] += u * v
-            rows.append(KClass(n, acc))
-        return KPoly(n, rows)
+        rows = [KClass.zero(self.n)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                rows[i + j] += a * b
+        return KPoly(self.n, rows)
 
     __rmul__ = __mul__
 
@@ -200,24 +188,15 @@ def exact_div_one_plus_y(num):
     return KPoly(num.n, [KClass(num.n, row) for row in zip(*quotients)])
 
 
-def _one_plus_sy_power(d, n):
-    """(1 + s y)^d as a KPoly on P^n."""
-    coeffs = []
-    for p in range(d + 1):
-        mono = [0] * (p + 1)
-        mono[p] = comb(d, p)
-        coeffs.append(KClass(n, mono))
-    return KPoly(n, coeffs)
-
-
 def omega_log_trivial(n):
     """Total form class sum_p [Omega^p] y^p of P^n itself.
 
     Computed as the exact quotient (1 + s y)^{n+1} / (1+y); the division
-    must leave no remainder.
+    must leave no remainder.  Each head 1 is at most (1+tau)^1, so the
+    packed product's width bound holds with total n + 1.
     """
     check_dimension(n)
-    return exact_div_one_plus_y(_one_plus_sy_power(n + 1, n))
+    return _product_over_one_plus_y([(1,)] * (n + 1), n, n + 1)
 
 
 def mc_complement_lattice_sum(lat):
@@ -384,12 +363,11 @@ def kpoly_to_json(p, basis="s"):
 
 
 def kpoly_from_json(data):
-    n = data["n"]
-    basis = data["basis"]
+    n, basis, rows = json_fields(data, "n", "basis", "coeffs_y")
     if basis == "s":
-        coeffs = [KClass(n, row) for row in data["coeffs_y"]]
+        coeffs = [KClass(n, row) for row in rows]
     elif basis == "one_minus_s":
-        coeffs = [KClass.from_one_minus_s_basis(n, row) for row in data["coeffs_y"]]
+        coeffs = [KClass.from_one_minus_s_basis(n, row) for row in rows]
     else:
         raise ValidationError(f"unknown basis {basis!r}")
     return KPoly(n, coeffs)

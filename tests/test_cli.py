@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmc import arrangement
-from logmc import (Arrangement, ValidationError, build_lattice,
+from logmc import hirzebruch as hzmod
+from logmc import (Arrangement, KPoly, ValidationError, build_lattice,
                    characteristic_polynomial, cohclass_from_json, csm_at_minus_one,
                    kpoly_from_json, log_class_free, mc_complement_lattice_sum)
 from logmc.arrangement import MAX_AMBIENT_DIM
@@ -282,6 +283,26 @@ def test_no_command_builds_subspaces(monkeypatch):
         assert code == 0 and built == [], command
     code, _ = run_json("lattice", "skew5")  # pivots other than 1
     assert code == 0 and built == []
+
+
+def test_commands_run_no_staged_pipeline_or_kpoly_product(monkeypatch):
+    """Every command reaches the CSM class through ``csm_at_minus_one`` and
+    its K-classes through the packed and charpoly kernels."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called off the command path")
+
+    monkeypatch.setattr(hzmod, "normalize", forbidden)
+    monkeypatch.setattr(hzmod, "clear_denominator", forbidden)
+    monkeypatch.setattr(KPoly, "__mul__", forbidden)
+    monkeypatch.setattr(KPoly, "__rmul__", forbidden)
+    for command in ("lattice", "charpoly", "exponents", "mc", "logclass", "diff",
+                    "csm", "euler"):
+        routes = (("all", "lattice", "charpoly", "exponents")
+                  if "--route" in ACCEPTED_OPTIONS[command] else ("all",))
+        for route in routes:
+            for fmt in ("text", "json"):
+                code, _ = run(RunConfig(command, corpus_path("braid"), fmt, route))
+                assert code == 0, (command, route, fmt)
 
 
 def test_lattice_matrices_match_fraction_nodes_on_random(tmp_path):

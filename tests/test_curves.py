@@ -218,6 +218,12 @@ def test_inexact_curve_inputs_refused():
                     Fraction(values[field])):
             with pytest.raises(ValidationError, match=f"'{field}' must be an integer"):
                 CurveSingularity(**{**values, field: bad})
+    for bad in (1.5, True, Fraction(2)):
+        with pytest.raises(ValidationError, match="'power' must be an integer"):
+            LocalPolynomial.variable("x") ** bad
+    for mu, r, name in ((2.0, 1, "mu"), (True, 1, "mu"), (1, 2.0, "r"), (2, True, "r")):
+        with pytest.raises(ValidationError, match=f"'{name}' must be an integer"):
+            delta_from_milnor(mu, r)
 
 
 def test_exponents_must_be_nonnegative_ints():

@@ -338,6 +338,17 @@ def test_json_readers_refuse_inexact_input():
         with pytest.raises(ValidationError, match=match):
             cohpoly_from_json({"n": 1, "denominator_power": 0, "coeffs_y": [[bad, "1/2"]]})
     assert cohclass_from_json({"n": 1, "coeffs": [2, "-3/4"]}).coeffs == (F(2), F(-3, 4))
+    # a missing key is named, and a value that is no object is refused
+    for reader, bad, match in (
+            (cohclass_from_json, {}, "no key 'n'"),
+            (cohclass_from_json, {"n": 1}, "no key 'coeffs'"),
+            (cohclass_from_json, ["1"], "expected a JSON object, got list"),
+            (cohpoly_from_json, {}, "no key 'n'"),
+            (cohpoly_from_json, {"n": 1, "denominator_power": 0}, "no key 'coeffs_y'"),
+            (cohpoly_from_json, {"n": 1, "coeffs_y": [[1]]}, "no key 'denominator_power'"),
+            (cohpoly_from_json, "x", "expected a JSON object, got str")):
+        with pytest.raises(ValidationError, match=match):
+            reader(bad)
 
 
 def test_cohpoly_denominator_exponent_must_be_a_nonnegative_int():

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmc import (Arrangement, DivisionRemainderError, IntPolynomial, KClass,
-                   KPoly, ValidationError, build_lattice,
+from logmc import (Arrangement, CohClass, CohPoly, DivisionRemainderError,
+                   IntPolynomial, KClass, KPoly, ValidationError, build_lattice,
                    characteristic_polynomial, difference_class_arrangement,
                    exact_div_one_plus_y, kclass_O, kclass_linear_subspace,
                    kpoly_from_json, kpoly_to_json, log_class_free,
@@ -144,6 +144,21 @@ def test_operands_on_different_spaces_refused():
             with pytest.raises(ValidationError) as info:
                 op()
             assert str(info.value) == f"{name} operands live on different projective spaces"
+    # operands of another ring, or no ring value at all
+    cohpoly = CohPoly(1, [CohClass.one(1)])
+    for a, b in ((KClass.one(1), CohClass.one(1)), (CohClass.one(1), KClass.one(1)),
+                 (KPoly.one(1), cohpoly),
+                 (KClass.one(1), KPoly.one(1)), (KClass.one(1), 3), (KPoly.one(1), 3)):
+        ops = [lambda: a + b, lambda: a - b]
+        if not isinstance(b, int):
+            ops.append(lambda: a * b)
+        for op in ops:
+            with pytest.raises(ValidationError,
+                               match=f"cannot combine {type(a).__name__} with {type(b).__name__}"):
+                op()
+    for poly, bad in ((CohPoly, KClass(2, (1,))), (KPoly, CohClass(2, (1,))), (KPoly, 1)):
+        with pytest.raises(ValidationError, match=f"{poly.__name__} coefficients must be"):
+            poly(2, [bad])
 
 
 # --- division by 1+y
@@ -183,8 +198,8 @@ def test_omega_log_trivial_small():
 
 
 def test_omega_pair_relation():
-    # [Omega^p] + [Omega^{p-1}] = C(n+1, p) [O(-p)] for all p, n <= 6
-    for n in range(0, 7):
+    # [Omega^p] + [Omega^{p-1}] = C(n+1, p) [O(-p)] for all p, n <= 40
+    for n in range(0, 41):
         omega = omega_log_trivial(n)
         for p in range(1, n + 1):
             left = omega.coefficient(p) + omega.coefficient(p - 1)
@@ -194,7 +209,7 @@ def test_omega_pair_relation():
 # --- motivic class routes
 
 def test_mc_empty_arrangement_is_omega():
-    for n in range(0, 4):
+    for n in range(0, 13):
         lat = build_lattice(Arrangement(n + 1, []))
         assert mc_complement_lattice_sum(lat) == omega_log_trivial(n)
         chi = IntPolynomial([0] * (n + 1) + [1])
@@ -329,6 +344,12 @@ def test_kclass_refuses_inexact_coefficients():
         with pytest.raises(ValidationError, match="not a number: True"):
             KClass(2, bad)
     assert KClass(2, [Fraction(4, 2), 3, 1]).coeffs == (2, 3, 1)
+    # nor a scalar factor
+    for value, bad in ((KClass(2, (1, 1)), True), (CohClass(1, (1, 2)), False),
+                       (KPoly.one(2), True), (KPoly.one(2), False)):
+        for op in (lambda: value * bad, lambda: bad * value):
+            with pytest.raises(ValidationError, match="with bool"):
+                op()
 
 
 def test_exponents_refuse_inexact_values():
@@ -397,6 +418,15 @@ def test_json_roundtrip_both_bases():
 def test_json_rejects_unknown_basis():
     with pytest.raises(ValidationError):
         kpoly_to_json(KPoly.one(2), basis="h")
+    with pytest.raises(ValidationError, match="unknown basis 'h'"):
+        kpoly_from_json({"n": 1, "basis": "h", "coeffs_y": []})
+    # a missing key is named, and a value that is no object is refused
+    for bad, match in (({}, "no key 'n'"), ({"n": 1}, "no key 'basis'"),
+                       ({"n": 1, "basis": "s"}, "no key 'coeffs_y'"),
+                       ([], "expected a JSON object, got list"),
+                       (None, "expected a JSON object, got NoneType")):
+        with pytest.raises(ValidationError, match=match):
+            kpoly_from_json(bad)
 
 
 # --- consistency with the curve-singularity formula on P^2
