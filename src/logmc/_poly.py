@@ -8,10 +8,11 @@ the ring's relation.  ``_YPoly`` is a polynomial in y over such a ring.
 ``deflate`` is the one synthetic division in the package, ``render`` the
 one renderer of polynomial text and ``exact_scalar`` the one check that an
 input number is exact; ``check_dimension`` is the one check that a
-projective dimension is one, and ``json_fields`` reads the keys of a JSON
-object.  ``shift_minus_one``, the Taylor shift
-p(x) -> p(x - 1), is the one change of basis between powers of x and of
-x - 1, and ``unpack`` reads the balanced digits of a packed polynomial.
+projective dimension is one, ``json_fields`` reads the keys of a JSON
+object and ``json_list`` checks that a value in one is a list.
+``shift_minus_one``, the Taylor shift p(x) -> p(x - 1), is the one change
+of basis between powers of x and of x - 1, and ``unpack`` reads the
+balanced digits of a packed polynomial.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ def json_fields(data, *keys):
         if key not in data:
             raise ValidationError(f"JSON object has no key {key!r}")
     return [data[key] for key in keys]
+
+
+def json_list(value, name):
+    """``value`` if it is a JSON list; anything else is refused by ``name``."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def check_dimension(n):

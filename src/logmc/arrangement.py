@@ -119,13 +119,18 @@ def _integer_lines(text):
         yield lineno, values
 
 
-def load_arrangement(path):
+def read_file(path):
+    """The UTF-8 text of ``path``; a file that cannot be read or decoded is
+    a ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as e:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
-    return parse_arrangement(text)
+
+
+def load_arrangement(path):
+    return parse_arrangement(read_file(path))
 
 
 class Subspace:

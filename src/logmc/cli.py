@@ -132,14 +132,6 @@ def _exponents_str(exps):
     return "{" + ",".join(str(e) for e in exps) + "}"
 
 
-def _read_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ValidationError(f"cannot read {path}: {e}") from None
-
-
 _UNSET = object()
 
 
@@ -349,7 +341,7 @@ def _cmd_euler(inp):
 
 
 def _cmd_curve(config):
-    text = _read_file(config.input_path)
+    text = arrmod.read_file(config.input_path)
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as e:  # malformed, an over-long integer, too deep
@@ -404,7 +396,7 @@ def _dispatch(config):
     handler = COMMANDS[config.command][0]
     if config.command == "curve":
         return handler(config)
-    arr = arrmod.parse_arrangement(_read_file(config.input_path))
+    arr = arrmod.load_arrangement(config.input_path)
     return handler(_Input(arr, config))
 
 

@@ -45,7 +45,7 @@ from math import factorial, perm
 from operator import mul
 
 from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
-                    json_fields, shift_minus_one)
+                    json_fields, json_list, shift_minus_one)
 from .errors import DivisionRemainderError, ValidationError
 
 
@@ -266,7 +266,7 @@ def _json_scalar(v):
 
 def cohclass_from_json(data):
     n, coeffs = json_fields(data, "n", "coeffs")
-    return CohClass(n, [_json_scalar(v) for v in coeffs])
+    return CohClass(n, [_json_scalar(v) for v in json_list(coeffs, "'coeffs'")])
 
 
 def cohpoly_to_json(p):
@@ -279,5 +279,6 @@ def cohpoly_to_json(p):
 
 def cohpoly_from_json(data):
     n, rows, delta = json_fields(data, "n", "coeffs_y", "denominator_power")
-    coeffs = [CohClass(n, [_json_scalar(v) for v in row]) for row in rows]
+    coeffs = [CohClass(n, [_json_scalar(v) for v in json_list(row, "a row of 'coeffs_y'")])
+              for row in json_list(rows, "'coeffs_y'")]
     return CohPoly(n, coeffs, delta=delta)

@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import comb
 
 from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
-                    json_fields, shift_minus_one, unpack)
+                    json_fields, json_list, shift_minus_one, unpack)
 from .arrangement import (IntersectionLattice, IntPolynomial,
                           characteristic_polynomial)
 from .errors import DivisionRemainderError, ValidationError
@@ -364,6 +364,7 @@ def kpoly_to_json(p, basis="s"):
 
 def kpoly_from_json(data):
     n, basis, rows = json_fields(data, "n", "basis", "coeffs_y")
+    rows = [json_list(row, "a row of 'coeffs_y'") for row in json_list(rows, "'coeffs_y'")]
     if basis == "s":
         coeffs = [KClass(n, row) for row in rows]
     elif basis == "one_minus_s":

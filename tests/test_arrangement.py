@@ -502,6 +502,10 @@ def test_load_arrangement_refuses_undecodable_file(tmp_path):
         load_arrangement(path)
     path.write_bytes(b"3\n1 0 0\n")
     assert load_arrangement(path) == Arrangement(3, [(1, 0, 0)])
+    # a missing path and a directory raised FileNotFoundError and IsADirectoryError
+    for bad in (tmp_path / "missing.arr", tmp_path):
+        with pytest.raises(ValidationError, match=re.escape(f"cannot read {bad}:")):
+            load_arrangement(bad)
 
 
 def fraction_rref(rows, width):

@@ -7,10 +7,12 @@ references it shares no code with: sympy Groebner bases of I + m^N, and
 the dense truncation loop that rebuilds one matrix per bound.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,12 @@ from logmc import (BranchCountRequiredError, CurveSingularity, LocalPolynomial,
                    csm_minus_chern_curve, delta_from_milnor,
                    difference_class_curve, genus_defect, local_invariants,
                    singularity_from_json, singularity_from_poly)
-from logmc import curves
+from logmc import _linalg, _poly, curves
+from logmc.cli import RunConfig, run
 from logmc.curves import MAX_PARSE_DEGREE, MAX_PARSE_DEPTH
 
 P = LocalPolynomial.from_string
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 # --- parser
@@ -167,6 +171,44 @@ def test_branch_count_requires_user_input_otherwise():
         branch_count(P("x^2*y"))
 
 
+def test_branch_count_matches_sympy_on_seeded_binary_forms():
+    # products of linear forms and irreducible quadratics, drawn with
+    # repeats from a small pool (so proportional forms recur), some scaled by
+    # a rational: squarefree exactly when sympy says so, and then one branch
+    # per linear factor over the algebraic closure
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(18)
+    pool = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+    outcomes = set()
+    for _ in range(200):
+        f, expr = LocalPolynomial.constant(1), sympy.Integer(1)
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.25:  # x^2 + c*x*y + d*y^2 with c^2 < 4d
+                d = rng.randint(1, 3)
+                c = rng.choice([c for c in range(-3, 4) if c * c < 4 * d])
+                f = f * LocalPolynomial({(2, 0): 1, (1, 1): c, (0, 2): d})
+                expr *= x ** 2 + c * x * y + d * y ** 2
+            else:
+                a, b = rng.choice(pool)
+                f = f * LocalPolynomial({(1, 0): a, (0, 1): b})
+                expr *= a * x + b * y
+        if rng.random() < 0.3:
+            scale = Fraction(rng.choice((-3, 1, 2, 5)), rng.choice((1, 3, 4)))
+            f = f * scale
+            expr *= sympy.Rational(scale.numerator, scale.denominator)
+        poly = sympy.Poly(expr, x, y)
+        if poly.is_sqf:
+            expected = sum(sympy.Poly(g, x, y).total_degree()
+                           for g, _ in sympy.factor_list(expr)[1])
+            assert branch_count(f) == expected == f.total_degree(), str(f)
+        else:
+            with pytest.raises(BranchCountRequiredError):
+                branch_count(f)
+        outcomes.add(poly.is_sqf)
+    assert outcomes == {True, False}
+
+
 # --- Milnor's formula
 
 def test_delta_from_milnor_values():
@@ -254,6 +296,49 @@ def test_exact_curve_inputs_accepted():
     assert singularity_from_poly(f, r=1) == CurveSingularity(2, 2, 1, 1)
     assert (f - LocalPolynomial({(2, 0): Fraction(1, 2), (0, 3): -1})).terms == {
         (2, 0): Fraction(1, 2)}
+
+
+def test_coefficients_are_ints_where_integral():
+    # ints from the parser on; a Fraction only for a non-integer rational
+    for text in ("x^2 - y^3", "(x + 2*y)^5 - 3*x*y^4", "x*y*(x+y)*(x-y)", "7"):
+        f = P(text)
+        for g in (f, f.diff("x"), f.diff("y"), f.substitute_linear(1, 2, -1, 3),
+                  (f * Fraction(1, 2)) * 2, f * Fraction(4, 2), f - f * Fraction(1, 3) * 3):
+            assert all(type(c) is int for c in g.terms.values()), (text, g)
+    half = P("x^2 - y^3") * Fraction(1, 2)
+    assert [type(c) for c in half.terms.values()] == [Fraction, Fraction]
+    assert type(LocalPolynomial.constant(Fraction(6, 3)).constant_term()) is int
+    assert LocalPolynomial.variable("x").terms == {(1, 0): 1}
+
+
+def test_sums_refuse_scalar_operands():
+    f = P("x^2 - y^3")
+    for op, name in ((lambda: f + 1, "int"), (lambda: f - 1, "int"),
+                     (lambda: f - "a", "str"), (lambda: f + None, "NoneType"),
+                     (lambda: f + Fraction(1, 2), "Fraction")):
+        with pytest.raises(ValidationError,
+                           match=f"cannot combine LocalPolynomial with {name}$"):
+            op()
+    assert f - f == LocalPolynomial.zero()
+
+
+def test_curve_command_makes_no_fraction(monkeypatch, tmp_path):
+    # every corpus germ and a squarefree binary form run on ints alone
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was made on the curve path")
+
+    monkeypatch.setattr(_poly, "Fraction", NoFraction)
+    monkeypatch.setattr(_linalg, "Fraction", NoFraction)
+    extra = tmp_path / "forms.json"
+    extra.write_text(json.dumps([{"poly": "x*y*(x+y)*(x-2*y)"},
+                                 {"poly": "y^2 - x^3 - x^2", "r": 2}]))
+    paths = sorted(CORPUS.glob("*.json")) + [extra]
+    assert len(paths) > 4
+    for path in paths:
+        for fmt in ("text", "json"):
+            code, report = run(RunConfig("curve", str(path), fmt))
+            assert code == 0, (path, fmt, report)
 
 
 # --- difference class

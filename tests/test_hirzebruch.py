@@ -19,7 +19,7 @@ from logmc import (Arrangement, CohClass, CohPoly, DivisionRemainderError,
                    KClass, KPoly, build_lattice, chern_character, chern_class_free_exponents,
                    clear_denominator, cohclass_from_json, cohclass_to_json,
                    cohpoly_from_json, cohpoly_to_json, csm_at_minus_one,
-                   euler_characteristic, grr_transform, kclass_O,
+                   euler_characteristic, grr_transform, kclass_O, kpoly_from_json,
                    kclass_linear_subspace, log_class_free, mc_complement_charpoly,
                    mc_complement_lattice_sum, mc_free_exponents, normalize,
                    omega_log_trivial, todd_class)
@@ -346,7 +346,21 @@ def test_json_readers_refuse_inexact_input():
             (cohpoly_from_json, {}, "no key 'n'"),
             (cohpoly_from_json, {"n": 1, "denominator_power": 0}, "no key 'coeffs_y'"),
             (cohpoly_from_json, {"n": 1, "coeffs_y": [[1]]}, "no key 'denominator_power'"),
-            (cohpoly_from_json, "x", "expected a JSON object, got str")):
+            (cohpoly_from_json, "x", "expected a JSON object, got str"),
+            # a value or row that is no list is named by its key; these
+            # raised TypeError
+            (cohclass_from_json, {"n": 1, "coeffs": 5},
+             "'coeffs' must be a JSON list, got int"),
+            (cohpoly_from_json, {"n": 1, "coeffs_y": [7], "denominator_power": 0},
+             "a row of 'coeffs_y' must be a JSON list, got int"),
+            (cohpoly_from_json, {"n": 1, "coeffs_y": "12", "denominator_power": 0},
+             "'coeffs_y' must be a JSON list, got str"),
+            (kpoly_from_json, {"n": 1, "basis": "s", "coeffs_y": 5},
+             "'coeffs_y' must be a JSON list, got int"),
+            (kpoly_from_json, {"n": 1, "basis": "s", "coeffs_y": [5]},
+             "a row of 'coeffs_y' must be a JSON list, got int"),
+            (kpoly_from_json, {"n": 1, "basis": "one_minus_s", "coeffs_y": [None]},
+             "a row of 'coeffs_y' must be a JSON list, got NoneType")):
         with pytest.raises(ValidationError, match=match):
             reader(bad)
 
