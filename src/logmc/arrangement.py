@@ -255,13 +255,14 @@ def build_lattice(arr, max_nodes=None):
     A flat is the set of hyperplanes containing it, kept as a bitmask with the
     integer reduced rows of those forms (Orlik–Terao, §2.1).  The closure
     runs rank by rank.  The covers of a flat F are the lines spanned by the
-    forms outside F modulo F's forms; forms with equal residuals cut out the
-    same cover, whose rows are F's rows stepped (``eliminate``) against the
-    residual, plus the residual.  When F is visited it derives its residual
-    table (each form modulo its row space) from the table of the flat that
-    created it by the same step against its new row.  A table lives only
-    until the last flat it created has been visited, and a closure stopped by
-    the node cap has paid only for the tables of the flats it visited.
+    forms outside F modulo F's forms.  F's residual table maps each residual
+    (as ``IntEchelon.reduce`` gives it) to the bits of its forms, so each key
+    cuts out one cover, whose rows are F's rows stepped (``eliminate``)
+    against the key, plus the key.  The ambient flat's table maps each form
+    to its bit.  Any other flat, when visited, takes its creator's table,
+    drops the group keyed by its own new row (the forms it added), steps
+    every other key once against that row and merges keys that coincide.  A
+    table lives only until the last flat it created has been visited.
 
     Möbius values follow Weisner's theorem for geometric lattices: with a the
     lowest hyperplane of a flat G, mu(G) is minus the sum of mu(F) over the
@@ -278,8 +279,8 @@ def build_lattice(arr, max_nodes=None):
     flats = {0: ()}
     mobius = {0: 1}
     _check_node_cap(flats, max_nodes)
-    # flat -> (the residual table of the flat that created it, its new pivot
-    # row); a table lives while a flat it created waits to be visited
+    # flat -> (the residual table of the flat that created it, the flat's new
+    # row: a key of that table); it lives until the flat is visited
     created = {}
     layer = [0]
     while layer:
@@ -293,16 +294,13 @@ def build_lattice(arr, max_nodes=None):
                 # the one cover of a line is the origin, on every hyperplane;
                 # each form outside reduces to the unit row of the free column
                 (free,) = set(range(width)) - {_first_nonzero(row) for row in rows}
-                added = {tuple(int(c == free) for c in range(width)): every & ~mask}
-                table = None
+                table = {tuple(int(c == free) for c in range(width)): every & ~mask}
+            elif origin is None:
+                table = {form: 1 << k for k, form in enumerate(forms)}
             else:
-                table = forms if origin is None else _residual_table(*origin, mask)
-                added = {}  # residual modulo F -> hyperplanes that cover adds
-                for k, residual in enumerate(table):
-                    if residual is not None:
-                        added[residual] = added.get(residual, 0) | 1 << k
+                table = _residual_groups(*origin)
             mu = mobius[mask]
-            for residual, bits in added.items():
+            for residual, bits in table.items():
                 cover = mask | bits
                 if cover not in flats:
                     col = _first_nonzero(residual)
@@ -320,22 +318,22 @@ def build_lattice(arr, max_nodes=None):
     return _render(width, flats, mobius)
 
 
-def _residual_table(table, row, mask):
-    """The residuals of the forms modulo a flat, from those modulo its creator.
+def _residual_groups(table, row):
+    """The residual table of a flat, from ``table``, that of its creator.
 
-    ``table`` holds the creator's residuals and ``row`` is the flat's new
-    pivot row, itself a residual of the creator.  A residual nonzero in the
-    pivot column loses it by one elimination step; forms on the flat (bits of
-    ``mask``) get None.
+    ``row``, the flat's new pivot row, is a key of ``table``; its group is the
+    forms on the flat.  Every other residual nonzero in the pivot column loses
+    it by one elimination step, and residuals that become equal merge.
     """
     col = _first_nonzero(row)
-    out = []
-    for k, residual in enumerate(table):
-        if mask >> k & 1:
-            residual = None
-        elif residual[col]:
+    out = {}
+    for residual, bits in table.items():
+        if residual[col]:
+            if residual == row:
+                continue
             residual = eliminate(residual, row, col)
-        out.append(residual)
+        merged = out.get(residual)  # an unmerged group shares its creator's int
+        out[residual] = bits if merged is None else merged | bits
     return out
 
 

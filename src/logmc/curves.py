@@ -123,6 +123,8 @@ class LocalPolynomial:
     def __sub__(self, other):
         return self + (-other if isinstance(other, LocalPolynomial) else other)
 
+    __radd__ = __rsub__ = __add__  # reached only with a scalar on the left: refused
+
     def __neg__(self):
         return LocalPolynomial({k: -c for k, c in self.terms.items()})
 

@@ -13,7 +13,7 @@ from logmc import (Arrangement, IntPolynomial, Subspace, ValidationError,
                    parse_arrangement)
 from logmc import arrangement
 from logmc._linalg import IntEchelon, quotient_rows
-from logmc.arrangement import MAX_AMBIENT_DIM, _residual_table, load_arrangement
+from logmc.arrangement import MAX_AMBIENT_DIM, _residual_groups, load_arrangement
 from logmc.errors import InconsistencyError
 
 BOOLEAN3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -283,24 +283,34 @@ def test_node_order_dims_and_masks_on_random():
 
 
 def test_residual_tables_are_echelon_reductions():
-    # each table, derived from the last by one elimination step, holds what
-    # IntEchelon.reduce gives for every form off the flat
+    # each table, derived from the last by one elimination step per group,
+    # maps IntEchelon.reduce of the forms off the flat to those forms' bits
     rng = random.Random(577)
     for _ in range(80):
         arr = random_arrangement(rng, max_forms=9, max_dim=5)
-        table, mask = arr.forms, 0
+        table = {form: 1 << k for k, form in enumerate(arr.forms)}
         ech = IntEchelon(arr.ambient_dim)
-        while any(r is not None for r in table):
-            row = rng.choice([r for r in table if r is not None])
+        while table:
+            row = rng.choice(list(table))
             ech.add(row)
-            mask |= sum(1 << k for k, r in enumerate(table) if r == row)
-            table = _residual_table(table, row, mask)
+            table = _residual_groups(table, row)
+            expected = {}
             for k, form in enumerate(arr.forms):
                 reduced = tuple(ech.reduce(form))
-                if mask >> k & 1:
-                    assert table[k] is None and not any(reduced)
-                else:
-                    assert table[k] == reduced and any(reduced)
+                if any(reduced):
+                    expected[reduced] = expected.get(reduced, 0) | 1 << k
+            assert table == expected
+
+
+def test_pencil_line_tables_keep_two_groups():
+    # m lines through one point plus a line off it: modulo a pencil line, the
+    # other pencil lines share one residual and the last line has another
+    for m in (2, 3, 10, 60):
+        arr = Arrangement(3, [(1, k, 0) for k in range(m)] + [(0, 0, 1)])
+        root = {form: 1 << k for k, form in enumerate(arr.forms)}
+        for form in arr.forms[:m]:
+            assert len(_residual_groups(root, form)) == 2
+        assert len(build_lattice(arr)) == 2 * m + 4
 
 
 def test_lattice_rows_are_reduced_forms_of_their_hyperplanes():

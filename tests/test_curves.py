@@ -315,7 +315,8 @@ def test_sums_refuse_scalar_operands():
     f = P("x^2 - y^3")
     for op, name in ((lambda: f + 1, "int"), (lambda: f - 1, "int"),
                      (lambda: f - "a", "str"), (lambda: f + None, "NoneType"),
-                     (lambda: f + Fraction(1, 2), "Fraction")):
+                     (lambda: f + Fraction(1, 2), "Fraction"),
+                     (lambda: 1 + f, "int"), (lambda: 1 - f, "int")):
         with pytest.raises(ValidationError,
                            match=f"cannot combine LocalPolynomial with {name}$"):
             op()
