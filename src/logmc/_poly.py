@@ -8,11 +8,13 @@ the ring's relation.  ``_YPoly`` is a polynomial in y over such a ring.
 ``deflate`` is the one synthetic division in the package, ``render`` the
 one renderer of polynomial text and ``exact_scalar`` the one check that an
 input number is exact; ``check_dimension`` is the one check that a
-projective dimension is one, ``json_fields`` reads the keys of a JSON
-object and ``json_list`` checks that a value in one is a list.
+projective dimension is one, ``check_type`` that an argument is a value of
+the expected class, ``json_fields`` reads the keys of a JSON object and
+``json_list`` checks that a value in one is a list.
 ``shift_minus_one``, the Taylor shift p(x) -> p(x - 1), is the one change
-of basis between powers of x and of x - 1, and ``unpack`` reads the
-balanced digits of a packed polynomial.
+of basis between powers of x and of x - 1: ``pack_minus_one`` is its
+Horner pass and ``unpack`` reads the balanced digits of a packed
+polynomial.
 """
 
 from __future__ import annotations
@@ -77,6 +79,12 @@ def check_dimension(n):
         raise ValidationError("projective dimension must be >= 0")
 
 
+def check_type(value, cls):
+    """Refuse ``value`` unless its type is exactly ``cls``, as ring operands are."""
+    if type(value) is not cls:
+        raise ValidationError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
 class _Element:
     """An element of a ring over P^n, stored as the tuple ``coeffs``.
 
@@ -92,6 +100,14 @@ class _Element:
             check_dimension(n)
         self.n = n
         self.coeffs = self._relation(coeffs, n)
+
+    @classmethod
+    def _from_normal(cls, n, coeffs):
+        """An element storing ``coeffs`` unchecked: it must be the tuple that
+        ``_relation`` returns (a list breaks equality and hashing)."""
+        self = object.__new__(cls)
+        self.n, self.coeffs = n, coeffs
+        return self
 
     @classmethod
     def zero(cls, n):
@@ -278,10 +294,15 @@ def shift_minus_one(coeffs, count):
     w = bitlen(max |c_k|) + len(coeffs) + 2 no digit leaves its range.
     """
     width = max(map(abs, coeffs), default=0).bit_length() + len(coeffs) + 2
+    return unpack(pack_minus_one(coeffs, width), width, count)
+
+
+def pack_minus_one(coeffs, width):
+    """p(2^width - 1) by Horner, for p = sum c_k x^k: p(x - 1) packed at x = 2^width."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc << width) - acc + c
-    return unpack(acc, width, count)
+    return acc
 
 
 def power(symbol, k):

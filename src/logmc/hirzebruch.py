@@ -29,12 +29,14 @@ columns of the h^j component: j products by (1+y), and delta synthetic
 divisions by it.
 
 ``csm_at_minus_one``, what every command runs, does steps 1-4 as one
-integer pass on the numerators of step 1.  (1+y)^n divides (1+y)^j G_j
-exactly when (1+y)^{n-j} divides G_j, that is when the first n-j Taylor
-coefficients of the h^j column G_j at y = -1 vanish; coefficient n-j is
-then the quotient's value at -1.  One Taylor shift
-(``_poly.shift_minus_one``) gives all of them, with the same check and
-error as step 3, and one Fraction is formed per column.
+packed integer pass.  (1+y)^n divides (1+y)^j G_j exactly when
+(1+y)^{n-j} divides G_j, that is when the first n-j Taylor coefficients of
+the h^j column G_j at y = -1 vanish; coefficient n-j is then the
+quotient's value at -1.  Each s-degree column of the input is packed once
+at y = 2^w - 1 (Kronecker substitution, as in ``_poly.shift_minus_one``),
+so one integer dot product with a row of the step-1 matrix is G_j there,
+whose balanced base-2^w digits are those Taylor coefficients.  The check
+and error are those of step 3, and one Fraction is formed per column.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ from functools import lru_cache
 from math import factorial, perm
 from operator import mul
 
-from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
-                    json_fields, json_list, shift_minus_one)
+from ._poly import (_Truncated, _YPoly, check_dimension, check_type, deflate,
+                    exact_scalar, json_fields, json_list, pack_minus_one,
+                    shift_minus_one, unpack)
 from .errors import DivisionRemainderError, ValidationError
+from .kring import KPoly
 
 
 _ZERO = Fraction(0)
@@ -112,7 +116,7 @@ def chern_character(c):
 
 @lru_cache(maxsize=64)
 def _grr_matrix(n):
-    """Integer rows and denominators of ch(s^k)*td(P^n) for k = 0..n.
+    """Integer rows, denominators and weight size of ch(s^k)*td(P^n), k = 0..n.
 
     e^{-kh} (h/(1-e^{-h}))^{n+1} is a Norlund polynomial in k: with
     P(x) = (x-1)(x-2)...(x-n) and c_j(k) the t^j coefficient of P(k + t),
@@ -120,7 +124,8 @@ def _grr_matrix(n):
     Riemann-Roch, C(n-k, n).  P(n+1-x) = (-1)^n P(x), so the Taylor
     coefficients at n+1 are those at 0 signed (-1)^{n+j}, and n shifts by
     -1 walk down to k = n, ..., 1.  Row m holds the h^m numerators for
-    k = 0..n.
+    k = 0..n.  The weight size, the bit length of the largest |row entry|,
+    enters the digit width of ``csm_at_minus_one``.
     """
     taylor = [1]
     for i in range(1, n + 1):
@@ -129,8 +134,10 @@ def _grr_matrix(n):
     taylor = [v if (n + j) % 2 == 0 else -v for j, v in enumerate(taylor)]
     for k in range(n, 0, -1):
         taylor = cols[k] = shift_minus_one(taylor, n + 1)
-    return [tuple(col[n - m] if m % 2 == 0 else -col[n - m] for col in cols)
-            for m in range(n + 1)], [perm(n, m) for m in range(n + 1)]
+    rows = [tuple(col[n - m] if m % 2 == 0 else -col[n - m] for col in cols)
+            for m in range(n + 1)]
+    return (rows, [perm(n, m) for m in range(n + 1)],
+            max(abs(v) for row in rows for v in row).bit_length())
 
 
 def todd_class(n):
@@ -139,27 +146,22 @@ def todd_class(n):
     It is ch(1)*td, column k = 0 of ``_grr_matrix``.
     """
     check_dimension(n)
-    rows, denoms = _grr_matrix(n)
+    rows, denoms, _ = _grr_matrix(n)
     return CohClass(n, [Fraction(row[0], d) for row, d in zip(rows, denoms)])
 
 
-def _grr_columns(p):
-    """Integer h^m columns of ch(c)*td for the y-coefficients c of ``p``.
-
-    Row m of ``_grr_matrix`` applied to the s-coefficients of each c gives
-    its h^m numerator.  Returns the columns (one numerator per y-degree)
-    and their denominators n!/(n-m)!.
-    """
-    rows, denoms = _grr_matrix(p.n)
-    ys = [c.coeffs for c in p.coeffs]
-    return [[sum(map(mul, y, weights)) for y in ys] for weights in rows], denoms
-
-
 def grr_transform(p):
-    """Chern character coefficientwise in y, times the Todd class of P^n."""
-    cols, denoms = _grr_columns(p)
+    """Chern character coefficientwise in y, times the Todd class of P^n.
+
+    Row m of ``_grr_matrix`` applied to the s-coefficients of each
+    y-coefficient of ``p`` gives its h^m numerator over n!/(n-m)!.
+    """
+    check_type(p, KPoly)
+    rows, denoms, _ = _grr_matrix(p.n)
+    ys = [c.coeffs for c in p.coeffs]
     return CohPoly.from_columns(
-        p.n, [[Fraction(v, d) for v in col] for col, d in zip(cols, denoms)])
+        p.n, [[Fraction(sum(map(mul, y, weights)), d) for y in ys]
+              for weights, d in zip(rows, denoms)])
 
 
 def normalize(p):
@@ -169,6 +171,7 @@ def normalize(p):
     the numerator while the denominator exponent is set to n; the h^n
     component (dimension 0) is never rescaled.
     """
+    check_type(p, CohPoly)
     if p.delta != 0:
         raise ValidationError("normalize expects a plain polynomial (delta = 0)")
     if p.is_zero():
@@ -195,6 +198,7 @@ def clear_denominator(p):
     a polynomial in y; a nonzero remainder raises with the remainder and the
     offending h-degree attached.
     """
+    check_type(p, CohPoly)
     if p.delta == 0:
         return p
     out = []
@@ -210,18 +214,34 @@ def csm_at_minus_one(p):
     """CSM-type class of a K-theory polynomial: the full pipeline at y = -1.
 
     Equal to ``clear_denominator(normalize(grr_transform(p))).at_y(-1)``,
-    failing with the same error, in one integer pass before any Fraction is
-    formed.  The Taylor coefficients g_0, g_1, ... of the h^j column at
-    y = -1 are the successive remainders of dividing it by (1+y), so one
-    shift gives them all: the first nonzero one among g_0..g_{n-j-1} is the
+    failing with the same error, in one packed integer pass before any
+    Fraction is formed.  The Taylor coefficients g_0, g_1, ... of the h^j
+    numerator column G_j at y = -1 are the successive remainders of
+    dividing it by (1+y): the first nonzero one among g_0..g_{n-j-1} is the
     remainder the staged division raises, and g_{n-j} is the quotient's
     value at -1.
+
+    Each s-degree column of ``p`` over y is packed by Horner at
+    y = 2^w - 1, and G_j is linear in those columns, so the dot product of
+    row j of ``_grr_matrix`` with the packed columns is G_j(2^w - 1), that
+    is G_j(x - 1) packed at x = 2^w: its balanced base-2^w digits are
+    g_0, g_1, ...  They are exact while every |g_m| < 2^(w-1).  G_j has
+    ylen = #y-rows coefficients, each a sum of n+1 products of a weight
+    and a coefficient of ``p``, and g_m = sum_k C(k, m) (-1)^(k-m) G_{j,k},
+    so |g_m| <= 2^ylen (n+1) max|weight| max|c|.  With
+    w = bitlen(max|c|) + bitlen(max|weight|) + bitlen(n+1) + ylen + 2 that
+    is below 2^(w-2).
     """
+    check_type(p, KPoly)
     n = p.n
-    cols, denoms = _grr_columns(p)
+    rows, denoms, weight_bits = _grr_matrix(n)
+    cmax = max((max(map(abs, c.coeffs)) for c in p.coeffs), default=0)
+    width = (cmax.bit_length() + weight_bits + (n + 1).bit_length()
+             + len(p.coeffs) + 2)
+    packed = [pack_minus_one(col, width) for col in p.columns()]
     out = []
-    for j, (col, den) in enumerate(zip(cols, denoms)):
-        *rems, value = shift_minus_one(col, n - j + 1)
+    for j, (weights, den) in enumerate(zip(rows, denoms)):
+        *rems, value = unpack(sum(map(mul, weights, packed)), width, n - j + 1)
         rem = next(filter(None, rems), 0)
         # a Fraction only for a refusal: Fraction(0, den) costs a microsecond
         _check_remainder(rem and Fraction(rem, den), j, n)
@@ -270,6 +290,7 @@ def cohclass_from_json(data):
 
 
 def cohpoly_to_json(p):
+    check_type(p, CohPoly)
     return {
         "n": p.n,
         "denominator_power": p.delta,

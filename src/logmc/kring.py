@@ -34,6 +34,10 @@ intersection lattice L and characteristic polynomial chi:
 
 Every division by (1+y) is synthetic division (``_poly.deflate``, on
 integer columns or on packed rows) with a mandatory zero-remainder check.
+The rows built here (the exponent products, every quotient by (1+y), and
+the chi substitution's rows once reduced) are normal already, n+1 ints in
+the s basis, so they are stored as built, with no second pass of the
+relation.
 The substitution of (1+sy)/(1-s) into chi is always performed in
 homogenised form; the nilpotent 1-s is never inverted.
 
@@ -45,8 +49,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from ._poly import (_Truncated, _YPoly, check_dimension, deflate, exact_scalar,
-                    json_fields, json_list, shift_minus_one, unpack)
+from ._poly import (_Truncated, _YPoly, check_dimension, check_type, deflate,
+                    exact_scalar, json_fields, json_list, shift_minus_one, unpack)
 from .arrangement import (IntersectionLattice, IntPolynomial,
                           characteristic_polynomial)
 from .errors import DivisionRemainderError, ValidationError
@@ -181,11 +185,12 @@ def exact_div_one_plus_y(num):
     remainder is the value at y = -1; if it is nonzero the division is
     refused and the remainder is attached to the raised error.
     """
+    check_type(num, KPoly)
     quotients, remainders = zip(*(deflate(col, -1) for col in num.columns()))
     if any(remainders):
         raise DivisionRemainderError(
             "class is not divisible by 1+y", remainder=KClass(num.n, remainders))
-    return KPoly(num.n, [KClass(num.n, row) for row in zip(*quotients)])
+    return KPoly(num.n, [KClass._from_normal(num.n, row) for row in zip(*quotients)])
 
 
 def omega_log_trivial(n):
@@ -228,7 +233,8 @@ def mc_complement_charpoly(chi, n):
         # g_p(-b), ascending in b: the odd powers of b negated
         g = [chi.coeffs[n + 1 - k] * comb(n + 1 - k, p) * (-1) ** k
              for k in range(n + 2 - p)]
-        rows.append(KClass(n, [0] * p + shift_minus_one(g, n + 2 - p)))
+        row = _reduce_mod_relation([0] * p + shift_minus_one(g, n + 2 - p), n)
+        rows.append(KClass._from_normal(n, row))
     return exact_div_one_plus_y(KPoly(n, rows))
 
 
@@ -286,7 +292,8 @@ def _product_over_one_plus_y(heads, n, total):
         rows = out
 
     def s_class(packed):
-        return KClass(n, shift_minus_one(unpack(packed, width, n + 1), n + 1))
+        return KClass._from_normal(
+            n, tuple(shift_minus_one(unpack(packed, width, n + 1), n + 1)))
 
     quotients, remainder = deflate(rows, -1)
     if remainder:
@@ -353,6 +360,7 @@ def kpoly_to_json(p, basis="s"):
     Outer index of ``coeffs_y`` is the y-degree, inner index the basis
     degree (powers of s or of 1-s).
     """
+    check_type(p, KPoly)
     if basis not in ("s", "one_minus_s"):
         raise ValidationError(f"unknown basis {basis!r}")
     rows = []

@@ -19,7 +19,8 @@ from logmc import (Arrangement, CohClass, CohPoly, DivisionRemainderError,
                    KClass, KPoly, build_lattice, chern_character, chern_class_free_exponents,
                    clear_denominator, cohclass_from_json, cohclass_to_json,
                    cohpoly_from_json, cohpoly_to_json, csm_at_minus_one,
-                   euler_characteristic, grr_transform, kclass_O, kpoly_from_json,
+                   euler_characteristic, exact_div_one_plus_y, grr_transform,
+                   kclass_O, kpoly_from_json, kpoly_to_json,
                    kclass_linear_subspace, log_class_free, mc_complement_charpoly,
                    mc_complement_lattice_sum, mc_free_exponents, normalize,
                    omega_log_trivial, todd_class)
@@ -169,6 +170,19 @@ def test_normalize_requires_plain_polynomial():
     from logmc import ValidationError
     with pytest.raises(ValidationError):
         normalize(CohPoly(2, (CohClass.one(2),), delta=1))
+
+
+@pytest.mark.parametrize("fn,ring", [
+    (grr_transform, KPoly), (csm_at_minus_one, KPoly), (exact_div_one_plus_y, KPoly),
+    (kpoly_to_json, KPoly), (normalize, CohPoly), (clear_denominator, CohPoly),
+    (cohpoly_to_json, CohPoly)])
+def test_class_readers_refuse_another_ring(fn, ring):
+    for bad in (KPoly.one(2), CohPoly(2, (CohClass.one(2),)), KClass.one(2),
+                CohClass.one(2), None, 3):
+        if type(bad) is not ring:
+            with pytest.raises(ValidationError) as info:
+                fn(bad)
+            assert str(info.value) == f"expected a {ring.__name__}, got {type(bad).__name__}"
 
 
 def test_clear_denominator_exact():

@@ -25,7 +25,7 @@ from logmc import (CohClass, CohPoly, DivisionRemainderError, IntPolynomial,
                    cohclass_to_json, cohpoly_to_json, csm_at_minus_one,
                    exact_div_one_plus_y, grr_transform, kpoly_to_json,
                    log_class_free, mc_complement_charpoly, mc_free_exponents,
-                   normalize)
+                   normalize, omega_log_trivial)
 from logmc._poly import deflate, shift_minus_one, unpack
 from logmc.arrangement import MAX_AMBIENT_DIM
 from logmc.kring import _binomial_row, _product_over_one_plus_y, _swap_s_basis
@@ -161,8 +161,8 @@ def outcome(fn, p):
         return ("error", str(e), e.remainder, type(e.remainder), e.details)
 
 
-def random_kpoly(rng, n, ydeg, density=1.0):
-    rows = [KClass(n, [rng.randint(-20, 20) if rng.random() < density else 0
+def random_kpoly(rng, n, ydeg, density=1.0, bound=20):
+    rows = [KClass(n, [rng.randint(-bound, bound) if rng.random() < density else 0
                        for _ in range(n + 1)])
             for _ in range(ydeg + 1)]
     return KPoly(n, rows)
@@ -267,13 +267,16 @@ def test_csm_refusal_at_a_later_division():
 
 
 def test_fused_csm_matches_the_staged_pipeline():
+    # the packed digit width's worst cases: n up to 19, coefficients up to
+    # 10^30 and up to n + 4 y-rows, besides the exponent classes and zero
     rng = random.Random(12)
     errors = 0
     for i in range(300):
-        n = rng.randint(0, 8)
+        n = rng.randint(0, 19)
         kind = i % 4
         if kind == 0:
-            p = random_kpoly(rng, n, rng.randint(0, 6), rng.choice((0.2, 0.6, 1.0)))
+            p = random_kpoly(rng, n, rng.randint(0, n + 3), rng.choice((0.2, 0.6, 1.0)),
+                             rng.choice((20, 10 ** 30)))
         elif kind == 1:
             p = KPoly.zero(n)
         else:
@@ -407,6 +410,28 @@ def test_exponent_products_match_reference(rest):
     got = log_class_free(exps, n)
     assert got == ref_exponent_product(exps, log_factor_any)
     assert all(type(v) is int for c in got.coeffs for v in c.coeffs)
+
+
+def test_kernel_rows_are_stored_in_normal_form():
+    # the kernels store their rows unchecked: each must be the tuple of
+    # n + 1 ints that the KClass relation gives, or equality and hashing break
+    rng = random.Random(16)
+    for _ in range(40):
+        n = rng.randint(0, 19)
+        exps = [1] + [rng.randint(1, 30) for _ in range(n)]
+        chi = [1]
+        for e in exps:
+            chi = [a - e * b for a, b in zip(chi + [0], [0] + chi)]
+        one_plus_y = KPoly(n, (KClass.one(n), KClass.one(n)))
+        multiple = random_kpoly(rng, n, rng.randint(0, 4), bound=10 ** 6) * one_plus_y
+        for p in (mc_free_exponents(exps, n), log_class_free(exps, n), omega_log_trivial(n),
+                  mc_complement_charpoly(IntPolynomial(chi[::-1]), n),
+                  exact_div_one_plus_y(multiple)):
+            assert p.coeffs
+            for c in p.coeffs:
+                assert type(c.coeffs) is tuple and len(c.coeffs) == n + 1
+                assert all(type(v) is int for v in c.coeffs)
+                assert c.coeffs == KClass(n, c.coeffs).coeffs
 
 
 def test_exponent_products_on_a_point():
