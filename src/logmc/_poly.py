@@ -20,6 +20,7 @@ polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import ValidationError
 
@@ -147,20 +148,23 @@ class _Truncated(_Element):
     def one(cls, n):
         return cls(n, (1,))
 
+    # The relation maps n+1 scalars to themselves, and sums, negatives and
+    # scalar multiples of stored coefficients are scalars of the same types,
+    # so these results are stored as computed.
     def __add__(self, other):
         self._check(other)
-        return type(self)(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._from_normal(self.n, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return type(self)(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._from_normal(self.n, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return type(self)(self.n, [-a for a in self.coeffs])
+        return self._from_normal(self.n, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         if type(other) in self._scalars:
-            return type(self)(self.n, [a * other for a in self.coeffs])
+            return self._from_normal(self.n, tuple([a * other for a in self.coeffs]))
         self._check(other)
         return type(self)(self.n, self._product(self.coeffs, other.coeffs))
 

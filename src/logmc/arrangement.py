@@ -197,36 +197,44 @@ class Subspace:
 class IntersectionLattice:
     """Intersection lattice of a central arrangement.
 
-    Flats come in node order: descending dimension, then the lexicographic
-    order of their reduced row echelon matrices (``Subspace.sort_key``).
-    ``dims[i]``, ``mobius[i]`` and ``masks[i]`` are the dimension, the Möbius
-    value and the bitmask of the hyperplanes containing flat i (bit k for
-    form k), which turns the order relation into a mask test.  ``rows[i]`` is
-    flat i's reduced row echelon matrix on integers: primitive rows ordered
-    by pivot column, each with a positive pivot and zero in every other pivot
-    column.
+    ``build_lattice`` hands over the flats in closure order, rank by rank:
+    ``_flats`` maps the bitmask of the hyperplanes containing a flat (bit k
+    for form k) to its integer rows, and ``_mu`` maps it to its Möbius
+    value.  ``len`` and ``dims_and_mobius`` read them unsorted.
+
+    ``rows``, ``dims``, ``mobius`` and ``masks`` list the flats in node order:
+    descending dimension, then the lexicographic order of their reduced row
+    echelon matrices (``Subspace.sort_key``).  ``_render`` sorts them on the
+    first read of any of them.  ``rows[i]`` is flat i's reduced row echelon
+    matrix on integers: primitive rows ordered by pivot column, each with a
+    positive pivot and zero in every other pivot column.  The masks turn the
+    order relation into a mask test.
 
     ``nodes``, the flats as ``Subspace`` objects with Fraction matrices, is
-    built from ``rows`` on its first read (two threads reading it first at
-    once may both build it; the results are equal).  No command reads it.
+    built on its first read; no command reads it.  (Two threads reading the
+    node order or ``nodes`` first at once may both build it; the results
+    are equal.)
     """
 
-    __slots__ = ("ambient_dim", "rows", "dims", "mobius", "masks", "_nodes", "_quotients")
+    __slots__ = ("ambient_dim", "_flats", "_mu", "_order", "_nodes")
 
-    def __init__(self, ambient_dim, rows, mobius, masks):
+    def __init__(self, ambient_dim, flats, mobius):
         self.ambient_dim = ambient_dim
-        self.rows = tuple(rows)
-        self.dims = tuple(ambient_dim - len(matrix) for matrix in self.rows)
-        self.mobius = tuple(mobius)
-        self.masks = tuple(masks)
-        self._nodes = None
-        self._quotients = None
+        self._flats = flats
+        self._mu = mobius
+        self._order = self._nodes = None
 
-    def _quotient_rows(self):
-        """``quotient_rows`` of each flat's rows in node order: the sort keys."""
-        if self._quotients is None:
-            self._quotients = tuple(quotient_rows(matrix, {}) for matrix in self.rows)
-        return self._quotients
+    def _node_order(self):
+        """``_render`` of the flats, sorted on the first call: (rows, dims,
+        mobius, masks, quotients) in node order."""
+        if self._order is None:
+            self._order = _render(self.ambient_dim, self._flats, self._mu)
+        return self._order
+
+    rows = property(lambda self: self._node_order()[0])
+    dims = property(lambda self: self._node_order()[1])
+    mobius = property(lambda self: self._node_order()[2])
+    masks = property(lambda self: self._node_order()[3])
 
     @property
     def nodes(self):
@@ -234,11 +242,16 @@ class IntersectionLattice:
         if self._nodes is None:
             self._nodes = tuple(
                 Subspace(self.ambient_dim, tuple(tuple(map(Fraction, row)) for row in matrix))
-                for matrix in self._quotient_rows())
+                for matrix in self._node_order()[4])
         return self._nodes
 
+    def dims_and_mobius(self):
+        """(dimension, Möbius value) of every flat, in closure order."""
+        width, mu = self.ambient_dim, self._mu
+        return [(width - len(rows), mu[mask]) for mask, rows in self._flats.items()]
+
     def __len__(self):
-        return len(self.masks)
+        return len(self._flats)
 
     def contains(self, i, j):
         """Order relation: node i contains node j as point sets."""
@@ -266,9 +279,10 @@ def build_lattice(arr, max_nodes=None):
 
     Möbius values follow Weisner's theorem for geometric lattices: with a the
     lowest hyperplane of a flat G, mu(G) is minus the sum of mu(F) over the
-    flats F covered by G that a does not contain.  The flats are then sorted
-    on their integer reduced row echelon matrices (``_render``); no Subspace
-    is formed until ``IntersectionLattice.nodes`` is read.
+    flats F covered by G that a does not contain.  The lattice keeps the flats
+    in this closure order; they are sorted into node order (``_render``) only
+    when a node-order attribute is first read, and no Subspace is formed
+    until ``IntersectionLattice.nodes`` is.
 
     ``max_nodes`` optionally caps the number of flats; the closure stops with
     a validation error as soon as one more flat would exceed it.
@@ -315,7 +329,7 @@ def build_lattice(arr, max_nodes=None):
             mobius[cover] = -total
         layer = list(weisner)
 
-    return _render(width, flats, mobius)
+    return IntersectionLattice(width, flats, mobius)
 
 
 def _residual_groups(table, row):
@@ -338,12 +352,14 @@ def _residual_groups(table, row):
 
 
 def _render(width, flats, mobius):
-    """The lattice in ``Subspace.sort_key`` order, without a Subspace.
+    """(rows, dims, mobius, masks, quotients) of the flats in
+    ``Subspace.sort_key`` order, without a Subspace.
 
     That order is (descending dimension, Fraction RREF matrix): the flats
-    sort on ``quotient_rows`` of their integer rows.  Rows are not scaled to
-    a common denominator: the lcm of all pivots of 26 random forms in
-    dimension 5 (17903 flats) runs to thousands of digits.
+    sort on ``quotient_rows`` of their integer rows, kept as ``quotients``
+    for ``logmc lattice`` and ``IntersectionLattice.nodes``.  Rows are not
+    scaled to a common denominator: the lcm of all pivots of 26 random forms
+    in dimension 5 (17903 flats) runs to thousands of digits.
     """
     cache = {}
     entries = []
@@ -352,9 +368,8 @@ def _render(width, flats, mobius):
         entries.append((len(rows), quotient_rows(rows, cache), rows, mask))
     entries.sort()  # the first two fields tell any two flats apart
     _, quotients, rows, masks = zip(*entries)
-    lat = IntersectionLattice(width, rows, [mobius[mask] for mask in masks], masks)
-    lat._quotients = quotients
-    return lat
+    return (rows, tuple(width - len(matrix) for matrix in rows),
+            tuple(mobius[mask] for mask in masks), masks, quotients)
 
 
 def _check_node_cap(flats, max_nodes):
@@ -408,7 +423,7 @@ class IntPolynomial:
 def characteristic_polynomial(lat):
     """chi(t) = sum of mobius(x) * t^dim(x) over the lattice nodes."""
     coeffs = [0] * (lat.ambient_dim + 1)
-    for dim, mu in zip(lat.dims, lat.mobius):
+    for dim, mu in lat.dims_and_mobius():
         coeffs[dim] += mu
     return IntPolynomial(coeffs)
 

@@ -232,9 +232,10 @@ def _mc_value(inp):
 
 def _cmd_lattice(inp):
     lat = inp.lattice
+    _, dims, mobius, _, quotients = lat._node_order()
     nodes = []
     lines = [f"ambient_dim {lat.ambient_dim}, {len(lat)} nodes"]
-    for dim, rows, mu in zip(lat.dims, lat._quotient_rows(), lat.mobius):
+    for dim, rows, mu in zip(dims, quotients, mobius):
         matrix = [[str(v) for v in row] for row in rows]
         nodes.append({"dim": dim, "mobius": mu, "matrix": matrix})
         rendered = "; ".join(" ".join(row) for row in matrix) or "(ambient)"
@@ -326,7 +327,7 @@ def _cmd_csm(inp):
 def _cmd_euler(inp):
     # the lattice before any route, so a node-cap refusal precedes exponent errors
     lat = inp.lattice
-    mobius_sum = sum(mu * dim for dim, mu in zip(lat.dims, lat.mobius))
+    mobius_sum = sum(mu * dim for dim, mu in lat.dims_and_mobius())
     csm_mc = hzmod.csm_at_minus_one(_mc_value(inp))
     euler = hzmod.euler_characteristic(csm_mc)
     if euler != mobius_sum:
@@ -400,23 +401,55 @@ def _dispatch(config):
     return handler(_Input(arr, config))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _to_json(obj, newline="\n"):
+    """The bytes of ``json.dumps(obj, indent=2)`` for a report (str-keyed
+    dicts, lists, strs, ints, bools, None), without the pure-Python encoder
+    that ``indent`` selects.  ``test_json_writer_matches_json_dumps`` in
+    ``tests/test_cli.py`` compares the two."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_to_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_encode_str(key) + ": " + _to_json(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def run(config):
     """Execute a configured command; returns (exit_code, report)."""
     try:
         payload, lines = _dispatch(config)
     except ValidationError as e:
         if config.output_format == "json":
-            return 1, json.dumps({"error": str(e), "kind": "validation"}, indent=2)
+            return 1, _to_json({"error": str(e), "kind": "validation"})
         return 1, f"error: {e}"
     except InconsistencyError as e:
         body = {"error": str(e), "kind": "inconsistency"}
         if e.details is not None:
             body["details"] = e.details
         if config.output_format == "json":
-            return 2, json.dumps(body, indent=2)
-        return 2, f"inconsistency: {e}\n{json.dumps(body.get('details'), indent=2)}"
+            return 2, _to_json(body)
+        return 2, f"inconsistency: {e}\n{_to_json(body.get('details'))}"
     if config.output_format == "json":
-        return 0, json.dumps(payload, indent=2)
+        return 0, _to_json(payload)
     return 0, "\n".join(lines)
 
 

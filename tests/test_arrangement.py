@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from logmc import arrangement
 from logmc._linalg import IntEchelon, quotient_rows
 from logmc.arrangement import MAX_AMBIENT_DIM, _residual_groups, load_arrangement
 from logmc.errors import InconsistencyError
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 BOOLEAN3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 BRAID3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1)]
@@ -344,6 +347,71 @@ def test_lattice_nodes_keep_no_closure_echelon():
     assert all(node._ech is None for node in lat.nodes)
     assert lat.nodes[-1].contains(lat.nodes[-1])
     assert lat.nodes[-1]._ech is not None
+
+
+NODE_ORDER = ("rows", "dims", "mobius", "masks", "nodes")
+
+
+def eager_node_order(arr):
+    """Every node-order attribute from scratch: the subset oracle's flats
+    with their Fraction RREF matrices, sorted on ``Subspace.sort_key``."""
+    width, forms = arr.ambient_dim, list(arr.forms)
+    entries = sorted(
+        (width - dim, fraction_rref([forms[k] for k in sorted(hyperplanes)], width),
+         sum(1 << k for k in hyperplanes), mu)
+        for hyperplanes, (dim, mu) in subset_flats(forms, width).items())
+    return {"matrices": [matrix for _, matrix, _, _ in entries],
+            "dims": tuple(width - rank for rank, _, _, _ in entries),
+            "masks": tuple(mask for _, _, mask, _ in entries),
+            "mobius": tuple(mu for _, _, _, mu in entries)}
+
+
+def test_lazy_node_order_matches_the_eager_order(monkeypatch):
+    # whichever node-order attribute is read first sorts the flats once, and
+    # every attribute then reads as a sort of the subset oracle's flats does
+    renders = []
+    render = arrangement._render
+
+    def counting_render(*args):
+        renders.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(arrangement, "_render", counting_render)
+    rng = random.Random(5150)
+    corpus = [load_arrangement(path) for path in sorted(CORPUS.glob("*.arr"))]
+    for arr in corpus + [random_arrangement(rng, max_forms=7, bound=4) for _ in range(30)]:
+        expected = eager_node_order(arr)
+        for first in NODE_ORDER:
+            renders.clear()
+            lat = build_lattice(arr)
+            assert renders == [] and len(lat) == len(expected["dims"])
+            getattr(lat, first)
+            assert len(renders) == 1
+            assert [quotient_rows(rows, {}) for rows in lat.rows] == expected["matrices"]
+            assert [node.matrix for node in lat.nodes] == expected["matrices"]
+            assert (lat.dims, lat.masks, lat.mobius) == (
+                expected["dims"], expected["masks"], expected["mobius"])
+            assert len(renders) == 1
+
+
+def test_closure_readers_do_not_sort(monkeypatch):
+    # len, dims_and_mobius and chi read the closure order: no node order is built
+    def forbidden(*args):
+        raise AssertionError("node order built")
+
+    rng = random.Random(8080)
+    arrs = [random_arrangement(rng, max_forms=8) for _ in range(30)]
+    arrs.append(Arrangement(4, BRAID5))
+    expected = [(len(lat), sorted(zip(lat.dims, lat.mobius)))
+                for lat in map(build_lattice, arrs)]
+    monkeypatch.setattr(arrangement, "_render", forbidden)
+    monkeypatch.setattr(arrangement, "quotient_rows", forbidden)
+    for arr, (count, pairs) in zip(arrs, expected):
+        lat = build_lattice(arr)
+        assert len(lat) == count
+        assert sorted(lat.dims_and_mobius()) == pairs
+        assert characteristic_polynomial(lat).coeffs == tuple(
+            IntPolynomial(whitney_chi(list(arr.forms), arr.ambient_dim)).coeffs)
 
 
 # --- characteristic polynomial

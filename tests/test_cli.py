@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmc import arrangement
+from logmc import _linalg as linalg
+from logmc import arrangement, cli
 from logmc import hirzebruch as hzmod
 from logmc import (Arrangement, KPoly, ValidationError, build_lattice,
                    characteristic_polynomial, cohclass_from_json, csm_at_minus_one,
@@ -283,6 +284,92 @@ def test_no_command_builds_subspaces(monkeypatch):
         assert code == 0 and built == [], command
     code, _ = run_json("lattice", "skew5")  # pivots other than 1
     assert code == 0 and built == []
+
+
+def test_only_the_lattice_command_sorts_the_flats(monkeypatch):
+    """Every other command reads the lattice in closure order: neither the
+    node sort nor its quotient rows run, and each report is unchanged."""
+    sorts = []
+    render = arrangement._render
+
+    def counting_render(*args):
+        sorts.append(args)
+        return render(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("node order built")
+
+    runs = [RunConfig(command, str(path), fmt, route)
+            for path in sorted(CORPUS.glob("*.arr"))
+            for command in ("charpoly", "exponents", "mc", "logclass", "diff", "csm", "euler")
+            for route in (("lattice", "charpoly", "exponents", "all")
+                          if "--route" in ACCEPTED_OPTIONS[command] else ("all",))
+            for fmt in ("text", "json")]
+    expected = [run(config) for config in runs]
+    assert sum(code == 0 for code, _ in expected) > len(runs) // 2
+    monkeypatch.setattr(arrangement, "_render", forbidden)
+    monkeypatch.setattr(arrangement, "quotient_rows", forbidden)
+    monkeypatch.setattr(linalg, "quotient_rows", forbidden)
+    assert [run(config) for config in runs] == expected
+    monkeypatch.undo()
+    monkeypatch.setattr(arrangement, "_render", counting_render)
+    for stem in ("braid", "skew5"):
+        for fmt in ("text", "json"):
+            sorts.clear()
+            assert run(RunConfig("lattice", corpus_path(stem), fmt))[0] == 0
+            assert len(sorts) == 1
+
+
+def golden_config(path):
+    """The run a golden JSON file records: ``<stem>_<command>[_override].json``,
+    the override being the exponents 3,1,2 with the route its test uses."""
+    name = path.stem.removesuffix("_override")
+    stem, command = name.rsplit("_", 1)
+    if name != path.stem:
+        route = "exponents" if command == "diff" else "all"
+        return RunConfig(command, corpus_path(stem), "json", route, exponents_override=(3, 1, 2))
+    return RunConfig(command, corpus_path(stem), "json")
+
+
+def test_json_writer_matches_json_dumps_on_every_golden():
+    goldens = sorted(GOLDEN.glob("*.json"))
+    assert len(goldens) >= sum(map(len, GOLDEN_MATRIX.values()))
+    for path in goldens:
+        code, report = run(golden_config(path))
+        assert code == 0, path.name
+        assert report + "\n" == path.read_text(), path.name
+        assert report == json.dumps(json.loads(report), indent=2), path.name
+
+
+def test_json_writer_matches_json_dumps_on_errors(monkeypatch):
+    # a validation error, and an inconsistency with details whose message
+    # holds a non-ASCII letter, in both formats
+    code, report = run(RunConfig("mc", str(CORPUS / "missing.arr"), "json"))
+    assert code == 1
+    assert report == json.dumps({"error": json.loads(report)["error"], "kind": "validation"},
+                                indent=2)
+    monkeypatch.setattr(hzmod, "euler_characteristic", lambda csm: 1000)
+    code, report = run(RunConfig("euler", corpus_path("braid"), "json"))
+    body = json.loads(report)
+    assert code == 2 and "Möbius" in body["error"] and body["details"]["csm"]["coeffs"]
+    assert report == json.dumps(body, indent=2) and "M\\u00f6bius" in report
+    code, text = run(RunConfig("euler", corpus_path("braid")))
+    assert code == 2
+    assert text == f"inconsistency: {body['error']}\n{json.dumps(body['details'], indent=2)}"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    | st.text() | st.text(alphabet=st.characters(max_codepoint=0x1f)),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2)
 
 
 def test_commands_run_no_staged_pipeline_or_kpoly_product(monkeypatch):

@@ -434,6 +434,28 @@ def test_kernel_rows_are_stored_in_normal_form():
                 assert c.coeffs == KClass(n, c.coeffs).coeffs
 
 
+def test_linear_operations_store_what_the_relation_gives():
+    # sums, differences, negatives and scalar multiples are stored unchecked:
+    # each must be the tuple, entry types included, that the relation gives
+    rng = random.Random(21)
+    for _ in range(200):
+        n = rng.randint(0, 19)
+        for cls, scalars in ((KClass, [rng.randint(-10 ** 20, 10 ** 20), 0, -1]),
+                             (CohClass, [rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4)])):
+            a, b = (cls(n, [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 3))
+                            if cls is CohClass else rng.randint(-10 ** 30, 10 ** 30)
+                            for _ in range(rng.randint(0, 2 * n + 2))]) for _ in range(2))
+            pairs = [(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+                     (a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)]),
+                     (-a, [-x for x in a.coeffs])]
+            pairs += [(a * c, [x * c for x in a.coeffs]) for c in scalars]
+            for got, raw in pairs:
+                want = cls(n, raw).coeffs
+                assert type(got) is cls and type(got.coeffs) is tuple
+                assert got.coeffs == want and list(map(type, got.coeffs)) == list(map(type, want))
+                assert hash(got) == hash(cls(n, raw))
+
+
 def test_exponent_products_on_a_point():
     one = KPoly.one(0)
     assert mc_free_exponents([1], 0) == one == ref_exponent_product([1], mc_factor)
