@@ -10,7 +10,8 @@ one renderer of polynomial text and ``exact_scalar`` the one check that an
 input number is exact; ``check_dimension`` is the one check that a
 projective dimension is one, ``check_type`` that an argument is a value of
 the expected class, ``json_fields`` reads the keys of a JSON object and
-``json_list`` checks that a value in one is a list.
+``json_list`` checks that a value in one is a list.  ``MAX_LITERAL_DIGITS``
+bounds the integer literals that both text parsers read.
 ``shift_minus_one``, the Taylor shift p(x) -> p(x - 1), is the one change
 of basis between powers of x and of x - 1: ``pack_minus_one`` is its
 Horner pass and ``unpack`` reads the balanced digits of a packed
@@ -23,6 +24,10 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import ValidationError
+
+# Longest integer literal the parsers read: the interpreter's default
+# int_max_str_digits, checked by length since a host may lift that limit.
+MAX_LITERAL_DIGITS = 4300
 
 
 def exact_scalar(v, rational=False):

@@ -20,11 +20,9 @@ All arithmetic is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._linalg import (IntEchelon, _first_nonzero, _strip_content, eliminate, int_row,
                       quotient_rows, rref)
-from ._poly import deflate, exact_scalar, power, render
+from ._poly import MAX_LITERAL_DIGITS, deflate, exact_scalar, power, render
 from .errors import InconsistencyError, ValidationError
 
 
@@ -86,7 +84,9 @@ def parse_arrangement(text):
 
     First non-comment line: the ambient dimension, at most
     ``MAX_AMBIENT_DIM``.  Every following non-comment line: that many
-    space-separated integers, one linear form.  ``#`` starts a comment.
+    space-separated integers, one linear form.  ``#`` starts a comment.  An
+    integer is an optional sign and at most ``MAX_LITERAL_DIGITS`` ASCII
+    decimal digits.
 
     ``Arrangement`` checks each form as its line is read, so the first
     faulty line is the one reported and nothing after it is converted.
@@ -112,8 +112,14 @@ def _integer_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        tokens = line.split()
         try:
-            values = [int(tok) for tok in line.split()]
+            # int() would also read "_", non-ASCII digits and, once a host
+            # lifts int_max_str_digits, literals of any length
+            if (not line.isascii() or "_" in line or len(line) > MAX_LITERAL_DIGITS
+                    and max(len(tok.lstrip("+-")) for tok in tokens) > MAX_LITERAL_DIGITS):
+                raise ValueError
+            values = [int(tok) for tok in tokens]
         except ValueError:
             raise ValidationError(f"line {lineno}: expected integers, got {line!r}") from None
         yield lineno, values
@@ -208,21 +214,17 @@ class IntersectionLattice:
     first read of any of them.  ``rows[i]`` is flat i's reduced row echelon
     matrix on integers: primitive rows ordered by pivot column, each with a
     positive pivot and zero in every other pivot column.  The masks turn the
-    order relation into a mask test.
-
-    ``nodes``, the flats as ``Subspace`` objects with Fraction matrices, is
-    built on its first read; no command reads it.  (Two threads reading the
-    node order or ``nodes`` first at once may both build it; the results
-    are equal.)
+    order relation into a mask test.  (Two threads reading the node order
+    first at once may both sort it; the results are equal.)
     """
 
-    __slots__ = ("ambient_dim", "_flats", "_mu", "_order", "_nodes")
+    __slots__ = ("ambient_dim", "_flats", "_mu", "_order")
 
     def __init__(self, ambient_dim, flats, mobius):
         self.ambient_dim = ambient_dim
         self._flats = flats
         self._mu = mobius
-        self._order = self._nodes = None
+        self._order = None
 
     def _node_order(self):
         """``_render`` of the flats, sorted on the first call: (rows, dims,
@@ -235,15 +237,6 @@ class IntersectionLattice:
     dims = property(lambda self: self._node_order()[1])
     mobius = property(lambda self: self._node_order()[2])
     masks = property(lambda self: self._node_order()[3])
-
-    @property
-    def nodes(self):
-        """The flats as Subspaces with Fraction matrices, in node order."""
-        if self._nodes is None:
-            self._nodes = tuple(
-                Subspace(self.ambient_dim, tuple(tuple(map(Fraction, row)) for row in matrix))
-                for matrix in self._node_order()[4])
-        return self._nodes
 
     def dims_and_mobius(self):
         """(dimension, Möbius value) of every flat, in closure order."""
@@ -279,10 +272,11 @@ def build_lattice(arr, max_nodes=None):
 
     Möbius values follow Weisner's theorem for geometric lattices: with a the
     lowest hyperplane of a flat G, mu(G) is minus the sum of mu(F) over the
-    flats F covered by G that a does not contain.  The lattice keeps the flats
-    in this closure order; they are sorted into node order (``_render``) only
-    when a node-order attribute is first read, and no Subspace is formed
-    until ``IntersectionLattice.nodes`` is.
+    flats F covered by G that a does not contain.  G starts at 0 when it is
+    created, and each such F subtracts its value when visited; every F of a
+    rank is visited before any G of the next.  The lattice keeps the flats in
+    this closure order; they are sorted into node order (``_render``) only
+    when a node-order attribute is first read.
 
     ``max_nodes`` optionally caps the number of flats; the closure stops with
     a validation error as soon as one more flat would exceed it.
@@ -298,7 +292,7 @@ def build_lattice(arr, max_nodes=None):
     created = {}
     layer = [0]
     while layer:
-        weisner = {}
+        next_layer = []
         for mask in layer:
             rows = flats[mask]
             origin = created.pop(mask, None)
@@ -321,13 +315,12 @@ def build_lattice(arr, max_nodes=None):
                     flats[cover] = tuple(eliminate(row, residual, col) if row[col] else row
                                          for row in rows) + (residual,)
                     created[cover] = (table, residual)
-                    weisner[cover] = 0
+                    mobius[cover] = 0
+                    next_layer.append(cover)
                     _check_node_cap(flats, max_nodes)
                 if not mask & (cover & -cover):
-                    weisner[cover] += mu
-        for cover, total in weisner.items():
-            mobius[cover] = -total
-        layer = list(weisner)
+                    mobius[cover] -= mu
+        layer = next_layer
 
     return IntersectionLattice(width, flats, mobius)
 
@@ -357,9 +350,9 @@ def _render(width, flats, mobius):
 
     That order is (descending dimension, Fraction RREF matrix): the flats
     sort on ``quotient_rows`` of their integer rows, kept as ``quotients``
-    for ``logmc lattice`` and ``IntersectionLattice.nodes``.  Rows are not
-    scaled to a common denominator: the lcm of all pivots of 26 random forms
-    in dimension 5 (17903 flats) runs to thousands of digits.
+    for ``logmc lattice``.  Rows are not scaled to a common denominator: the
+    lcm of all pivots of 26 random forms in dimension 5 (17903 flats) runs to
+    thousands of digits.
     """
     cache = {}
     entries = []
@@ -401,11 +394,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
-
-    def deflate(self, root):
-        """Quotient and remainder of synthetic division by (t - root)."""
-        quotient, remainder = deflate(self.coeffs, root)
-        return IntPolynomial(quotient), remainder
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from ._linalg import int_row
-from ._poly import exact_scalar, power, render
+from ._poly import MAX_LITERAL_DIGITS, exact_scalar, power, render
 from .errors import (BranchCountRequiredError, InconsistencyError,
                      NonIsolatedSingularityError, ValidationError)
 
@@ -192,15 +192,13 @@ def _tokenize(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+        elif ch.isdigit() and ch.isascii():  # int() reads other digits too
+            j, end = i + 1, min(len(text), i + MAX_LITERAL_DIGITS + 1)  # no scan past the limit
+            while j < end and text[j].isdigit() and text[j].isascii():
                 j += 1
-            try:
-                tokens.append(("int", int(text[i:j])))
-            except ValueError:  # longer than the interpreter converts
-                raise ValidationError(
-                    f"integer literal at position {i} is too long") from None
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ValidationError(f"integer literal at position {i} is too long")
+            tokens.append(("int", int(text[i:j])))
             i = j
         elif ch in "xy":
             tokens.append(("var", ch))

@@ -18,7 +18,7 @@ from logmc import (build_lattice, characteristic_polynomial,
                    load_arrangement, log_class_free, mc_complement_charpoly,
                    mc_complement_lattice_sum, mc_free_exponents, normalize,
                    singularity_from_json)
-from test_arrangement import random_arrangement, whitney_chi
+from test_arrangement import random_arrangement, subset_flats, whitney_chi
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -158,8 +158,11 @@ def test_criterion_8_curve_theorem():
 def test_criterion_9_euler_characteristics():
     expected = {"braid": 2, "generic4": 1, "boolean3": 0, "concurrent3": 0, "empty": 3}
     for stem in ARRANGEMENT_FILES:
-        lat = build_lattice(corpus_arrangement(stem))
-        mobius_sum = sum(mu * node.dim for node, mu in zip(lat.nodes, lat.mobius))
+        arr = corpus_arrangement(stem)
+        lat = build_lattice(arr)
+        mobius_sum = sum(mu * dim for dim, mu in
+                         subset_flats(list(arr.forms), arr.ambient_dim).values())
+        assert sum(mu * dim for dim, mu in lat.dims_and_mobius()) == mobius_sum, stem
         csm = csm_at_minus_one(mc_complement_lattice_sum(lat))
         assert euler_characteristic(csm) == mobius_sum, stem
         assert mobius_sum == expected[stem], stem

@@ -3,6 +3,9 @@ subset oracle that never touches the library's elimination code."""
 
 import random
 import re
+import sys
+import time
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -98,13 +101,13 @@ def random_arrangement(rng, max_forms=8, max_dim=4, bound=3):
 def test_boolean_lattice():
     lat = build_lattice(Arrangement(3, BOOLEAN3))
     assert len(lat) == 8
-    assert [node.dim for node in lat.nodes] == [3, 2, 2, 2, 1, 1, 1, 0]
+    assert lat.dims == (3, 2, 2, 2, 1, 1, 1, 0)
     assert list(lat.mobius) == [1, -1, -1, -1, 1, 1, 1, -1]
 
 
 def test_generic4_lattice_against_oracle():
     lat = build_lattice(Arrangement(3, GENERIC4))
-    dims = [node.dim for node in lat.nodes]
+    dims = list(lat.dims)
     assert len(lat) == 12
     assert dims.count(3) == 1 and dims.count(2) == 4
     assert dims.count(1) == 6 and dims.count(0) == 1
@@ -115,15 +118,16 @@ def test_generic4_lattice_against_oracle():
 
 def test_braid_mobius_dimension_sum():
     lat = build_lattice(Arrangement(3, BRAID3))
-    assert sum(mu * node.dim for node, mu in zip(lat.nodes, lat.mobius)) == 2
+    assert sum(mu * dim for dim, mu in zip(lat.dims, lat.mobius)) == 2
+    assert sum(mu * dim for dim, mu in subset_flats(BRAID3, 3).values()) == 2
     assert len(lat) == brute_force_node_count(BRAID3, 3)
 
 
 def test_mobius_recursion_invariant():
     for forms in (BOOLEAN3, BRAID3, GENERIC4):
         lat = build_lattice(Arrangement(3, forms))
-        for i, node in enumerate(lat.nodes):
-            if node.dim == lat.ambient_dim:
+        for i, dim in enumerate(lat.dims):
+            if dim == lat.ambient_dim:
                 continue
             total = sum(lat.mobius[j] for j in range(len(lat))
                         if lat.contains(j, i))
@@ -143,14 +147,14 @@ def test_node_order_independent_of_input_order():
         shuffled = list(BRAID3)
         rng.shuffle(shuffled)
         lat = build_lattice(Arrangement(3, shuffled))
-        assert [n.matrix for n in lat.nodes] == [n.matrix for n in base.nodes]
+        assert lat.rows == base.rows
         assert lat.mobius == base.mobius
 
 
 def test_empty_arrangement():
     lat = build_lattice(Arrangement(3, []))
     assert len(lat) == 1
-    assert lat.nodes[0].dim == 3
+    assert lat.dims == (3,)
     assert characteristic_polynomial(lat) == IntPolynomial([0, 0, 0, 1])
 
 
@@ -250,19 +254,22 @@ def test_lattice_matches_subset_oracle_on_random():
         arr = Arrangement(width, kept)
         lat = build_lattice(arr)
         expected = subset_flats(list(arr.forms), width)
-        # each node's hyperplane set, read off its RREF matrix
+        # each node's hyperplane set, read off its reduced rows
         hyperplanes = []
-        for node in lat.nodes:
-            r = fraction_rank(list(node.matrix), width)
+        for rows in lat.rows:
+            r = fraction_rank(list(rows), width)
             hyperplanes.append(frozenset(
                 j for j, form in enumerate(arr.forms)
-                if fraction_rank(list(node.matrix) + [form], width) == r))
-        got = {h: (node.dim, mu) for h, node, mu in zip(hyperplanes, lat.nodes, lat.mobius)}
+                if fraction_rank(list(rows) + [form], width) == r))
+        got = {h: (dim, mu) for h, dim, mu in zip(hyperplanes, lat.dims, lat.mobius)}
         assert len(got) == len(lat) and got == expected
         assert [sum(1 << j for j in h) for h in hyperplanes] == list(lat.masks)
+        # the subspaces cut out by each node's forms, built apart from the lattice
+        spaces = [Subspace.from_forms(width, [arr.forms[j] for j in sorted(h)])
+                  for h in hyperplanes]
         for i in range(len(lat)):
             for j in range(len(lat)):
-                assert lat.contains(i, j) == lat.nodes[i].contains(lat.nodes[j])
+                assert lat.contains(i, j) == spaces[i].contains(spaces[j])
                 assert lat.contains(i, j) == (hyperplanes[i] <= hyperplanes[j])
 
 
@@ -274,10 +281,15 @@ def test_node_order_dims_and_masks_on_random():
         arr = random_arrangement(rng, max_forms=7, bound=4)
         width, forms = arr.ambient_dim, arr.forms
         lat = build_lattice(arr)
-        assert list(lat.nodes) == sorted(lat.nodes, key=Subspace.sort_key)
-        assert lat.dims == tuple(node.dim for node in lat.nodes)
+        # each node as the Subspace its mask's forms cut out
+        nodes = [Subspace.from_forms(width, [form for k, form in enumerate(forms)
+                                             if mask >> k & 1])
+                 for mask in lat.masks]
+        assert nodes == sorted(nodes, key=Subspace.sort_key)
+        assert [quotient_rows(rows, {}) for rows in lat.rows] == [n.matrix for n in nodes]
+        assert lat.dims == tuple(node.dim for node in nodes)
         got = {}
-        for node, mask, mu in zip(lat.nodes, lat.masks, lat.mobius):
+        for node, mask, mu in zip(nodes, lat.masks, lat.mobius):
             hyperplanes = frozenset(k for k in range(len(forms)) if mask >> k & 1)
             assert all(Subspace.from_forms(width, [form]).contains(node) == (k in hyperplanes)
                        for k, form in enumerate(forms))
@@ -341,15 +353,7 @@ def test_lattice_rows_are_reduced_forms_of_their_hyperplanes():
     assert pivots - {1}
 
 
-def test_lattice_nodes_keep_no_closure_echelon():
-    # the echelon cache of a node fills only when Subspace methods need it
-    lat = build_lattice(Arrangement(3, BRAID3))
-    assert all(node._ech is None for node in lat.nodes)
-    assert lat.nodes[-1].contains(lat.nodes[-1])
-    assert lat.nodes[-1]._ech is not None
-
-
-NODE_ORDER = ("rows", "dims", "mobius", "masks", "nodes")
+NODE_ORDER = ("rows", "dims", "mobius", "masks")
 
 
 def eager_node_order(arr):
@@ -388,7 +392,6 @@ def test_lazy_node_order_matches_the_eager_order(monkeypatch):
             getattr(lat, first)
             assert len(renders) == 1
             assert [quotient_rows(rows, {}) for rows in lat.rows] == expected["matrices"]
-            assert [node.matrix for node in lat.nodes] == expected["matrices"]
             assert (lat.dims, lat.masks, lat.mobius) == (
                 expected["dims"], expected["masks"], expected["mobius"])
             assert len(renders) == 1
@@ -453,7 +456,7 @@ def test_braid_on_five_strands():
     assert exponents_via_terao(chi).exponents == (1, 2, 3, 4)
     # Euler characteristic of the complement in P^3, two derivations:
     # Moebius-dimension sum 4-30+70-50 and the product (1-h)(1-2h)(1-3h)
-    assert sum(mu * n.dim for n, mu in zip(lat.nodes, lat.mobius)) == -6
+    assert sum(mu * dim for dim, mu in zip(lat.dims, lat.mobius)) == -6
 
 
 # --- Terao factorisation
@@ -537,8 +540,12 @@ def test_parse_arrangement_text():
 
 
 def test_parse_rejects_bad_tokens():
-    with pytest.raises(ValidationError, match="expected integers"):
-        parse_arrangement("3\n1 0 z\n")
+    # an integer is a sign and ASCII decimal digits, though int() takes more
+    for text in ("3\n1 0 z\n", "3\n1_0 0 1\n", "3\n1 \u0663 0\n", "\u0663\n1 0 0\n",
+                 "3\n1 \u00b2 0\n", "3\n1 0 1\n2 +-1 0\n"):
+        with pytest.raises(ValidationError, match=r"line \d: expected integers"):
+            parse_arrangement(text)
+    assert parse_arrangement("+3\n+1 -1 0\n").forms == ((1, -1, 0),)
     with pytest.raises(ValidationError, match="ambient dimension"):
         parse_arrangement("# nothing here\n")
     with pytest.raises(ValidationError, match="has 2 coefficients"):
@@ -553,6 +560,32 @@ def test_parse_reports_the_first_faulty_line():
         parse_arrangement(text)
     with pytest.raises(ValidationError, match="line 5: expected integers"):
         parse_arrangement("3\n1 0 0\n0 0 1\n0 1 0\n1 z 0\n")
+
+
+@contextmanager
+def int_digit_limit_lifted():
+    """Run with the interpreter's int_max_str_digits lifted, as a host may."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parse_refuses_long_literals_by_length():
+    digits = arrangement.MAX_LITERAL_DIGITS
+    for lifted in (False, True):
+        with int_digit_limit_lifted() if lifted else nullcontext():
+            for sign in ("", "-", "+"):
+                arr = parse_arrangement(f"2\n1 {sign}{'9' * digits}\n")
+                assert arr.forms == ((1, int(f"{sign}{'9' * digits}")),)
+            for n in (digits + 1, 200000):
+                start = time.perf_counter()
+                with pytest.raises(ValidationError, match="line 2: expected integers"):
+                    parse_arrangement(f"2\n1 {'9' * n}\n")
+                assert time.perf_counter() - start < 0.1, n
+    assert sys.get_int_max_str_digits() == digits
 
 
 def test_ambient_dimension_must_be_an_int():

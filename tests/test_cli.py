@@ -18,6 +18,7 @@ from logmc import (Arrangement, KPoly, ValidationError, build_lattice,
                    kpoly_from_json, log_class_free, mc_complement_lattice_sum)
 from logmc.arrangement import MAX_AMBIENT_DIM
 from logmc.cli import RunConfig, config_from_args, main, run
+from test_arrangement import eager_node_order
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -58,14 +59,14 @@ def test_golden_bit_exact(stem, command):
     assert report + "\n" == expected
 
 
-# text output in the default one_minus_s basis: (stem, command) -> extra arguments
+# text output in the default one_minus_s basis: (stem, command) -> extra arguments;
+# every pair of GOLDEN_MATRIX with default arguments, plus three logclass runs and
+# one diff run that need exponents
 TEXT_GOLDENS = {
-    ("braid", "mc"): [], ("braid", "diff"): [],
+    **{(stem, cmd): [] for stem, cmds in GOLDEN_MATRIX.items() for cmd in cmds},
     ("braid", "logclass"): ["--exponents", "1,2,3"],
-    ("generic4", "mc"): [],
     ("generic4", "diff"): ["--route", "lattice", "--exponents", "1,1,2"],
     ("generic4", "logclass"): ["--exponents", "1,1,2"],
-    ("boolean3", "mc"): [], ("boolean3", "diff"): [],
     ("boolean3", "logclass"): ["--exponents", "1,1,1"],
 }
 
@@ -393,8 +394,8 @@ def test_commands_run_no_staged_pipeline_or_kpoly_product(monkeypatch):
 
 
 def test_lattice_matrices_match_fraction_nodes_on_random(tmp_path):
-    """The printed entries are ``str`` of the Fraction RREF entries of ``nodes``,
-    also for pivots other than 1."""
+    """The printed entries are ``str`` of the Fraction RREF entries of each
+    flat's forms, in ``Subspace.sort_key`` order, also for pivots other than 1."""
     rng = random.Random(4231)
     path = tmp_path / "random.arr"
     fractions = 0
@@ -411,10 +412,11 @@ def test_lattice_matrices_match_fraction_nodes_on_random(tmp_path):
                                      output_format="json"))
         assert code == 0
         payload = json.loads(report)
-        lat = build_lattice(arr)
-        expected = [{"dim": node.dim, "mobius": mu,
-                     "matrix": [[str(v) for v in row] for row in node.matrix]}
-                    for node, mu in zip(lat.nodes, lat.mobius)]
+        order = eager_node_order(arr)
+        expected = [{"dim": dim, "mobius": mu,
+                     "matrix": [[str(v) for v in row] for row in matrix]}
+                    for dim, mu, matrix in zip(order["dims"], order["mobius"],
+                                               order["matrices"])]
         assert payload["nodes"] == expected
         fractions += sum("/" in v for node in expected for row in node["matrix"] for v in row)
     assert fractions > 0

@@ -26,6 +26,7 @@ from logmc import (BranchCountRequiredError, CurveSingularity, LocalPolynomial,
 from logmc import _linalg, _poly, curves
 from logmc.cli import RunConfig, run
 from logmc.curves import MAX_PARSE_DEGREE, MAX_PARSE_DEPTH
+from test_arrangement import int_digit_limit_lifted
 
 P = LocalPolynomial.from_string
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -47,6 +48,10 @@ def test_parse_rejects_bad_input():
     for bad in ("2x", "x^", "x^-2", "x +", "(x", "x^y", "z", ""):
         with pytest.raises(ValidationError):
             P(bad)
+    # a literal is ASCII decimal digits, though str.isdigit and int() take more
+    for bad, ch in (("x^\u0663 - y^2", "\u0663"), ("x^\u00b2-y^3", "\u00b2"), ("x*1_0", "_")):
+        with pytest.raises(ValidationError, match=f"unexpected character '{ch}' at position"):
+            P(bad)
 
 
 def test_parse_refuses_oversized_input():
@@ -59,6 +64,18 @@ def test_parse_refuses_oversized_input():
         assert time.perf_counter() - start < 0.1, text
     assert P(f"x^{limit} - y^{limit - 1}*x").total_degree() == limit
     assert P(f"(x+y)^{limit // 2}*(x-y)^{limit // 2}").total_degree() == limit
+
+
+def test_parse_refuses_oversized_input_with_the_digit_limit_lifted():
+    # literals are refused by their length, not by int_max_str_digits
+    with int_digit_limit_lifted():
+        test_parse_refuses_oversized_input()
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="position 2 is too long"):
+            P("x*" + "9" * 200000)
+        assert time.perf_counter() - start < 0.1
+    longest = "9" * _poly.MAX_LITERAL_DIGITS
+    assert P(longest).terms == {(0, 0): int(longest)}
 
 
 def test_parse_refuses_deep_nesting():
