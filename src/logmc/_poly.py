@@ -11,7 +11,8 @@ input number is exact; ``check_dimension`` is the one check that a
 projective dimension is one, ``check_type`` that an argument is a value of
 the expected class, ``json_fields`` reads the keys of a JSON object and
 ``json_list`` checks that a value in one is a list.  ``MAX_LITERAL_DIGITS``
-bounds the integer literals that both text parsers read.
+bounds the integer literals that both text parsers read, and
+``int_literals`` reads those of the arrangement format and the CLI.
 ``shift_minus_one``, the Taylor shift p(x) -> p(x - 1), is the one change
 of basis between powers of x and of x - 1: ``pack_minus_one`` is its
 Horner pass and ``unpack`` reads the balanced digits of a packed
@@ -28,6 +29,19 @@ from .errors import ValidationError
 # Longest integer literal the parsers read: the interpreter's default
 # int_max_str_digits, checked by length since a host may lift that limit.
 MAX_LITERAL_DIGITS = 4300
+
+
+def int_literals(tokens):
+    """``int`` of each token, refusing with ValueError any token that is not
+    an optional sign and at most ``MAX_LITERAL_DIGITS`` ASCII decimal digits
+    (whitespace around it aside)."""
+    text = "".join(tokens)
+    # int() would also read "_", non-ASCII digits and, once a host lifts
+    # int_max_str_digits, literals of any length
+    if (not text.isascii() or "_" in text or len(text) > MAX_LITERAL_DIGITS
+            and max(len(tok.strip().lstrip("+-")) for tok in tokens) > MAX_LITERAL_DIGITS):
+        raise ValueError
+    return [int(tok) for tok in tokens]
 
 
 def exact_scalar(v, rational=False):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ._linalg import (IntEchelon, _first_nonzero, _strip_content, eliminate, int_row,
                       quotient_rows, rref)
-from ._poly import MAX_LITERAL_DIGITS, deflate, exact_scalar, power, render
+from ._poly import MAX_LITERAL_DIGITS, deflate, exact_scalar, int_literals, power, render
 from .errors import InconsistencyError, ValidationError
 
 
@@ -112,16 +112,12 @@ def _integer_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
         try:
-            # int() would also read "_", non-ASCII digits and, once a host
-            # lifts int_max_str_digits, literals of any length
-            if (not line.isascii() or "_" in line or len(line) > MAX_LITERAL_DIGITS
-                    and max(len(tok.lstrip("+-")) for tok in tokens) > MAX_LITERAL_DIGITS):
-                raise ValueError
-            values = [int(tok) for tok in tokens]
+            values = int_literals(line.split())
         except ValueError:
-            raise ValidationError(f"line {lineno}: expected integers, got {line!r}") from None
+            # a bounded quote: the line may hold a literal of any length
+            quoted = repr(line[:40]) + ("..." if len(line) > 40 else "")
+            raise ValidationError(f"line {lineno}: expected integers, got {quoted}") from None
         yield lineno, values
 
 
@@ -252,7 +248,7 @@ class IntersectionLattice:
         return not self.masks[i] & ~self.masks[j]
 
     def __repr__(self):
-        return f"IntersectionLattice(ambient_dim={self.ambient_dim}, dims={list(self.dims)})"
+        return f"IntersectionLattice(ambient_dim={self.ambient_dim}, nodes={len(self)})"
 
 
 def build_lattice(arr, max_nodes=None):

@@ -36,12 +36,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import arrangement as arrmod
 from . import curves as curvemod
 from . import hirzebruch as hzmod
 from . import kring
-from ._poly import power, render
+from ._poly import int_literals, power, render
 from .errors import InconsistencyError, ValidationError
 
 TERAO_NOTE = ("candidate exponents only: a split characteristic polynomial does not "
@@ -92,13 +93,14 @@ def config_from_args(argv=None):
     raw = getattr(args, "exponents", None)
     if raw is not None:
         try:
-            exps = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+            exps = tuple(int_literals([tok for tok in raw.split(",") if tok.strip()]))
         except ValueError:
             raise ValidationError(f"--exponents expects comma-separated integers, got {raw!r}") from None
         if not exps:
             raise ValidationError("--exponents is empty")
+    cap = os.environ.get("LOGMC_MAX_LATTICE", str(DEFAULT_MAX_LATTICE))
     try:
-        max_nodes = int(os.environ.get("LOGMC_MAX_LATTICE", DEFAULT_MAX_LATTICE))
+        (max_nodes,) = int_literals([cap])
     except ValueError:
         max_nodes = 0
     if max_nodes < 1:
@@ -112,16 +114,12 @@ def config_from_args(argv=None):
                      max_lattice_nodes=max_nodes)
 
 
-def _kpoly_lines(p, basis):
-    symbol = "s" if basis == "s" else "(1-s)"
-    if p.is_zero():
-        return ["0"]
-    lines = []
-    for k, c in enumerate(p.coeffs):
-        row = c.coeffs if basis == "s" else c.in_one_minus_s_basis()
-        terms = ((v, power(symbol, j)) for j, v in enumerate(row))
-        lines.append(f"y^{k}: {render(terms)}")
-    return lines
+def _kpoly_lines(data):
+    """Text lines of a K-class report, ``kpoly_to_json``'s dict."""
+    symbol = "s" if data["basis"] == "s" else "(1-s)"
+    lines = [f"y^{k}: {render((v, power(symbol, j)) for j, v in enumerate(row))}"
+             for k, row in enumerate(data["coeffs_y"])]
+    return lines or ["0"]
 
 
 def _cohclass_str(c):
@@ -132,46 +130,32 @@ def _exponents_str(exps):
     return "{" + ",".join(str(e) for e in exps) + "}"
 
 
-_UNSET = object()
-
-
 class _Input:
-    """One arrangement and its run configuration.
+    """One arrangement, its run configuration and the K-class basis of its report.
 
-    The lattice, chi and candidate exponents are derived on first use and
-    kept, so each is computed at most once per run and only when read.  A
-    derivation that raises (the node cap, say) keeps nothing, so the next
-    read raises again.
+    ``basis`` is ``--basis`` if given, else ``s`` for JSON and ``one_minus_s``
+    for text.  The lattice, chi and candidate exponents are derived on first
+    use and kept, so each is computed at most once per run and only when
+    read.  A derivation that raises (the node cap, say) keeps nothing, so
+    the next read raises again.
     """
 
     def __init__(self, arr, config):
         self.arr = arr
         self.config = config
         self.n = arr.ambient_dim - 1
-        self.json_basis = config.basis or "s"
-        self.text_basis = config.basis or "one_minus_s"
-        self._lattice = self._chi = self._exponents = _UNSET
+        self.basis = config.basis or ("s" if config.output_format == "json" else "one_minus_s")
 
-    @property
+    @cached_property
     def lattice(self):
-        if self._lattice is _UNSET:
-            self._lattice = arrmod.build_lattice(
-                self.arr, max_nodes=self.config.max_lattice_nodes)
-        return self._lattice
+        return arrmod.build_lattice(self.arr, max_nodes=self.config.max_lattice_nodes)
 
-    @property
+    @cached_property
     def chi(self):
-        if self._chi is _UNSET:
-            self._chi = arrmod.characteristic_polynomial(self.lattice)
-        return self._chi
+        return arrmod.characteristic_polynomial(self.lattice)
 
-    @property
+    @cached_property
     def exponents(self):
-        if self._exponents is _UNSET:
-            self._exponents = self._derive_exponents()
-        return self._exponents
-
-    def _derive_exponents(self):
         """Candidate exponents from an override or a Terao split; None if absent.
 
         A nonpositive-root inconsistency (non-essential arrangement) counts as
@@ -230,79 +214,82 @@ def _mc_value(inp):
     return next(iter(_mc_routes(inp).values()))
 
 
+# Each handler is a generator that yields its JSON report first and its text
+# lines after it, formatted from the report's values.  Every check (route
+# agreement, the Euler cross-check, required exponents, curve validation)
+# comes before the first yield, and nothing after it may raise: ``run`` reads
+# the report inside its error handling and resumes the generator only for
+# text, so a JSON run formats no text.
+
 def _cmd_lattice(inp):
     lat = inp.lattice
     _, dims, mobius, _, quotients = lat._node_order()
-    nodes = []
-    lines = [f"ambient_dim {lat.ambient_dim}, {len(lat)} nodes"]
-    for dim, rows, mu in zip(dims, quotients, mobius):
-        matrix = [[str(v) for v in row] for row in rows]
-        nodes.append({"dim": dim, "mobius": mu, "matrix": matrix})
-        rendered = "; ".join(" ".join(row) for row in matrix) or "(ambient)"
-        lines.append(f"dim {dim}  mobius {mu:3d}  [{rendered}]")
-    payload = {"ambient_dim": lat.ambient_dim, "node_count": len(lat), "nodes": nodes}
-    return payload, lines
+    nodes = [{"dim": dim, "mobius": mu, "matrix": [[str(v) for v in row] for row in rows]}
+             for dim, rows, mu in zip(dims, quotients, mobius)]
+    yield {"ambient_dim": lat.ambient_dim, "node_count": len(lat), "nodes": nodes}
+    yield f"ambient_dim {lat.ambient_dim}, {len(lat)} nodes"
+    for node in nodes:
+        rendered = "; ".join(" ".join(row) for row in node["matrix"]) or "(ambient)"
+        yield f"dim {node['dim']}  mobius {node['mobius']:3d}  [{rendered}]"
 
 
 def _cmd_charpoly(inp):
     chi = inp.chi
     payload = {"coefficients": list(chi.coeffs), "rendered": str(chi)}
-    return payload, [str(chi)]
+    yield payload
+    yield payload["rendered"]
 
 
 def _cmd_exponents(inp):
     result = arrmod.exponents_via_terao(inp.chi)
     if result.splits:
-        payload = {"splits": True, "exponents": list(result.exponents)}
-        lines = [_exponents_str(result.exponents), f"note: {TERAO_NOTE}"]
+        yield {"splits": True, "exponents": list(result.exponents)}
+        yield _exponents_str(result.exponents)
+        yield f"note: {TERAO_NOTE}"
     else:
-        payload = {"splits": False,
-                   "remaining_factor": {"coefficients": list(result.remaining.coeffs),
-                                        "rendered": str(result.remaining)}}
-        lines = [f"does not split: no integer root of {result.remaining}",
-                 "certified: the cone is not free with integer exponents"]
-    return payload, lines
+        remaining = {"coefficients": list(result.remaining.coeffs),
+                     "rendered": str(result.remaining)}
+        yield {"splits": False, "remaining_factor": remaining}
+        yield f"does not split: no integer root of {remaining['rendered']}"
+        yield "certified: the cone is not free with integer exponents"
 
 
 def _cmd_mc(inp):
-    routes = _mc_routes(inp)
-    payload = {"n": inp.n, "mc_route": inp.config.mc_route,
-               "routes": {k: kring.kpoly_to_json(v, basis=inp.json_basis)
-                          for k, v in routes.items()}}
-    lines = []
+    routes = {k: kring.kpoly_to_json(v, basis=inp.basis) for k, v in _mc_routes(inp).items()}
+    payload = {"n": inp.n, "mc_route": inp.config.mc_route, "routes": routes}
     if len(routes) > 1:
         payload["agree"] = True
-        lines.append(f"routes {', '.join(routes)} agree")
+    yield payload
+    if len(routes) > 1:
+        yield f"routes {', '.join(routes)} agree"
     for name, value in routes.items():
-        lines.append(f"[{name}]")
-        lines.extend(_kpoly_lines(value, inp.text_basis))
-    return payload, lines
+        yield f"[{name}]"
+        yield from _kpoly_lines(value)
 
 
 def _cmd_logclass(inp):
     exps = inp.required_exponents()
-    value = kring.log_class_free(exps, inp.n)
-    payload = {"n": inp.n, "exponents": list(exps),
-               "log_class": kring.kpoly_to_json(value, basis=inp.json_basis)}
-    lines = [f"exponents {_exponents_str(exps)}"] + _kpoly_lines(value, inp.text_basis)
-    return payload, lines
+    value = kring.kpoly_to_json(kring.log_class_free(exps, inp.n), basis=inp.basis)
+    yield {"n": inp.n, "exponents": list(exps), "log_class": value}
+    yield f"exponents {_exponents_str(exps)}"
+    yield from _kpoly_lines(value)
 
 
 def _cmd_diff(inp):
     exps = inp.required_exponents()
     value = _mc_value(inp) - kring.log_class_free(exps, inp.n)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "exponents": list(exps),
-               "difference": kring.kpoly_to_json(value, basis=inp.json_basis),
+               "difference": kring.kpoly_to_json(value, basis=inp.basis),
                "is_zero": value.is_zero()}
-    lines = _kpoly_lines(value, inp.text_basis) + [f"is_zero: {str(value.is_zero()).lower()}"]
-    return payload, lines
+    yield payload
+    yield from _kpoly_lines(payload["difference"])
+    yield f"is_zero: {str(payload['is_zero']).lower()}"
 
 
 def _cmd_csm(inp):
     n = inp.n
     csm_mc = hzmod.csm_at_minus_one(_mc_value(inp))
     payload = {"n": n, "csm_mc": hzmod.cohclass_to_json(csm_mc)}
-    lines = [f"csm(mc):      {_cohclass_str(csm_mc)}"]
     exps = inp.exponents
     if exps is not None:
         csm_log = hzmod.csm_at_minus_one(kring.log_class_free(exps, n))
@@ -312,16 +299,19 @@ def _cmd_csm(inp):
         payload["exponents"] = list(exps)
         payload["equal_mc_log"] = csm_mc == csm_log
         payload["equal_mc_product"] = csm_mc == product
-        lines.append(f"csm(log):     {_cohclass_str(csm_log)}")
-        lines.append(f"product:      {_cohclass_str(product)}   (exponents {_exponents_str(exps)})")
-        lines.append(f"all equal: {str(csm_mc == csm_log == product).lower()}")
     else:
         payload["note"] = "no candidate exponents: log side and product unavailable"
-        lines.append("no candidate exponents: log side and product unavailable")
     euler = hzmod.euler_characteristic(csm_mc)
     payload["euler_characteristic"] = str(euler)
-    lines.append(f"euler characteristic: {euler}")
-    return payload, lines
+    yield payload
+    yield f"csm(mc):      {_cohclass_str(csm_mc)}"
+    if exps is not None:
+        yield f"csm(log):     {_cohclass_str(csm_log)}"
+        yield f"product:      {_cohclass_str(product)}   (exponents {_exponents_str(exps)})"
+        yield f"all equal: {str(payload['equal_mc_log'] and payload['equal_mc_product']).lower()}"
+    else:
+        yield payload["note"]
+    yield f"euler characteristic: {euler}"
 
 
 def _cmd_euler(inp):
@@ -335,10 +325,9 @@ def _cmd_euler(inp):
             f"degree-0 CSM coefficient {euler} differs from the "
             f"Möbius-dimension sum {mobius_sum}",
             details={"csm": hzmod.cohclass_to_json(csm_mc), "mobius_sum": mobius_sum})
-    payload = {"euler_characteristic": str(euler), "mobius_dimension_sum": mobius_sum}
-    lines = [f"euler characteristic: {euler}",
-             f"mobius-dimension sum: {mobius_sum} (agrees)"]
-    return payload, lines
+    yield {"euler_characteristic": str(euler), "mobius_dimension_sum": mobius_sum}
+    yield f"euler characteristic: {euler}"
+    yield f"mobius-dimension sum: {mobius_sum} (agrees)"
 
 
 def _cmd_curve(config):
@@ -351,7 +340,7 @@ def _cmd_curve(config):
     sings = [curvemod.singularity_from_json(obj) for obj in entries]
     dc = curvemod.difference_class_curve(sings)
     csm_weights = curvemod.csm_minus_chern_curve(sings)
-    payload = {
+    yield {
         "singularities": [{"mu": s.mu, "tau": s.tau, "r": s.r, "delta": s.delta}
                           for s in sings],
         "pairs": [list(pair) for pair in dc.pairs],
@@ -360,14 +349,12 @@ def _cmd_curve(config):
         "genus_defects": [curvemod.genus_defect(s) for s in sings],
         "csm_minus_chern": csm_weights,
     }
-    lines = []
     for s, (a, b) in zip(sings, dc.pairs):
-        lines.append(f"mu={s.mu} tau={s.tau} r={s.r} delta={s.delta}  ->  "
-                     f"({a}) + ({b})*y  per point class")
+        yield (f"mu={s.mu} tau={s.tau} r={s.r} delta={s.delta}  ->  "
+               f"({a}) + ({b})*y  per point class")
     ta, tb = dc.total
-    lines.append(f"total: ({ta}) + ({tb})*y")
-    lines.append(f"is_zero: {str(dc.is_zero()).lower()}")
-    return payload, lines
+    yield f"total: ({ta}) + ({tb})*y"
+    yield f"is_zero: {str(dc.is_zero()).lower()}"
 
 
 # the options a command may accept, as add_argument's flag and keywords
@@ -436,7 +423,8 @@ def _to_json(obj, newline="\n"):
 def run(config):
     """Execute a configured command; returns (exit_code, report)."""
     try:
-        payload, lines = _dispatch(config)
+        report = _dispatch(config)
+        payload = next(report)
     except ValidationError as e:
         if config.output_format == "json":
             return 1, _to_json({"error": str(e), "kind": "validation"})
@@ -450,7 +438,7 @@ def run(config):
         return 2, f"inconsistency: {e}\n{_to_json(body.get('details'))}"
     if config.output_format == "json":
         return 0, _to_json(payload)
-    return 0, "\n".join(lines)
+    return 0, "\n".join(report)
 
 
 def main(argv=None):

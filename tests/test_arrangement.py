@@ -411,6 +411,7 @@ def test_closure_readers_do_not_sort(monkeypatch):
     monkeypatch.setattr(arrangement, "quotient_rows", forbidden)
     for arr, (count, pairs) in zip(arrs, expected):
         lat = build_lattice(arr)
+        assert repr(lat) == f"IntersectionLattice(ambient_dim={arr.ambient_dim}, nodes={count})"
         assert len(lat) == count
         assert sorted(lat.dims_and_mobius()) == pairs
         assert characteristic_polynomial(lat).coeffs == tuple(
@@ -582,9 +583,10 @@ def test_parse_refuses_long_literals_by_length():
                 assert arr.forms == ((1, int(f"{sign}{'9' * digits}")),)
             for n in (digits + 1, 200000):
                 start = time.perf_counter()
-                with pytest.raises(ValidationError, match="line 2: expected integers"):
+                with pytest.raises(ValidationError, match="line 2: expected integers") as info:
                     parse_arrangement(f"2\n1 {'9' * n}\n")
                 assert time.perf_counter() - start < 0.1, n
+                assert len(str(info.value)) < 100, n
     assert sys.get_int_max_str_digits() == digits
 
 

@@ -164,7 +164,10 @@ def test_nonessential_exponents_is_exit_2(tmp_path):
 
 
 def test_bad_exponent_flag_rejected(capsys):
-    assert main(["logclass", corpus_path("braid"), "--exponents", "1,two"]) == 1
+    # int() alone would read a non-ASCII digit and "_" as {1,2,3} and {1,3,20}
+    for value in ("1,two", "1,\u0662,3", "1,2_0,3"):
+        assert main(["logclass", corpus_path("braid"), "--exponents", value]) == 1
+        assert "--exponents expects comma-separated integers" in capsys.readouterr().err
     assert main(["nonsense-command", "x"]) == 1
 
 
@@ -225,7 +228,7 @@ def test_lattice_cap_env(monkeypatch):
     assert code == 1 and "node cap" in report
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "many"])
+@pytest.mark.parametrize("value", ["0", "-3", "many", "\u0663\u0660\u0660", "3_00"])
 def test_lattice_cap_env_must_be_positive(monkeypatch, value):
     monkeypatch.setenv("LOGMC_MAX_LATTICE", value)
     with pytest.raises(ValidationError, match="LOGMC_MAX_LATTICE must be a positive integer"):
@@ -319,6 +322,27 @@ def test_only_the_lattice_command_sorts_the_flats(monkeypatch):
             sorts.clear()
             assert run(RunConfig("lattice", corpus_path(stem), fmt))[0] == 0
             assert len(sorts) == 1
+
+
+def test_json_runs_format_no_text(monkeypatch):
+    """A JSON run reads only the report each handler yields first: with the
+    text helpers raising, every report is unchanged."""
+    def forbidden(*args):
+        raise AssertionError("text formatted")
+
+    runs = [RunConfig(command, str(path), "json", route)
+            for path in sorted(CORPUS.glob("*.arr"))
+            for command in sorted(ACCEPTED_OPTIONS.keys() - {"curve"})
+            for route in (("lattice", "charpoly", "exponents", "all")
+                          if "--route" in ACCEPTED_OPTIONS[command] else ("all",))]
+    runs += [RunConfig("curve", str(path), "json") for path in sorted(CORPUS.glob("*.json"))]
+    expected = [run(config) for config in runs]
+    assert sum(code == 0 for code, _ in expected) > len(runs) // 2
+    for name in ("_kpoly_lines", "_cohclass_str", "_exponents_str"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert [run(config) for config in runs] == expected
+    with pytest.raises(AssertionError, match="text formatted"):
+        run(RunConfig("mc", corpus_path("braid")))
 
 
 def golden_config(path):

@@ -11,6 +11,7 @@ from logmc import (Arrangement, CohClass, IntPolynomial, KClass, KPoly,
                    LocalPolynomial, build_lattice, characteristic_polynomial,
                    difference_class_arrangement, mc_free_exponents, todd_class)
 from logmc.cli import _cohclass_str, _kpoly_lines
+from logmc.kring import kpoly_to_json
 from test_arrangement import BRAID3
 
 F = Fraction
@@ -21,8 +22,8 @@ def test_zero_renders_as_zero():
     assert str(IntPolynomial([0, 0])) == "0"
     assert str(LocalPolynomial.zero()) == "0"
     assert _cohclass_str(CohClass.zero(2)) == "0"
-    assert _kpoly_lines(KPoly.zero(2), "s") == ["0"]
-    assert _kpoly_lines(KPoly.zero(2), "one_minus_s") == ["0"]
+    assert _kpoly_lines(kpoly_to_json(KPoly.zero(2), "s")) == ["0"]
+    assert _kpoly_lines(kpoly_to_json(KPoly.zero(2), "one_minus_s")) == ["0"]
 
 
 def test_negative_leading_and_unit_coefficients():
@@ -51,18 +52,18 @@ def test_fraction_coefficients_in_csm_text():
 
 def test_kpoly_lines_both_bases():
     p = mc_free_exponents((1, 2, 3), 2)
-    assert _kpoly_lines(p, "s") == [
+    assert _kpoly_lines(kpoly_to_json(p, "s")) == [
         "y^0: 6 - 16*s + 11*s^2",
         "y^1: 5 - 15*s + 12*s^2",
         "y^2: 1 - 3*s + 3*s^2"]
-    assert _kpoly_lines(p, "one_minus_s") == [
+    assert _kpoly_lines(kpoly_to_json(p, "one_minus_s")) == [
         "y^0: 1 - 6*(1-s) + 11*(1-s)^2",
         "y^1: 2 - 9*(1-s) + 12*(1-s)^2",
         "y^2: 1 - 3*(1-s) + 3*(1-s)^2"]
     diff = difference_class_arrangement((1, 2, 3), None, 2)
-    assert _kpoly_lines(diff, "one_minus_s") == ["y^0: -4*(1-s)^2", "y^1: -4*(1-s)^2"]
+    assert _kpoly_lines(kpoly_to_json(diff, "one_minus_s")) == ["y^0: -4*(1-s)^2", "y^1: -4*(1-s)^2"]
     gap = KPoly(2, (KClass.one(2), KClass.zero(2), KClass(2, (0, -1))))
-    assert _kpoly_lines(gap, "s") == ["y^0: 1", "y^1: 0", "y^2: -s"]
+    assert _kpoly_lines(kpoly_to_json(gap, "s")) == ["y^0: 1", "y^1: 0", "y^2: -s"]
 
 
 def test_local_polynomial_mixed_monomial_order():
