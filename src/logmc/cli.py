@@ -95,7 +95,10 @@ def config_from_args(argv=None):
         try:
             exps = tuple(int_literals([tok for tok in raw.split(",") if tok.strip()]))
         except ValueError:
-            raise ValidationError(f"--exponents expects comma-separated integers, got {raw!r}") from None
+            # a bounded quote, as the arrangement parser's: raw may be any length
+            quoted = repr(raw[:40]) + ("..." if len(raw) > 40 else "")
+            raise ValidationError(
+                f"--exponents expects comma-separated integers, got {quoted}") from None
         if not exps:
             raise ValidationError("--exponents is empty")
     cap = os.environ.get("LOGMC_MAX_LATTICE", str(DEFAULT_MAX_LATTICE))
@@ -255,7 +258,12 @@ def _cmd_exponents(inp):
 
 
 def _cmd_mc(inp):
-    routes = {k: kring.kpoly_to_json(v, basis=inp.basis) for k, v in _mc_routes(inp).items()}
+    routes = _mc_routes(inp)
+    # one report per distinct value: under --route all the charpoly route
+    # is the lattice route's object
+    distinct = {id(v): v for v in routes.values()}
+    reports = {i: kring.kpoly_to_json(v, basis=inp.basis) for i, v in distinct.items()}
+    routes = {k: reports[id(v)] for k, v in routes.items()}
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "routes": routes}
     if len(routes) > 1:
         payload["agree"] = True

@@ -6,20 +6,24 @@ basis.  A ``KPoly`` is a polynomial in the parameter y with KClass
 coefficients, and a product of two KPolys is the schoolbook sum of KClass
 products.
 
-The exponent products below, and (1+sy)^{n+1}, are not formed that way.
-In tau = s - 1 the relation is tau^{n+1} = 0, plain truncation, and their
-factors have nonnegative tau-coefficients: s^e = (1+tau)^e and
-1 - e + e s = 1 + e tau.  So each y-row of the product is one packed int,
-tau -> 2^w, and a factor costs one int product and mask per row.  The
-digit width w is safe because every factor is coefficientwise at most
-(1+tau)^{e_i} (1+y), so every coefficient of tau^j y^k is at most
-C(n+1, k) C(sum e_i, j); w = n + 2 + bitlen C(sum e_i, min(n, sum e_i // 2))
-leaves no digit able to carry.
-The packed rows are divided by (1+y) as they are.
+Every class below is built as the packed y-rows of its numerator over
+(1+y).  In tau = s - 1 the relation is tau^{n+1} = 0, plain truncation, so
+each y-row is one int, tau -> 2^w, truncated by a mask:
 
-Every change of basis is the one kernel ``_poly.shift_minus_one``, the
-Taylor shift p(x) -> p(x - 1) as one packed Horner pass: tau-coefficients
-to s-coefficients, and s <-> 1-s after negating the odd coefficients.
+  * the exponent products, and (1+sy)^{n+1}, have factors with nonnegative
+    tau-coefficients (s^e = (1+tau)^e, 1 - e + e s = 1 + e tau): a factor
+    costs one int product and mask per row, and no digit carries;
+  * the chi substitution, with 1 - s = -tau, is Horner's rule in
+    1 + s y = 1 + (1+tau) y: one shift-add per row and step, with signed
+    digits;
+  * the difference packs both numerators at one width and subtracts them.
+
+All of them end in one tail: ``_poly.deflate`` divides the packed rows by
+(1+y) with the mandatory zero-remainder check, and each quotient row is
+read into the s basis once, as the balanced digits of one Horner pass at
+tau = 2^W - 1 (that is, s = 2^W).  Each digit width is proved where it is
+computed.  The change between the s and 1-s bases is the Taylor shift
+``_poly.shift_minus_one`` after negating the odd coefficients.
 
 On top of this the module computes, for a central arrangement with
 intersection lattice L and characteristic polynomial chi:
@@ -32,12 +36,9 @@ intersection lattice L and characteristic polynomial chi:
     prod_i (s^{e_i} + s y) / (1+y)  from a splitting with exponents e_i;
   * the difference of the two.
 
-Every division by (1+y) is synthetic division (``_poly.deflate``, on
-integer columns or on packed rows) with a mandatory zero-remainder check.
-The rows built here (the exponent products, every quotient by (1+y), and
-the chi substitution's rows once reduced) are normal already, n+1 ints in
-the s basis, so they are stored as built, with no second pass of the
-relation.
+``exact_div_one_plus_y`` divides any KPoly column by column, with the same
+check.  The rows built here are normal already, n+1 ints in the s basis,
+so they are stored as built, with no second pass of the relation.
 The substitution of (1+sy)/(1-s) into chi is always performed in
 homogenised form; the nilpotent 1-s is never inverted.
 
@@ -48,9 +49,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import sub
 
 from ._poly import (_Truncated, _YPoly, check_dimension, check_type, deflate,
-                    exact_scalar, json_fields, json_list, shift_minus_one, unpack)
+                    exact_scalar, json_fields, json_list, pack_minus_one,
+                    shift_minus_one, unpack)
 from .arrangement import (IntersectionLattice, IntPolynomial,
                           characteristic_polynomial)
 from .errors import DivisionRemainderError, ValidationError
@@ -215,27 +218,62 @@ def mc_complement_lattice_sum(lat):
     return mc_complement_charpoly(characteristic_polynomial(lat), lat.ambient_dim - 1)
 
 
-def mc_complement_charpoly(chi, n):
-    """Motivic Chern class of the complement from the characteristic polynomial.
-
-    Evaluates the homogenised substitution
-    sum_j chi_j (1+sy)^j (1-s)^{n+1-j}, then divides exactly by (1+y).
-    Its y^p row is s^p g_p(1-s) with g_p(b) = sum_{j>=p} chi_j C(j, p)
-    b^{n+1-j}, an integer polynomial of degree at most n+1 in s: g_p is
-    read at b = 1 - s by the change of basis, one Taylor shift per row.
-    """
+def _check_chi(chi, n):
     check_dimension(n)
     if chi.degree != n + 1:
         raise ValidationError(
             f"characteristic polynomial has degree {chi.degree}, expected {n + 1}")
+
+
+def mc_complement_charpoly(chi, n):
+    """Motivic Chern class of the complement from the characteristic polynomial.
+
+    Evaluates the homogenised substitution
+    sum_j chi_j (1+sy)^j (1-s)^{n+1-j} as packed tau-rows
+    (``_chi_rows``), then divides exactly by (1+y).
+    """
+    _check_chi(chi, n)
+    width = _chi_width(chi, n)
+    return _over_one_plus_y(_chi_rows(chi, n, width), n, width)
+
+
+def _chi_width(chi, n):
+    """A digit width for ``_chi_rows``, their quotients by (1+y) and remainder.
+
+    Each of those tau^m digits (m <= n) is a signed sum of the rows' tau^m
+    coefficients, so at most the tau^m coefficient of the majorant
+    sum_{j>=1} |chi_j| (1 + y + tau y)^j tau^{n+1-j} at y = 1 (the j = 0 term
+    is tau^{n+1} = 0).  That is
+    sum_j |chi_j| C(j, n+1-m) 2^{n+1-m} <= M C(n+2, m) 2^{n+1-m} < M 3^{n+2} / 2
+    for M = max_{j>=1} |chi_j| (hockey stick, then one term of (1+2)^{n+2}),
+    so with w = bitlen M + bitlen 3^{n+2} every digit is below 2^(w-1) in size.
+    """
+    return max(map(abs, chi.coeffs[1:])).bit_length() + (3 ** (n + 2)).bit_length()
+
+
+def _chi_rows(chi, n, width):
+    """The y-rows of sum_j chi_j (1+sy)^j (1-s)^{n+1-j}, packed by tau -> 2^width.
+
+    Horner's rule in j, homogenised: with A = 1 + s y and B = 1 - s = -tau
+    the sum is (...(chi_{n+1} A + chi_n B) A + ... ) A + chi_0 B^{n+1}.  Times
+    A, row p gains s (row p-1) = (1+tau) (row p-1), one shift-add and mask,
+    and chi_j B^{n+1-j} is a shifted constant added to row 0, so no int
+    product is formed.  The rows are known modulo 2^(width (n+1)) (the
+    chi_0 term is a multiple of it), which fixes their n+1 balanced digits
+    when those lie in range (``_chi_width``).
+    """
+    mask = (1 << width * (n + 1)) - 1
     rows = []
-    for p in range(n + 2):
-        # g_p(-b), ascending in b: the odd powers of b negated
-        g = [chi.coeffs[n + 1 - k] * comb(n + 1 - k, p) * (-1) ** k
-             for k in range(n + 2 - p)]
-        row = _reduce_mod_relation([0] * p + shift_minus_one(g, n + 2 - p), n)
-        rows.append(KClass._from_normal(n, row))
-    return exact_div_one_plus_y(KPoly(n, rows))
+    for k, c in enumerate(reversed(chi.coeffs)):
+        shifted = 0
+        out = []
+        for r in rows:
+            out.append(r + shifted)
+            shifted = (r + (r << width)) & mask
+        out.append(shifted)
+        out[0] += (-1) ** k * c << width * k
+        rows = out
+    return rows
 
 
 def _validate_exponents(exps, n):
@@ -251,31 +289,13 @@ def _validate_exponents(exps, n):
     return exps
 
 
-def _product_over_one_plus_y(heads, n, total):
-    """prod_i (head_i + s y) / (1+y), each head given by its tau-coefficients.
+def _product_width(n, total):
+    """The digit width of ``_product_rows`` (see ``_product_over_one_plus_y``)."""
+    return n + 2 + comb(total, min(n, total // 2)).bit_length()
 
-    In tau = s - 1 the relation is truncation after tau^n.  ``heads[i]``
-    lists the nonnegative tau-coefficients of a head at most (1+tau)^{e_i}
-    coefficientwise, and ``total`` = sum e_i.  Each y-row is one int, packed
-    by tau -> 2^w; a factor costs per row one masked int product, plus the
-    packed s * (previous row) = (1+tau) * (previous row).
 
-    No digit carries: coefficients are nonnegative and every factor has
-    constant term 1, so partial products are at most the whole product,
-    which is at most (1+tau)^total (1+y)^{n+1} since s <= (1+tau)^{e_i}
-    too.  Its tau^j y^k coefficient is at most C(n+1, k) C(total, j) <
-    2^{n+1} C(total, min(n, total // 2)) <= 2^{w-1} for j <= n.
-
-    Division by (1+y) acts on y alone, so it commutes with the change of
-    basis: ``deflate`` divides the packed rows themselves.  A quotient or
-    remainder digit is a signed sum of the product's tau^j digits, which add
-    up to at most 2^{n+1} C(total, j) < 2^{w-1}: the remainder is zero
-    exactly when each of its digits is, and each quotient row is read as
-    balanced digits.  The check raises the error and s-basis remainder of
-    ``exact_div_one_plus_y``.  A tau-coefficient list q gives the s-basis
-    coefficients of q(s - 1), one Taylor shift by -1, and one KClass.
-    """
-    width = n + 2 + comb(total, min(n, total // 2)).bit_length()
+def _product_rows(heads, n, width):
+    """The y-rows of prod_i (head_i + s y), packed by tau -> 2^width."""
     mask = (1 << width * (n + 1)) - 1
     rows = [1]
     # the longest heads first, while the product has few rows
@@ -290,13 +310,58 @@ def _product_over_one_plus_y(heads, n, total):
             shifted = (r + (r << width)) & mask
         out.append(shifted)
         rows = out
+    return rows
+
+
+def _product_over_one_plus_y(heads, n, total):
+    """prod_i (head_i + s y) / (1+y), each head given by its tau-coefficients.
+
+    In tau = s - 1 the relation is truncation after tau^n.  ``heads[i]``
+    lists the nonnegative tau-coefficients of a head at most (1+tau)^{e_i}
+    coefficientwise, and ``total`` = sum e_i.  Each y-row is one int, packed
+    by tau -> 2^w; a factor costs per row one masked int product, plus the
+    packed s * (previous row) = (1+tau) * (previous row).
+
+    No digit carries: coefficients are nonnegative and every factor has
+    constant term 1, so partial products are at most the whole product,
+    which is at most (1+tau)^total (1+y)^{n+1} since s <= (1+tau)^{e_i}
+    too.  Its tau^j y^k coefficient is at most C(n+1, k) C(total, j) <
+    2^{n+1} C(total, min(n, total // 2)) <= 2^{w-1} for j <= n.  A quotient
+    or remainder digit is a signed sum of the product's tau^j digits, which
+    add up to at most 2^{n+1} C(total, j) < 2^{w-1}, as ``_over_one_plus_y``
+    requires.
+    """
+    width = _product_width(n, total)
+    return _over_one_plus_y(_product_rows(heads, n, width), n, width)
+
+
+def _over_one_plus_y(rows, n, width):
+    """Packed tau-rows divided exactly by (1+y), read as a KPoly.
+
+    ``rows`` are y-rows packed by tau -> 2^width and known modulo
+    2^(width (n+1)), and ``width`` keeps every tau^m digit (m <= n) of the
+    rows, of their quotients by (1+y) and of the remainder in
+    [-2^(width-1), 2^(width-1)).  Division by (1+y) acts on y alone, so
+    ``deflate`` divides the packed rows themselves; its results are known
+    modulo 2^(width (n+1)) too, which fixes their balanced digits.  So the
+    remainder is zero exactly when those bits are, and each quotient row is
+    read as balanced digits q_j.  Its s-basis coefficients, those of
+    sum_j q_j (s-1)^j, are the balanced base-2^W digits of one Horner pass,
+    sum_j q_j (2^W - 1)^j (``pack_minus_one``), at W = width + n + 2 fixed in
+    advance: coefficient i is sum_j C(j, i) (-1)^{j-i} q_j, at most
+    C(n+1, i+1) max|q_j| <= 2^(n+1) 2^(width-1) = 2^(W-2) in size.  A
+    nonzero remainder raises the error and s-basis remainder of
+    ``exact_div_one_plus_y``.
+    """
+    mask = (1 << width * (n + 1)) - 1
+    wide = width + n + 2
 
     def s_class(packed):
-        return KClass._from_normal(
-            n, tuple(shift_minus_one(unpack(packed, width, n + 1), n + 1)))
+        value = pack_minus_one(unpack(packed, width, n + 1), wide)
+        return KClass._from_normal(n, tuple(unpack(value, wide, n + 1)))
 
     quotients, remainder = deflate(rows, -1)
-    if remainder:
+    if remainder & mask:
         raise DivisionRemainderError("class is not divisible by 1+y",
                                      remainder=s_class(remainder))
     return KPoly(n, [s_class(q) for q in quotients])
@@ -339,19 +404,34 @@ def difference_class_arrangement(exps, lat_or_chi, n):
     second selects the motivic route: an IntersectionLattice, a
     characteristic IntPolynomial, or None to use the exponent product.
     The result is zero exactly when all exponents are 1.
+
+    Both numerators are packed at one width, a bit wider than either
+    needs: their digits, and those of their quotients and remainders, are
+    below 2^(w-2), so the digits of the difference are below 2^(w-1).  The
+    packed rows are subtracted and divided by (1+y) once.
     """
     if exps is None:
         raise ValidationError("no exponent data: the logarithmic side needs exponents")
     if lat_or_chi is None:
-        mc = mc_free_exponents(exps, n)
-    elif isinstance(lat_or_chi, IntersectionLattice):
-        mc = mc_complement_lattice_sum(lat_or_chi)
-    elif isinstance(lat_or_chi, IntPolynomial):
-        mc = mc_complement_charpoly(lat_or_chi, n)
+        exps = _validate_exponents(exps, n)
+        width = _product_width(n, sum(exps)) + 1
+        mc = _product_rows([(1, e) for e in exps], n, width)
+    elif isinstance(lat_or_chi, (IntersectionLattice, IntPolynomial)):
+        chi, m = lat_or_chi, n
+        if isinstance(lat_or_chi, IntersectionLattice):
+            chi, m = characteristic_polynomial(lat_or_chi), lat_or_chi.ambient_dim - 1
+        _check_chi(chi, m)
+        exps = _validate_exponents(exps, n)
+        if m != n:
+            # the lattice's class lives on its own P^m: KPoly subtraction's refusal
+            raise ValidationError("KPoly operands live on different projective spaces")
+        width = max(_chi_width(chi, n), _product_width(n, sum(exps))) + 1
+        mc = _chi_rows(chi, n, width)
     else:
         raise ValidationError(
             "second argument must be an IntersectionLattice, IntPolynomial or None")
-    return mc - log_class_free(exps, n)
+    log = _product_rows([_binomial_row(e, n) for e in exps], n, width)
+    return _over_one_plus_y(list(map(sub, mc, log)), n, width)
 
 
 def kpoly_to_json(p, basis="s"):

@@ -38,12 +38,15 @@ def test_tracer_records_and_restores():
     try:
         code, _ = cli.run(cli.RunConfig(command="csm", output_format="json",
                                         input_path=str(ROOT / "corpus" / "braid.arr")))
-        # csm runs the stages fused and reads the Todd class from the GRR
-        # table; call them through the module attributes the tracer
-        # replaces, so their wrappers are exercised too
+        # csm runs the stages fused, reads the Todd class from the GRR table
+        # and divides its packed rows by 1+y without exact_div_one_plus_y;
+        # call them through the module attributes the tracer replaces, so
+        # their wrappers are exercised too
         hirzebruch.clear_denominator(hirzebruch.normalize(hirzebruch.grr_transform(
             kring.mc_free_exponents((1, 2, 3), 2))))
         hirzebruch.todd_class(2)
+        one = kring.KClass.one(2)
+        kring.exact_div_one_plus_y(kring.KPoly(2, (one, one)))
     finally:
         tracer.uninstall()
     assert code == 0

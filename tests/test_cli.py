@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmc import _linalg as linalg
-from logmc import arrangement, cli
+from logmc import arrangement, cli, kring
 from logmc import hirzebruch as hzmod
 from logmc import (Arrangement, KPoly, ValidationError, build_lattice,
                    characteristic_polynomial, cohclass_from_json, csm_at_minus_one,
@@ -165,9 +165,13 @@ def test_nonessential_exponents_is_exit_2(tmp_path):
 
 def test_bad_exponent_flag_rejected(capsys):
     # int() alone would read a non-ASCII digit and "_" as {1,2,3} and {1,3,20}
-    for value in ("1,two", "1,\u0662,3", "1,2_0,3"):
+    for value in ("1,two", "1,\u0662,3", "1,2_0,3", "1," + "9" * 5000):
         assert main(["logclass", corpus_path("braid"), "--exponents", value]) == 1
         assert "--exponents expects comma-separated integers" in capsys.readouterr().err
+        # the refusal quotes a bounded prefix of the argument
+        with pytest.raises(ValidationError) as refusal:
+            config_from_args(["logclass", corpus_path("braid"), "--exponents", value])
+        assert len(str(refusal.value)) < 100
     assert main(["nonsense-command", "x"]) == 1
 
 
@@ -343,6 +347,25 @@ def test_json_runs_format_no_text(monkeypatch):
     assert [run(config) for config in runs] == expected
     with pytest.raises(AssertionError, match="text formatted"):
         run(RunConfig("mc", corpus_path("braid")))
+
+
+def test_mc_serialises_each_distinct_route_value_once(monkeypatch):
+    """Under --route all the charpoly route is the lattice route's object, so
+    braid's three routes hold two values and are serialised twice."""
+    to_json = kring.kpoly_to_json
+    calls = []
+
+    def counting_to_json(p, *args, **kwargs):
+        calls.append(p)
+        return to_json(p, *args, **kwargs)
+
+    for fmt in ("json", "text"):
+        expected = run(RunConfig("mc", corpus_path("braid"), fmt))
+        monkeypatch.setattr(kring, "kpoly_to_json", counting_to_json)
+        calls.clear()
+        assert run(RunConfig("mc", corpus_path("braid"), fmt)) == expected
+        assert len(calls) == 2
+        monkeypatch.undo()
 
 
 def golden_config(path):

@@ -412,6 +412,21 @@ def test_exponent_products_match_reference(rest):
     assert all(type(v) is int for c in got.coeffs for v in c.coeffs)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 19).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=n + 1, max_size=n + 1),
+    st.integers(-10 ** 12, 10 ** 12).filter(bool))))
+def test_charpoly_route_matches_reference_on_any_chi(chi):
+    # chi need not split, nor have chi(1) = 0: the packed rows' signed digit
+    # width must hold for any coefficients
+    rest, lead = chi
+    chi = rest + [lead]
+    n = len(rest) - 1
+    got = mc_complement_charpoly(IntPolynomial(chi), n)
+    assert got == ref_charpoly_route(chi, n)
+    assert all(type(c.coeffs) is tuple and len(c.coeffs) == n + 1 for c in got.coeffs)
+
+
 def test_kernel_rows_are_stored_in_normal_form():
     # the kernels store their rows unchecked: each must be the tuple of
     # n + 1 ints that the KClass relation gives, or equality and hashing break

@@ -320,6 +320,62 @@ def test_difference_always_zero_on_projective_line():
         assert difference_class_arrangement((1, e), None, 1).is_zero()
 
 
+def test_difference_is_mc_minus_log_class_on_every_route():
+    # the difference packs both numerators at one width and divides once;
+    # it must equal the two public classes subtracted
+    rng = random.Random(24)
+    cases = [(Arrangement(3, BRAID3), None), (Arrangement(3, BOOLEAN3), None),
+             (Arrangement(3, CONCURRENT3), None)]
+    cases += [(random_arrangement(rng, bound=5), None) for _ in range(20)]
+    cases += [(None, rng.randint(0, 19)) for _ in range(40)]
+    for arr, n in cases:
+        lat = None
+        if arr is not None:
+            lat = build_lattice(arr)
+            n = lat.ambient_dim - 1
+            if n < 0:
+                continue
+        exps = [1] + [rng.choice((1, rng.randint(1, 12), rng.randint(1, 10 ** 9)))
+                      for _ in range(n)]
+        rng.shuffle(exps)
+        chi = [1]
+        for e in exps:
+            chi = [a - e * b for a, b in zip(chi + [0], [0] + chi)]
+        split = IntPolynomial(chi[::-1])
+        routes = [(None, mc_free_exponents(exps, n)), (split, mc_complement_charpoly(split, n))]
+        if lat is not None:
+            chi = characteristic_polynomial(lat)
+            routes += [(chi, mc_complement_charpoly(chi, n)),
+                       (lat, mc_complement_lattice_sum(lat))]
+        log = log_class_free(exps, n)
+        for second, mc in routes:
+            diff = difference_class_arrangement(exps, second, n)
+            assert diff == mc - log
+            assert kpoly_to_json(diff) == kpoly_to_json(mc - log)
+
+
+def test_difference_error_precedence():
+    # missing exponents first, then the chi degree (before the exponents
+    # are validated), then an unknown second argument; a lattice on another
+    # P^n is refused after the exponents
+    lat = build_lattice(Arrangement(3, BRAID3))
+    bad_chi = IntPolynomial([1, 2])
+    for second in (None, lat, bad_chi, "chi"):
+        with pytest.raises(ValidationError, match="no exponent data"):
+            difference_class_arrangement(None, second, 2)
+    for exps in ((2, 3, 4), (1, 2), (1, 2, 3)):
+        with pytest.raises(ValidationError, match="has degree 1, expected 3"):
+            difference_class_arrangement(exps, bad_chi, 2)
+        with pytest.raises(ValidationError, match="second argument must be"):
+            difference_class_arrangement(exps, "chi", 2)
+    with pytest.raises(ValidationError, match="contain 1"):
+        difference_class_arrangement((2, 3, 4), lat, 2)
+    with pytest.raises(ValidationError, match="expected 4 exponents"):
+        difference_class_arrangement((1, 2, 3), lat, 3)
+    with pytest.raises(ValidationError, match="different projective spaces"):
+        difference_class_arrangement((1, 2, 3, 4), lat, 3)
+
+
 def test_validate_exponents():
     with pytest.raises(ValidationError, match="contain 1"):
         mc_free_exponents((2, 2, 2), 2)
