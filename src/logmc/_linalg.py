@@ -14,9 +14,7 @@ from math import gcd
 
 def _strip_content(row):
     """Divide out the gcd and make the first nonzero entry positive."""
-    g = 0
-    for v in row:
-        g = gcd(g, v)
+    g = gcd(*row)
     if g > 1:
         row = [v // g for v in row]
     for v in row:

@@ -266,13 +266,29 @@ def build_lattice(arr, max_nodes=None):
     every other key once against that row and merges keys that coincide.  A
     table lives only until the last flat it created has been visited.
 
-    Möbius values follow Weisner's theorem for geometric lattices: with a the
-    lowest hyperplane of a flat G, mu(G) is minus the sum of mu(F) over the
-    flats F covered by G that a does not contain.  G starts at 0 when it is
-    created, and each such F subtracts its value when visited; every F of a
-    rank is visited before any G of the next.  The lattice keeps the flats in
-    this closure order; they are sorted into node order (``_render``) only
-    when a node-order attribute is first read.
+    Möbius values follow Weisner's theorem for geometric lattices
+    (Orlik–Terao, ch. 2): with a = lowbit(G) the lowest form on a flat G,
+    mu(G) is minus the sum of mu(F) over the flats F covered by G with a not
+    on F.  Every F of a rank is visited before any G of the next, and adds
+    -mu(F) to each such G: the F that creates G sets mu(G) to it, any other
+    subtracts it.  For F covered by G, a is not on F exactly when
+    a < lowbit(F), since every form on F is on G.  So a visited flat F walks
+    only the groups of its table that hold a form of ``below``, the forms
+    below lowbit(F) (all forms for the ambient flat): the cover G of such a
+    group has lowbit(G) below lowbit(F), hence not on F, and the cover of
+    any other group has lowbit(G) = lowbit(F).  The pairs (F, G) walked are
+    exactly Weisner's.  A flat on form 0, the top flat among them, has
+    ``below`` empty and is skipped when visited: it derives no table, and
+    none is kept for it when it is created.
+
+    Every flat is still created.  Let G be a flat other than the ambient one
+    and a = lowbit(G).  Extend {a} to a basis of G's forms and drop a: the
+    rest spans a flat F covered by G with a not on F, so a < lowbit(F).
+    Then F walks the group holding a, whose cover is G, and F is not on
+    form 0, so it is visited with a table.
+
+    The lattice keeps the flats in this closure order; they are sorted into
+    node order (``_render``) only when a node-order attribute is first read.
 
     ``max_nodes`` optionally caps the number of flats; the closure stops with
     a validation error as soon as one more flat would exceed it.
@@ -283,17 +299,18 @@ def build_lattice(arr, max_nodes=None):
     flats = {0: ()}
     mobius = {0: 1}
     _check_node_cap(flats, max_nodes)
-    # flat -> (the residual table of the flat that created it, the flat's new
-    # row: a key of that table); it lives until the flat is visited
+    # flat off form 0 -> (the residual table of the flat that created it, the
+    # flat's new row: a key of that table); it lives until the flat is visited
     created = {}
     layer = [0]
     while layer:
         next_layer = []
         for mask in layer:
+            below = every & ((mask & -mask) - 1)
+            if not below:
+                continue  # on form 0: every cover has its lowest form on this flat
             rows = flats[mask]
             origin = created.pop(mask, None)
-            if mask == every:
-                continue  # no hyperplane outside: no cover
             if len(rows) == width - 1:
                 # the one cover of a line is the origin, on every hyperplane;
                 # each form outside reduces to the unit row of the free column
@@ -305,16 +322,19 @@ def build_lattice(arr, max_nodes=None):
                 table = _residual_groups(*origin)
             mu = mobius[mask]
             for residual, bits in table.items():
+                if not bits & below:
+                    continue
                 cover = mask | bits
                 if cover not in flats:
                     col = _first_nonzero(residual)
                     flats[cover] = tuple(eliminate(row, residual, col) if row[col] else row
                                          for row in rows) + (residual,)
-                    created[cover] = (table, residual)
-                    mobius[cover] = 0
+                    if not cover & 1:
+                        created[cover] = (table, residual)
+                    mobius[cover] = -mu
                     next_layer.append(cover)
                     _check_node_cap(flats, max_nodes)
-                if not mask & (cover & -cover):
+                else:
                     mobius[cover] -= mu
         layer = next_layer
 
@@ -329,12 +349,15 @@ def _residual_groups(table, row):
     it by one elimination step, and residuals that become equal merge.
     """
     col = _first_nonzero(row)
+    a = row[col]
     out = {}
     for residual, bits in table.items():
-        if residual[col]:
+        b = residual[col]
+        if b:
             if residual == row:
                 continue
-            residual = eliminate(residual, row, col)
+            # eliminate(residual, row, col), inline
+            residual = tuple(_strip_content([a * x - b * y for x, y in zip(residual, row)]))
         merged = out.get(residual)  # an unmerged group shares its creator's int
         out[residual] = bits if merged is None else merged | bits
     return out

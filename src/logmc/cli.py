@@ -285,7 +285,14 @@ def _cmd_logclass(inp):
 
 def _cmd_diff(inp):
     exps = inp.required_exponents()
-    value = _mc_value(inp) - kring.log_class_free(exps, inp.n)
+    route = inp.config.mc_route
+    if route == "all":
+        value = _mc_value(inp) - kring.log_class_free(exps, inp.n)
+    else:
+        # one route: both classes' rows are subtracted and divided by 1+y once
+        source = (inp.lattice if route == "lattice" else inp.chi if route == "charpoly"
+                  else None)
+        value = kring.difference_class_arrangement(exps, source, inp.n)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "exponents": list(exps),
                "difference": kring.kpoly_to_json(value, basis=inp.basis),
                "is_zero": value.is_zero()}
@@ -403,29 +410,40 @@ def _to_json(obj, newline="\n"):
     """The bytes of ``json.dumps(obj, indent=2)`` for a report (str-keyed
     dicts, lists, strs, ints, bools, None), without the pure-Python encoder
     that ``indent`` selects.  ``test_json_writer_matches_json_dumps`` in
-    ``tests/test_cli.py`` compares the two."""
-    if isinstance(obj, str):
+    ``tests/test_cli.py`` compares the two.
+
+    The exact type is tested first, as reports hold only those; a subclass
+    is written as ``json.dumps`` writes its base type."""
+    kind = type(obj)
+    if kind is str:
         return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
+    if kind is int:
         return int.__repr__(obj)
+    if kind is not list and kind is not tuple and kind is not dict:
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, str):
+            return _encode_str(obj)
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, (list, tuple)):
+            kind = list
+        elif isinstance(obj, dict):
+            kind = dict
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if kind is dict else "[]"
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_to_json(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if kind is dict:
         items = [_encode_str(key) + ": " + _to_json(value, inner) for key, value in obj.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    items = [_to_json(value, inner) for value in obj]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def run(config):

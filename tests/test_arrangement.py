@@ -6,8 +6,10 @@ import re
 import sys
 import time
 from contextlib import contextmanager, nullcontext
+from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -326,6 +328,170 @@ def test_pencil_line_tables_keep_two_groups():
         for form in arr.forms[:m]:
             assert len(_residual_groups(root, form)) == 2
         assert len(build_lattice(arr)) == 2 * m + 4
+
+
+# --- the Weisner-pruned closure, against Whitney's subset sums
+
+def whitney_flats(forms, width):
+    """``subset_flats`` with the families of subsets that cancel skipped.
+
+    The subsets S ∪ T, T ⊆ {i, ..., m-1}, with S fixed below i, sum to zero
+    on every flat when some form j >= i lies in the span of S: adding or
+    dropping j keeps the span and flips the sign.  So the sum visits only
+    the subsets with no later form in their span, few even for 16 forms.
+    Every flat keeps a subset, as a geometric lattice has no zero Möbius
+    value.
+    """
+    flats = {}
+
+    def visit(subset, start):
+        rows = [forms[k] for k in subset]
+        r = fraction_rank(rows, width)
+        closure = frozenset(j for j in range(len(forms))
+                            if j in subset or fraction_rank(rows + [forms[j]], width) == r)
+        if max(closure, default=-1) >= start:
+            return
+        dim, mu = flats.get(closure, (width - r, 0))
+        flats[closure] = (dim, mu + (-1) ** len(subset))
+        for j in range(start, len(forms)):
+            visit(subset + (j,), j + 1)
+
+    visit((), 0)
+    return flats
+
+
+def integer_rows(matrix):
+    """The rows of a Fraction RREF times the lcm of their denominators:
+    primitive integer rows, as each pivot is 1."""
+    rows = set()
+    for row in matrix:
+        den = 1
+        for v in row:
+            den = lcm(den, v.denominator)
+        rows.add(tuple(int(v * den) for v in row))
+    return frozenset(rows)
+
+
+def oracle_closure(arr, oracle=subset_flats):
+    """{hyperplane set: (integer rows as a set, Möbius value)} for ``arr``."""
+    width, forms = arr.ambient_dim, list(arr.forms)
+    return {hyperplanes: (integer_rows(fraction_rref([forms[k] for k in sorted(hyperplanes)],
+                                                     width)), mu)
+            for hyperplanes, (_, mu) in oracle(forms, width).items()}
+
+
+def closure_view(lat):
+    """The lattice as built: {mask: (rows as a set, Möbius value)}."""
+    return {mask: (frozenset(rows), lat._mu[mask]) for mask, rows in lat._flats.items()}
+
+
+def relabelled(expected, order):
+    """``expected`` with the forms taken in ``order``: bit i for form order[i]."""
+    position = {k: i for i, k in enumerate(order)}
+    return {sum(1 << position[k] for k in hyperplanes): value
+            for hyperplanes, value in expected.items()}
+
+
+def type_b4_forms():
+    units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    return units + [tuple(int(c == i) + sign * int(c == j) for c in range(4))
+                    for i, j in combinations(range(4), 2) for sign in (1, -1)]
+
+
+def braid6_forms():
+    # x_i = x_j for points i < j, and x_5 = 0: the essentialised braid arrangement
+    return [tuple(int(c == i) - int(c == j) for c in range(5))
+            for i, j in combinations(range(6), 2)]
+
+
+def small_closure_cases():
+    """Corpus files and seeded random arrangements, each with at most 6 forms."""
+    rng = random.Random(6174)
+    arrs = [load_arrangement(path) for path in sorted(CORPUS.glob("*.arr"))]
+    arrs += [random_arrangement(rng, max_forms=6, max_dim=4) for _ in range(12)]
+    assert all(arr.num_hyperplanes <= 6 for arr in arrs)
+    return [(arr, oracle_closure(arr)) for arr in arrs]
+
+
+def test_closure_matches_subset_oracle_under_every_order():
+    # which form is lowest decides the covers each flat walks and the flat
+    # that creates each cover; the flats, rows and Möbius values must not move
+    for arr, expected in small_closure_cases():
+        for order in permutations(range(arr.num_hyperplanes)):
+            shuffled = Arrangement(arr.ambient_dim, [arr.forms[k] for k in order])
+            assert closure_view(build_lattice(shuffled)) == relabelled(expected, order)
+
+
+def test_whitney_oracle_matches_the_full_subset_sum():
+    rng = random.Random(1729)
+    for arr in [random_arrangement(rng, max_forms=7, max_dim=4) for _ in range(30)]:
+        forms, width = list(arr.forms), arr.ambient_dim
+        assert whitney_flats(forms, width) == subset_flats(forms, width)
+
+
+@lru_cache(maxsize=None)
+def reflection_case(name):
+    """The benchmark's B4 or braid6 arrangement, with its oracle closure."""
+    forms = {"B4": type_b4_forms, "braid6": braid6_forms}[name]()
+    arr = Arrangement(len(forms[0]), forms)
+    return arr, oracle_closure(arr, whitney_flats)
+
+
+@pytest.mark.parametrize("name,flats", [("B4", 116), ("braid6", 203)])
+def test_closure_matches_subset_oracle_on_shuffled_reflection_arrangements(name, flats):
+    arr, expected = reflection_case(name)
+    assert len(expected) == flats  # a Dowling number and a Bell number
+    rng = random.Random(f"shuffle {name}")
+    for _ in range(20):
+        order = list(range(arr.num_hyperplanes))
+        rng.shuffle(order)
+        shuffled = Arrangement(arr.ambient_dim, [arr.forms[k] for k in order])
+        assert closure_view(build_lattice(shuffled)) == relabelled(expected, order)
+
+
+def test_flats_on_form_zero_derive_no_residual_table(monkeypatch):
+    # a flat on form 0 has no form below its lowest one, so no cover to walk:
+    # every table is derived for a flat off form 0, and for each such flat
+    # except the ambient one and the lines (whose one cover is the origin)
+    derived = []
+    groups = arrangement._residual_groups
+
+    def recording(table, row):
+        derived.append(sys._getframe(1).f_locals["mask"])  # the flat being visited
+        return groups(table, row)
+
+    monkeypatch.setattr(arrangement, "_residual_groups", recording)
+    cases = small_closure_cases() + [reflection_case(name) for name in ("B4", "braid6")]
+    for arr, expected in cases:
+        derived.clear()
+        lat = build_lattice(arr)
+        assert closure_view(lat) == relabelled(expected, range(arr.num_hyperplanes))
+        assert not any(mask & 1 for mask in derived)
+        assert sorted(derived) == sorted(
+            mask for mask, rows in lat._flats.items()
+            if mask and not mask & 1 and len(rows) < arr.ambient_dim - 1)
+
+
+def test_flats_on_form_zero_keep_no_creator_table(monkeypatch):
+    # the cap check runs as each flat is created, after its creator's table
+    # is stored: a flat off form 0 keeps it until visited, one on form 0 never
+    stored = []
+    check = arrangement._check_node_cap
+
+    def inspecting(flats, max_nodes):
+        created = sys._getframe(1).f_locals.get("created", {})
+        newest = next(reversed(flats))
+        stored.append((newest, newest in created))
+        assert not any(mask & 1 for mask in created)
+        return check(flats, max_nodes)
+
+    monkeypatch.setattr(arrangement, "_check_node_cap", inspecting)
+    for arr, expected in small_closure_cases():
+        stored.clear()
+        lat = build_lattice(arr)
+        assert closure_view(lat) == relabelled(expected, range(arr.num_hyperplanes))
+        assert [mask for mask, _ in stored] == list(lat._flats)
+        assert stored == [(mask, mask != 0 and not mask & 1) for mask, _ in stored]
 
 
 def test_lattice_rows_are_reduced_forms_of_their_hyperplanes():

@@ -1,9 +1,11 @@
 """Command-line tests: golden JSON comparison, exit codes, round trips."""
 
+import enum
 import json
 import os
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from logmc import hirzebruch as hzmod
 from logmc import (Arrangement, KPoly, ValidationError, build_lattice,
                    characteristic_polynomial, cohclass_from_json, csm_at_minus_one,
                    kpoly_from_json, log_class_free, mc_complement_lattice_sum)
-from logmc.arrangement import MAX_AMBIENT_DIM
+from logmc.arrangement import MAX_AMBIENT_DIM, load_arrangement
 from logmc.cli import RunConfig, config_from_args, main, run
 from test_arrangement import eager_node_order
 
@@ -249,6 +251,62 @@ def test_node_cap_refusal_precedes_exponent_errors():
     assert code == 1 and "node cap" in json.loads(report)["error"]
 
 
+
+def test_diff_on_one_route_divides_by_one_plus_y_once(monkeypatch):
+    # one requested route subtracts the packed rows of both classes and
+    # divides once; the report is the one --route all gives by subtracting
+    # the two divided classes, in both formats and both bases
+    divisions = []
+    divide = kring._over_one_plus_y
+
+    def counting(*args):
+        divisions.append(args)
+        return divide(*args)
+
+    monkeypatch.setattr(kring, "_over_one_plus_y", counting)
+    for stem in ("braid", "boolean3", "concurrent3"):
+        for fmt in ("json", "text"):
+            for basis in ("s", "one_minus_s"):
+                expected = run(RunConfig("diff", corpus_path(stem), fmt, "all", basis=basis))
+                for route in ("lattice", "charpoly", "exponents"):
+                    divisions.clear()
+                    code, report = run(RunConfig("diff", corpus_path(stem), fmt, route,
+                                                 basis=basis))
+                    assert len(divisions) == 1, (stem, route)
+                    if fmt == "json":
+                        report = report.replace(f'"mc_route": "{route}"', '"mc_route": "all"')
+                    assert (code, report) == expected, (stem, route, fmt)
+    # an override that is not the arrangement's: the routes differ, and each
+    # is its own mc minus the log class
+    for stem, exps in (("generic4", (1, 1, 2)), ("braid", (1, 1, 4))):
+        arr = load_arrangement(corpus_path(stem))
+        lat = build_lattice(arr)
+        n = arr.ambient_dim - 1
+        mc = {"lattice": kring.mc_complement_lattice_sum(lat),
+              "charpoly": kring.mc_complement_charpoly(characteristic_polynomial(lat), n),
+              "exponents": kring.mc_free_exponents(exps, n)}
+        for route, value in mc.items():
+            value = value - kring.log_class_free(exps, n)
+            code, report = run_json("diff", stem, mc_route=route, exponents_override=exps)
+            assert code == 0 and json.loads(report) == {
+                "n": n, "mc_route": route, "exponents": sorted(exps),
+                "difference": kring.kpoly_to_json(value), "is_zero": value.is_zero()}
+
+def test_diff_on_one_route_keeps_the_error_order():
+    # the node cap first, then the exponent checks
+    for route in ("lattice", "charpoly"):
+        code, report = run_json("diff", "braid", mc_route=route, max_lattice_nodes=3,
+                                exponents_override=(2, 3, 3))
+        assert code == 1 and "node cap" in json.loads(report)["error"], route
+    for route in ("lattice", "charpoly", "exponents"):
+        for exps, message in (((2, 3, 3), "must contain 1"),
+                              ((1, 2), "expected 3 exponents"),
+                              ((1, 2, -3), "must be positive")):
+            code, report = run_json("diff", "braid", mc_route=route, exponents_override=exps)
+            assert code == 1 and message in json.loads(report)["error"], (route, exps)
+        code, report = run_json("diff", "generic4", mc_route=route)
+        assert code == 1 and "no exponent data" in json.loads(report)["error"]
+
 def test_default_lattice_cap(monkeypatch):
     monkeypatch.delenv("LOGMC_MAX_LATTICE", raising=False)
     config = config_from_args(["lattice", corpus_path("braid")])
@@ -406,11 +464,44 @@ def test_json_writer_matches_json_dumps_on_errors(monkeypatch):
     assert text == f"inconsistency: {body['error']}\n{json.dumps(body['details'], indent=2)}"
 
 
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+    __str__ = __repr__
+
+
+class Label(str):
+    def __str__(self):
+        return "label"
+
+
+class Rows(list):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+class Report(dict):
+    pass
+
+
+class Flag(enum.IntEnum):
+    ON = 1
+
+
+# reports hold the exact types; subclasses (bool has none) must still be
+# written as json.dumps writes their base types
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
-    | st.text() | st.text(alphabet=st.characters(max_codepoint=0x1f)),
+    | st.text() | st.text(alphabet=st.characters(max_codepoint=0x1f))
+    | st.integers().map(Count) | st.text(max_size=4).map(Label) | st.sampled_from(Flag),
     lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    | st.lists(children, max_size=3).map(Rows) | st.lists(children, max_size=3).map(Pair)
+    | st.dictionaries(st.text(max_size=6).map(Label), children, max_size=3).map(Report),
     max_leaves=30)
 
 
@@ -418,6 +509,15 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
     assert cli._to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1.5}, [Fraction(1, 2)], {"key": object()}, b"bytes"])
+def test_json_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._to_json(value)
+    assert str(got.value) == str(expected.value)
 
 
 def test_commands_run_no_staged_pipeline_or_kpoly_product(monkeypatch):

@@ -13,7 +13,7 @@ remainder.
 import random
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,7 @@ from logmc import (CohClass, CohPoly, DivisionRemainderError, IntPolynomial,
                    exact_div_one_plus_y, grr_transform, kpoly_to_json,
                    log_class_free, mc_complement_charpoly, mc_free_exponents,
                    normalize, omega_log_trivial)
+from logmc._linalg import _strip_content
 from logmc._poly import deflate, shift_minus_one, unpack
 from logmc.arrangement import MAX_AMBIENT_DIM
 from logmc.kring import _binomial_row, _product_over_one_plus_y, _swap_s_basis
@@ -575,3 +576,37 @@ def test_packed_deflate_matches_column_deflate():
             list(t) for t in zip(*(q for q, _ in columns))]
         exact += remainder == 0
     assert 40 < exact < 100
+
+
+def strip_content_by_loop(row):
+    """``_strip_content`` as it was: the content by a gcd loop over the entries."""
+    g = 0
+    for v in row:
+        g = gcd(g, v)
+    if g > 1:
+        row = [v // g for v in row]
+    for v in row:
+        if v:
+            if v < 0:
+                row = [-u for u in row]
+            break
+    return row
+
+
+entries = st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30) | st.just(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entries, min_size=1, max_size=7) | st.lists(st.just(0), min_size=1, max_size=4)
+       | st.lists(entries, min_size=1, max_size=7).map(lambda row: [6 * v for v in row]))
+def test_strip_content_matches_the_gcd_loop(row):
+    expected = strip_content_by_loop(list(row))
+    assert list(_strip_content(list(row))) == expected
+    assert list(_strip_content(tuple(row))) == expected
+
+
+@pytest.mark.parametrize("row,expected", [([0], [0]), ([0, 0, 0], [0, 0, 0]), ([-7], [1]),
+                                          ([5], [1]), ([0, -4, 6], [0, 2, -3]),
+                                          ([0, 0, -1], [0, 0, 1])])
+def test_strip_content_edges(row, expected):
+    assert list(_strip_content(row)) == expected == strip_content_by_loop(row)
