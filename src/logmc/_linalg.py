@@ -6,8 +6,6 @@ happens until the final normalisation of a reduced row echelon form to
 Fraction entries.  Row spaces, ranks and membership tests are exact.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd
 

@@ -19,8 +19,6 @@ Horner pass and ``unpack`` reads the balanced digits of a packed
 polynomial.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from operator import add, neg, sub
 

@@ -18,7 +18,7 @@ integer exponents.
 All arithmetic is exact; no floating point is used anywhere.
 """
 
-from __future__ import annotations
+from collections import namedtuple
 
 from ._linalg import (IntEchelon, _first_nonzero, _strip_content, eliminate, int_row,
                       quotient_rows, rref)
@@ -435,7 +435,8 @@ def characteristic_polynomial(lat):
     return IntPolynomial(coeffs)
 
 
-class TeraoResult:
+class TeraoResult(namedtuple("TeraoResult", "splits exponents remaining",
+                             defaults=(None, None))):
     """Outcome of the integer-root factorisation of a characteristic polynomial.
 
     ``splits`` with the sorted root multiset on success; otherwise carries
@@ -443,17 +444,7 @@ class TeraoResult:
     does not certify freeness.
     """
 
-    __slots__ = ("splits", "exponents", "remaining")
-
-    def __init__(self, splits, exponents=None, remaining=None):
-        self.splits = splits
-        self.exponents = exponents
-        self.remaining = remaining
-
-    def __eq__(self, other):
-        return (isinstance(other, TeraoResult)
-                and (self.splits, self.exponents, self.remaining)
-                == (other.splits, other.exponents, other.remaining))
+    __slots__ = ()
 
     def __repr__(self):
         if self.splits:

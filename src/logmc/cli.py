@@ -29,13 +29,11 @@ non-split polynomial does certify that it is not free with integer
 exponents.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import arrangement as arrmod
@@ -54,15 +52,10 @@ TERAO_NOTE = ("candidate exponents only: a split characteristic polynomial does 
 DEFAULT_MAX_LATTICE = 25000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str
-    output_format: str = "text"
-    mc_route: str = "all"
-    exponents_override: tuple = None
-    basis: str = None
-    max_lattice_nodes: int = DEFAULT_MAX_LATTICE
+RunConfig = namedtuple(
+    "RunConfig",
+    "command input_path output_format mc_route exponents_override basis max_lattice_nodes",
+    defaults=("text", "all", None, None, DEFAULT_MAX_LATTICE))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -220,9 +213,9 @@ def _mc_value(inp):
 # Each handler is a generator that yields its JSON report first and its text
 # lines after it, formatted from the report's values.  Every check (route
 # agreement, the Euler cross-check, required exponents, curve validation)
-# comes before the first yield, and nothing after it may raise: ``run`` reads
-# the report inside its error handling and resumes the generator only for
-# text, so a JSON run formats no text.
+# comes before the first yield, and nothing after it may raise but writing an
+# integer too long for text, which ``run`` refuses wherever it happens.
+# ``run`` resumes the generator only for text, so a JSON run formats no text.
 
 def _cmd_lattice(inp):
     lat = inp.lattice
@@ -287,12 +280,11 @@ def _cmd_diff(inp):
     exps = inp.required_exponents()
     route = inp.config.mc_route
     if route == "all":
-        value = _mc_value(inp) - kring.log_class_free(exps, inp.n)
-    else:
-        # one route: both classes' rows are subtracted and divided by 1+y once
-        source = (inp.lattice if route == "lattice" else inp.chi if route == "charpoly"
-                  else None)
-        value = kring.difference_class_arrangement(exps, source, inp.n)
+        _mc_routes(inp)  # the cross-check; the difference takes chi's route
+    # both classes' packed rows are subtracted and divided by 1+y once; the
+    # lattice route's chi is the lattice's own
+    source = None if route == "exponents" else inp.chi
+    value = kring.difference_class_arrangement(exps, source, inp.n)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "exponents": list(exps),
                "difference": kring.kpoly_to_json(value, basis=inp.basis),
                "is_zero": value.is_zero()}
@@ -447,14 +439,23 @@ def _to_json(obj, newline="\n"):
 
 
 def run(config):
-    """Execute a configured command; returns (exit_code, report)."""
+    """Execute a configured command; returns (exit_code, report).
+
+    A report holding an integer too long for CPython to write as text is
+    refused as invalid input; any other ``ValueError`` propagates.
+    """
     try:
         report = _dispatch(config)
         payload = next(report)
-    except ValidationError as e:
         if config.output_format == "json":
-            return 1, _to_json({"error": str(e), "kind": "validation"})
-        return 1, f"error: {e}"
+            return 0, _to_json(payload)
+        return 0, "\n".join(report)
+    except ValueError as e:
+        if "integer string conversion" not in str(e):
+            raise
+        error = f"report too large: an integer has more than {sys.get_int_max_str_digits()} digits"
+    except ValidationError as e:
+        error = str(e)
     except InconsistencyError as e:
         body = {"error": str(e), "kind": "inconsistency"}
         if e.details is not None:
@@ -463,8 +464,8 @@ def run(config):
             return 2, _to_json(body)
         return 2, f"inconsistency: {e}\n{_to_json(body.get('details'))}"
     if config.output_format == "json":
-        return 0, _to_json(payload)
-    return 0, "\n".join(report)
+        return 1, _to_json({"error": error, "kind": "validation"})
+    return 1, f"error: {error}"
 
 
 def main(argv=None):

@@ -32,9 +32,7 @@ derivative on the colength engine's echelon step.  Coefficients stay ints
 from the parser to the echelon wherever they are integral.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from ._linalg import int_row
@@ -454,39 +452,39 @@ def _binary_form_squarefree(f, k):
     return len(pivots) == len(rows)
 
 
-@dataclass(frozen=True)
-class CurveSingularity:
-    """Invariant tuple (mu, tau, r, delta) of an isolated plane-curve germ."""
+class CurveSingularity(namedtuple("CurveSingularity", "mu tau r delta")):
+    """Invariant tuple (mu, tau, r, delta) of an isolated plane-curve germ.
 
-    mu: int
-    tau: int
-    r: int
-    delta: int
+    Construction validates, and so does ``_replace``, through ``_make``.
+    """
 
-    def __post_init__(self):
-        for name in ("mu", "tau", "r", "delta"):
-            _require_int(name, getattr(self, name))
-        if self.mu < 0 or self.tau < 0 or self.delta < 0:
+    __slots__ = ()
+
+    def __new__(cls, mu, tau, r, delta):
+        self = tuple.__new__(cls, (mu, tau, r, delta))
+        for name, value in zip(self._fields, self):
+            _require_int(name, value)
+        if mu < 0 or tau < 0 or delta < 0:
             raise ValidationError("mu, tau and delta must be nonnegative")
-        if self.r < 1:
+        if r < 1:
             raise ValidationError("branch count r must be positive")
-        if self.delta < self.r - 1:
+        if delta < r - 1:
+            raise ValidationError(f"delta = {delta} is below r - 1 = {r - 1}")
+        if tau > mu:
+            raise ValidationError(f"tau = {tau} exceeds mu = {mu}")
+        if mu != 2 * delta - r + 1:
             raise ValidationError(
-                f"delta = {self.delta} is below r - 1 = {self.r - 1}")
-        if self.tau > self.mu:
-            raise ValidationError(
-                f"tau = {self.tau} exceeds mu = {self.mu}")
-        if self.mu != 2 * self.delta - self.r + 1:
-            raise ValidationError(
-                f"Milnor's formula fails: mu = {self.mu} but "
-                f"2*delta - r + 1 = {2 * self.delta - self.r + 1}")
+                f"Milnor's formula fails: mu = {mu} but "
+                f"2*delta - r + 1 = {2 * delta - r + 1}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class CurveDifferenceClass:
+class CurveDifferenceClass(namedtuple("CurveDifferenceClass", "pairs")):
     """Per-singularity weights (a, b) of the class a [O_x] + b [O_x] y."""
 
-    pairs: tuple
+    __slots__ = ()
 
     @property
     def total(self):

@@ -39,8 +39,6 @@ whose balanced base-2^w digits are those Taylor coefficients.  The check
 and error are those of step 3, and one Fraction is formed per column.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm

@@ -45,8 +45,6 @@ homogenised form; the nilpotent 1-s is never inverted.
 All values are immutable and all functions are pure.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb
 from operator import sub

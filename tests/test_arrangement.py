@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from logmc import (Arrangement, IntPolynomial, Subspace, ValidationError,
+from logmc import (Arrangement, IntPolynomial, Subspace, TeraoResult, ValidationError,
                    build_lattice, characteristic_polynomial, exponents_via_terao,
                    parse_arrangement)
 from logmc import arrangement
@@ -636,6 +636,16 @@ def test_terao_boolean():
 def test_terao_braid():
     result = exponents_via_terao(IntPolynomial([-6, 11, -6, 1]))
     assert result.splits and result.exponents == (1, 2, 3)
+
+
+def test_terao_result_is_an_immutable_tuple_with_its_own_repr():
+    result = exponents_via_terao(IntPolynomial([-6, 11, -6, 1]))
+    assert result == (True, (1, 2, 3), None) == TeraoResult(True, exponents=(1, 2, 3))
+    assert repr(result) == "TeraoResult(splits=True, exponents=[1, 2, 3])"
+    result = exponents_via_terao(IntPolynomial([-3, 6, -4, 1]))
+    assert repr(result) == "TeraoResult(splits=False, remaining=IntPolynomial([3, -3, 1]))"
+    with pytest.raises(AttributeError):
+        result.splits = True
 
 
 def test_terao_generic4_does_not_split():

@@ -226,6 +226,35 @@ def test_ambient_dimension_above_the_limit_refused(tmp_path):
             f"{MAX_AMBIENT_DIM}")
 
 
+def test_a_report_too_long_to_write_is_refused(tmp_path, monkeypatch):
+    # CPython writes no int of more than 4300 digits as text: the log class
+    # of exponent 10^2200 - 1, and the lattice's quotient matrices of
+    # 3000-digit forms, are refused whether the int is written before the
+    # report (a lattice matrix) or in it (JSON or text)
+    nines = "9" * 2200
+    path = tmp_path / "wide.arr"
+    big = 10 ** 3000
+    path.write_text(f"3\n{big} 1 0\n0 {big} 1\n1 1 {big}\n1 0 0\n")
+    error = "report too large: an integer has more than 4300 digits"
+    for fmt in ("json", "text"):
+        for argv in (["logclass", corpus_path("boolean3"), "--exponents", f"1,1,{nines}"],
+                     ["lattice", str(path)]):
+            code, report = run(config_from_args(argv + ["--format", fmt]))
+            assert code == 1, argv
+            if fmt == "json":
+                assert json.loads(report) == {"error": error, "kind": "validation"}
+            else:
+                assert report == f"error: {error}"
+        # the exponent product's class stays under the limit
+        argv = ["mc", corpus_path("boolean3"), "--route", "exponents",
+                "--exponents", f"1,1,{nines}", "--format", fmt]
+        assert run(config_from_args(argv))[0] == 0
+    # any other ValueError is not the input's fault
+    monkeypatch.setattr(kring, "log_class_free", lambda *args: int("x"))
+    with pytest.raises(ValueError, match="invalid literal"):
+        run(RunConfig("logclass", corpus_path("boolean3")))
+
+
 def test_lattice_cap_env(monkeypatch):
     monkeypatch.setenv("LOGMC_MAX_LATTICE", "3")
     config = config_from_args(["lattice", corpus_path("braid"), "--format", "json"])
@@ -254,8 +283,8 @@ def test_node_cap_refusal_precedes_exponent_errors():
 
 def test_diff_on_one_route_divides_by_one_plus_y_once(monkeypatch):
     # one requested route subtracts the packed rows of both classes and
-    # divides once; the report is the one --route all gives by subtracting
-    # the two divided classes, in both formats and both bases
+    # divides once; the report is the one --route all gives, in both formats
+    # and both bases
     divisions = []
     divide = kring._over_one_plus_y
 
@@ -294,11 +323,11 @@ def test_diff_on_one_route_divides_by_one_plus_y_once(monkeypatch):
 
 def test_diff_on_one_route_keeps_the_error_order():
     # the node cap first, then the exponent checks
-    for route in ("lattice", "charpoly"):
+    for route in ("lattice", "charpoly", "all"):
         code, report = run_json("diff", "braid", mc_route=route, max_lattice_nodes=3,
                                 exponents_override=(2, 3, 3))
         assert code == 1 and "node cap" in json.loads(report)["error"], route
-    for route in ("lattice", "charpoly", "exponents"):
+    for route in ("lattice", "charpoly", "exponents", "all"):
         for exps, message in (((2, 3, 3), "must contain 1"),
                               ((1, 2), "expected 3 exponents"),
                               ((1, 2, -3), "must be positive")):
@@ -307,11 +336,44 @@ def test_diff_on_one_route_keeps_the_error_order():
         code, report = run_json("diff", "generic4", mc_route=route)
         assert code == 1 and "no exponent data" in json.loads(report)["error"]
 
+def test_diff_calls_log_class_free_on_no_route(monkeypatch):
+    # --route all too subtracts packed rows: its routes are cross-checked,
+    # and the difference is still the mc class minus the log class
+    expected = {}
+    for stem in ("braid", "boolean3", "concurrent3"):
+        arr = load_arrangement(corpus_path(stem))
+        lat = build_lattice(arr)
+        n = arr.ambient_dim - 1
+        exps = arrangement.exponents_via_terao(characteristic_polynomial(lat)).exponents
+        value = kring.mc_complement_lattice_sum(lat) - kring.log_class_free(exps, n)
+        expected[stem] = kring.kpoly_to_json(value)
+    calls = []
+    monkeypatch.setattr(kring, "log_class_free", lambda *args: calls.append(args))
+    for stem, difference in expected.items():
+        for route in ("lattice", "charpoly", "exponents", "all"):
+            code, report = run_json("diff", stem, mc_route=route)
+            assert code == 0 and json.loads(report)["difference"] == difference, (stem, route)
+    assert calls == []
+
+
 def test_default_lattice_cap(monkeypatch):
     monkeypatch.delenv("LOGMC_MAX_LATTICE", raising=False)
     config = config_from_args(["lattice", corpus_path("braid")])
     assert config.max_lattice_nodes == 25000
     assert RunConfig("lattice", "x").max_lattice_nodes == 25000
+
+
+def test_run_config_fields_and_defaults():
+    config = RunConfig("mc", "x", exponents_override=(1, 2))
+    assert config == RunConfig(command="mc", input_path="x", output_format="text",
+                               mc_route="all", exponents_override=(1, 2), basis=None,
+                               max_lattice_nodes=25000)
+    assert config == ("mc", "x", "text", "all", (1, 2), None, 25000)
+    assert repr(RunConfig("mc", "x")) == (
+        "RunConfig(command='mc', input_path='x', output_format='text', mc_route='all', "
+        "exponents_override=None, basis=None, max_lattice_nodes=25000)")
+    with pytest.raises(AttributeError):
+        config.command = "diff"
 
 
 def test_exponent_override_never_builds_lattice(monkeypatch):

@@ -256,6 +256,26 @@ def test_singularity_type_invariants():
         CurveSingularity(mu=1, tau=1, r=0, delta=1)
 
 
+def test_singularity_records_are_immutable_tuples():
+    s = CurveSingularity(2, 2, 1, 1)
+    assert s == (2, 2, 1, 1) and hash(s) == hash((2, 2, 1, 1))
+    assert repr(s) == "CurveSingularity(mu=2, tau=2, r=1, delta=1)"
+    assert s._replace(tau=1) == CurveSingularity(mu=2, tau=1, r=1, delta=1)
+    # _replace validates as the constructor does
+    with pytest.raises(ValidationError, match="tau = 3 exceeds mu = 2"):
+        s._replace(tau=3)
+    with pytest.raises(ValidationError, match="'r' must be an integer"):
+        s._replace(r=1.0)
+    dc = difference_class_curve([s, CurveSingularity(1, 1, 2, 1)])
+    assert dc == (((-1, -1), (0, 0)),) and dc.total == (-1, -1) and not dc.is_zero()
+    assert repr(dc) == "CurveDifferenceClass(pairs=((-1, -1), (0, 0)))"
+    for record, field in ((s, "mu"), (dc, "pairs")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+
 def test_inexact_curve_inputs_refused():
     # 0.1 is stored as 3602879701896397/36028797018963968 if accepted
     with pytest.raises(ValidationError, match="floats are not accepted"):
