@@ -35,6 +35,7 @@ import os
 import sys
 from collections import namedtuple
 from functools import cached_property
+from math import comb
 
 from . import arrangement as arrmod
 from . import curves as curvemod
@@ -268,8 +269,31 @@ def _cmd_mc(inp):
         yield from _kpoly_lines(value)
 
 
+def _refuse_unwritable_log_class(exps, n):
+    """Refuse, before computing it, a log class whose report CPython cannot write.
+
+    C(sum e, n) is the s^n coefficient of the class's y^0 row and, up to
+    sign, its (1-s)^n one, so the report holds it in either basis.  The
+    exponents meet ``log_class_free``'s checks first, so its refusals come
+    first; q^n <= C(sum e, n) for q = (sum e - n + 1) // n decides most
+    cases by bit length before the exact binomial.
+    """
+    total = sum(kring._validate_exponents(exps, n))
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit:
+        least = 10 ** limit  # the least integer of limit + 1 digits
+        q = (total - n + 1) // n
+        if n * (q.bit_length() - 1) >= least.bit_length() or comb(total, n) >= least:
+            raise ValidationError(_too_large())
+
+
+def _too_large():
+    return f"report too large: an integer has more than {sys.get_int_max_str_digits()} digits"
+
+
 def _cmd_logclass(inp):
     exps = inp.required_exponents()
+    _refuse_unwritable_log_class(exps, inp.n)
     value = kring.kpoly_to_json(kring.log_class_free(exps, inp.n), basis=inp.basis)
     yield {"n": inp.n, "exponents": list(exps), "log_class": value}
     yield f"exponents {_exponents_str(exps)}"
@@ -453,7 +477,7 @@ def run(config):
     except ValueError as e:
         if "integer string conversion" not in str(e):
             raise
-        error = f"report too large: an integer has more than {sys.get_int_max_str_digits()} digits"
+        error = _too_large()
     except ValidationError as e:
         error = str(e)
     except InconsistencyError as e:

@@ -14,14 +14,7 @@ The module computes mu and tau as colengths of the ideals J = (f_x, f_y)
 and J + (f) in the local ring at the origin, by exact linear algebra on
 monomials below a truncation bound B, in one integer echelon for both
 ideals and every B (Greuel-Pfister, *A Singular Introduction to Commutative
-Algebra*, 1.7).  The rows of f_x and f_y grow B until the monomial
-staircase of J closes strictly inside the truncation window; Nakayama's
-lemma makes that stopping rule exact, and mu is read there.  J + (f)
-contains J, so its staircase is closed at the same B: the rows of f below
-that bound join the echelon once, and tau is read at the same B.  An
-isolated germ has mu <= (deg f - 1)^2 by Bezout, so a truncated dimension
-above that bound certifies a non-isolated singularity at once, and one of
-the two exits is reached by B = (deg f - 1)^2 + 1.
+Algebra*, 1.7); ``local_invariants`` states when each number is read.
 
 Branch counts are computed only where elementary arguments are rigorous:
 two-term equations x^a + c y^b (gcd(a, b) branches) and squarefree
@@ -69,7 +62,7 @@ class LocalPolynomial:
 
     @classmethod
     def from_string(cls, text):
-        return _parse_polynomial(text)
+        return cls(_Parser(_tokenize(text)).parse())
 
     @classmethod
     def zero(cls):
@@ -81,11 +74,9 @@ class LocalPolynomial:
 
     @classmethod
     def variable(cls, name):
-        if name == "x":
-            return cls({(1, 0): 1})
-        if name == "y":
-            return cls({(0, 1): 1})
-        raise ValidationError(f"unknown variable {name!r}")
+        if name not in ("x", "y"):
+            raise ValidationError(f"unknown variable {name!r}")
+        return cls({(1, 0) if name == "x" else (0, 1): 1})
 
     def is_zero(self):
         return not self.terms
@@ -94,7 +85,7 @@ class LocalPolynomial:
         return self.terms.get((0, 0), 0)
 
     def total_degree(self):
-        return max((i + j for i, j in self.terms), default=0)
+        return _degree(self.terms)
 
     def order(self):
         """Minimal total degree of a term (valuation at the origin)."""
@@ -131,22 +122,14 @@ class LocalPolynomial:
             if type(other) is not int:
                 other = exact_scalar(other, rational=True)
             return LocalPolynomial({k: c * other for k, c in self.terms.items()})
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return LocalPolynomial(out)
+        return LocalPolynomial(_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if _require_int("power", k) < 0:
             raise ValidationError("negative powers are not polynomials")
-        result = LocalPolynomial.constant(1)
-        for _ in range(k):
-            result = result * self
-        return result
+        return LocalPolynomial(_power(self.terms, k))
 
     def substitute_linear(self, a, b, c, d):
         """Linear coordinate change x -> a x + b y, y -> c x + d y."""
@@ -169,13 +152,12 @@ class LocalPolynomial:
         return f"LocalPolynomial({self})"
 
 
-# Largest total degree the parser forms.  A single product at the limit,
-# such as (1+x+y)^16 * (1+x+y)^16, takes about 0.01 s to expand.  At the
-# limit the colength engine finishes x^32 - y^31 (mu = 930) in about 0.003 s
-# and (x+2*y)^32 - y^31 + x*y^30 in about 0.13 s; a non-isolated germ whose
-# truncated dimension grows by one per bound, such as y^2 + x^29*y^2, takes
-# about 2 s to pass the Bezout bound (best of three, Python 3.11, one core
-# of a shared two-vCPU Xeon VM).
+# Largest total degree the parser forms.  At the limit, parsing
+# (1+x+y)^16 * (1+x+y)^16 takes about 0.006 s; the colength engine finishes
+# x^32 - y^31 (mu = 930) in 0.001 s and (x+2*y)^32 - y^31 + x*y^30 in 0.11 s,
+# and refuses y^2 + x^29*y^2, whose truncated dimension grows by one per
+# bound, in 1.3 s (best of three, Python 3.11, one core of a shared
+# two-vCPU Xeon VM).
 MAX_PARSE_DEGREE = 32
 
 # Deepest parenthesis nesting parsed: four frames a level (expr, term, factor,
@@ -209,8 +191,33 @@ def _tokenize(text):
     return tokens
 
 
+def _degree(terms):
+    return max((i + j for i, j in terms), default=0)
+
+
+def _product(a, b):
+    """Product of two term dicts {(i, j): c}, without zero terms."""
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _power(terms, k):
+    if len(terms) == 1:  # a monomial in one step
+        ((i, j), c), = terms.items()
+        return {(i * k, j * k): c ** k}
+    result = {(0, 0): 1}
+    for _ in range(k):
+        result = _product(result, terms)
+    return result
+
+
 class _Parser:
-    """Recursive descent over: integers, x, y, + - * ^ and parentheses."""
+    """Recursive descent over: integers, x, y, + - * ^ and parentheses,
+    into term dicts {(i, j): int} without zero terms."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -226,36 +233,35 @@ class _Parser:
         return tok
 
     def parse(self):
+        if not self.tokens:
+            raise ValidationError("empty polynomial")
         value = self.expr()
         if self.pos != len(self.tokens):
             raise ValidationError(f"trailing input after polynomial (token {self.pos})")
         return value
 
     def expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take()[0] == "-":
-                sign = -sign
-        value = self.term() * sign
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            sign = 1 if op == "+" else -1
+        total = {}
+        while True:
+            sign = 1
             while self.peek() in ("+", "-"):
                 if self.take()[0] == "-":
                     sign = -sign
-            value = value + self.term() * sign
-        return value
+            for key, c in self.term().items():
+                total[key] = total.get(key, 0) + sign * c
+            if self.peek() not in ("+", "-"):
+                return {key: c for key, c in total.items() if c}
 
     def term(self):
         value = self.factor()
         while self.peek() == "*":
             self.take()
             other = self.factor()
-            degree = value.total_degree() + other.total_degree()
+            degree = _degree(value) + _degree(other)
             if degree > MAX_PARSE_DEGREE:
                 raise ValidationError(
                     f"product of degree {degree} exceeds the degree limit {MAX_PARSE_DEGREE}")
-            value = value * other
+            value = _product(value, other)
         return value
 
     def factor(self):
@@ -269,11 +275,11 @@ class _Parser:
             if val > MAX_PARSE_DEGREE:
                 raise ValidationError(
                     f"exponent {val} exceeds the degree limit {MAX_PARSE_DEGREE}")
-            degree = value.total_degree() * val
+            degree = _degree(value) * val
             if degree > MAX_PARSE_DEGREE:
                 raise ValidationError(
                     f"power of degree {degree} exceeds the degree limit {MAX_PARSE_DEGREE}")
-            value = value ** val
+            value = _power(value, val)
         return value
 
     def atom(self):
@@ -281,9 +287,9 @@ class _Parser:
             raise ValidationError("polynomial ended unexpectedly")
         kind, val = self.take()
         if kind == "int":
-            return LocalPolynomial.constant(val)
+            return {(0, 0): val} if val else {}
         if kind == "var":
-            return LocalPolynomial.variable(val)
+            return {(1, 0) if val == "x" else (0, 1): 1}
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_PARSE_DEPTH:
@@ -297,24 +303,11 @@ class _Parser:
         raise ValidationError(f"unexpected token {val!r} in polynomial")
 
 
-def _parse_polynomial(text):
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValidationError("empty polynomial")
-    return _Parser(tokens).parse()
-
-
 def _require_local_equation(f):
     if f.is_zero():
         raise ValidationError("local equation must be nonzero")
     if f.constant_term() != 0:
         raise ValidationError("local equation must vanish at the origin")
-
-
-def _column(i, j):
-    """Index of x^i y^j when monomials are listed by ascending degree."""
-    d = i + j
-    return d * (d + 1) // 2 + j
 
 
 def _add_row(pivots, row):
@@ -332,8 +325,10 @@ def _add_row(pivots, row):
             return
         a, b = piv[col], row[col]
         g = gcd(a, b)
-        a, b = a // g, b // g
-        row = {c: a * v for c, v in row.items()}
+        if g != a:
+            a //= g
+            row = {c: a * v for c, v in row.items()}
+        b //= g
         for c, v in piv.items():
             w = row.get(c, 0) - b * v
             if w:
@@ -345,55 +340,58 @@ def _add_row(pivots, row):
             row = {c: v // content for c, v in row.items()}
 
 
-def _add_products(pivots, gen, degrees):
-    """Add the rows m*g whose lowest degree lies in ``degrees`` to ``pivots``.
-
-    ``gen`` is the order of g and its terms with integer coefficients.
-    """
-    order, terms = gen
-    for k in (d - order for d in degrees):
-        for b in range(k + 1):
-            _add_row(pivots, {_column(i + k - b, j + b): c for (i, j), c in terms})
+def _shifted(gen, k, b):
+    """The row of x^(k-b) y^b * g, for g as (degree, j, c) triples of its terms
+    x^(degree-j) y^j; x^i y^j is column d(d+1)/2 + j with d = i + j."""
+    return {(d + k) * (d + k + 1) // 2 + j + b: c for d, j, c in gen}
 
 
 def local_invariants(f):
     """Milnor and Tjurina numbers of the germ of f at the origin.
 
     mu = dim O/J with J = (f_x, f_y), and tau = dim O/(J + (f)), in the
-    local ring; a smooth point yields (0, 0).  One echelon serves both
-    numbers and every truncation bound B.  Columns are monomials in
-    ascending degree and rows are the whole products m*g, reduced on their
+    local ring; a smooth point yields (0, 0).  Columns are monomials in
+    ascending degree and rows are whole products m*g, reduced on their
     lowest column.  Once the rows of an ideal I of lowest degree < B are in,
-    dim_B = dim k[x,y]/(I + m^B) = B(B+1)/2 - #pivots(deg < B); the rows
-    added at bound B have lowest degree B - 1, so pivots of degree < B
-    never change afterwards.
+    dim_B = dim k[x,y]/(I + m^B) = B(B+1)/2 - #pivots(deg < B), and rows of
+    higher lowest degree never change those pivots.
 
     The rows of f_x and f_y close the staircase of J at B when every
     monomial of degree B - 1 is a pivot, i.e. m^(B-1) lies in J + m^B;
     Nakayama then puts m^(B-1) in J, so dim_B = mu.  A colength c closes it
-    by B = c + 1.  As J + (f) contains J, m^(B-1) lies in it too, so tau is
-    dim_B once the rows m*f of lowest degree < B join the same echelon.  A
-    truncated dimension never exceeds the colength, so one above ``bezout``
-    = (deg f - 1)^2 certifies a non-isolated singularity; such a germ has
-    dim_B >= B, so that exit fires by B = bezout + 1.
+    by B = c + 1.  If the row of f adds no pivot of degree < B, f lies in
+    J + m^B = J and tau = mu (by K. Saito, exactly when f is
+    quasi-homogeneous in some coordinates).  Else J + (f) = J + f*O, O/J is
+    spanned by J's standard monomials m (the non-pivot columns of degree
+    < B), and m*f lies in m^(B-1), inside J, once deg m >= B - 1 - ord f;
+    so tau is dim_B after the rows m*f of the other standard m of lower
+    degree.  A truncated dimension never exceeds the colength, so one above
+    ``bezout`` = (deg f - 1)^2 certifies a non-isolated singularity; such a
+    germ has dim_B >= B, so that exit fires by B = bezout + 1.
     """
     _require_local_equation(f)
     bezout = (f.total_degree() - 1) ** 2
     # f itself is nonzero, so it is the last generator
-    *jacobian, whole = [(g.order(), list(zip(g.terms, int_row(list(g.terms.values())))))
-                        for g in (f.diff("x"), f.diff("y"), f) if not g.is_zero()]
+    *jacobian, (order, whole) = [
+        (g.order(), [(i + j, j, c) for (i, j), c in zip(g.terms, int_row(list(g.terms.values())))])
+        for g in (f.diff("x"), f.diff("y"), f) if not g.is_zero()]
     pivots = {}
     below = 0
     for bound in range(1, bezout + 2):
-        for gen in jacobian:
-            _add_products(pivots, gen, [bound - 1])
-        first = _column(bound - 1, 0)
-        top = sum(col in pivots for col in range(first, first + bound))
+        for low, gen in jacobian:
+            for b in range(bound - low):
+                _add_row(pivots, _shifted(gen, bound - 1 - low, b))
+        end = bound * (bound + 1) // 2
+        top = sum(col in pivots for col in range(end - bound, end))
         below += top
-        mu = bound * (bound + 1) // 2 - below
+        mu = end - below
         if top == bound:
-            _add_products(pivots, whole, range(bound))
-            end = first + bound
+            standard = [(d, b) for d in range(1, bound - 1 - order) for b in range(d + 1)
+                        if d * (d + 1) // 2 + b not in pivots]
+            _add_row(pivots, _shifted(whole, 0, 0))
+            if sum(col < end for col in pivots) > below:
+                for d, b in standard:
+                    _add_row(pivots, _shifted(whole, d, b))
             return mu, end - sum(col < end for col in pivots)
         if mu > bezout:
             break
@@ -409,7 +407,9 @@ def branch_count(f):
     Supported families: f = a x^p + b y^q with a, b nonzero (gcd(p, q)
     branches) and squarefree homogeneous f of degree k (k branches, one per
     linear factor over the algebraic closure).  Other shapes raise, asking
-    the caller to supply r.
+    the caller to supply r.  The refusal of a repeated linear factor is
+    reached only by a direct call: such a germ is not isolated, so
+    ``local_invariants`` refuses it first on every other path.
     """
     _require_local_equation(f)
     keys = sorted(f.terms)

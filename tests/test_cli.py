@@ -5,7 +5,9 @@ import json
 import os
 import random
 import tempfile
+import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,42 @@ def test_a_report_too_long_to_write_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(kring, "log_class_free", lambda *args: int("x"))
     with pytest.raises(ValueError, match="invalid literal"):
         run(RunConfig("logclass", corpus_path("boolean3")))
+
+
+def test_an_unwritable_log_class_is_refused_before_it_is_computed(tmp_path):
+    # C(sum e, n) is the s^n coefficient of the log class's y^0 row and, up
+    # to sign, its (1-s)^n one, so a report in either basis holds it
+    rng = random.Random(4300)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        exps = [1] + [rng.randint(1, 40) for _ in range(n)]
+        row = kring.log_class_free(exps, n).coeffs[0]
+        assert row.coeffs[n] == comb(sum(exps), n) == (-1) ** n * row.in_one_minus_s_basis()[n]
+    error = "report too large: an integer has more than 4300 digits"
+    wide = tmp_path / "wide.arr"
+    wide.write_text(f"{MAX_AMBIENT_DIM}\n1" + " 0" * (MAX_AMBIENT_DIM - 1) + "\n")
+    line = tmp_path / "line.arr"
+    line.write_text("2\n1 0\n")
+    ones = ["1"] * (MAX_AMBIENT_DIM - 1)
+    for fmt in ("json", "text"):
+        refused = {"error": error, "kind": "validation"} if fmt == "json" else f"error: {error}"
+
+        def logclass(path, exps):
+            argv = ["logclass", str(path), "--exponents", ",".join(exps), "--format", fmt]
+            code, report = run(config_from_args(argv))
+            return code, json.loads(report) if fmt == "json" else report
+        # 63 ones and a 4000-digit exponent: refused at once, not after minutes
+        start = time.perf_counter()
+        assert logclass(wide, ones + ["9" * 4000]) == (1, refused)
+        assert time.perf_counter() - start < 0.5
+        # on P^1 the report's largest integer is sum e itself: 4300 digits fit
+        assert logclass(line, ["1", "9" * 4299 + "8"])[0] == 0
+        assert logclass(line, ["1", "9" * 4300]) == (1, refused)
+        # the log class's own refusals come first
+        for exps, message in ((["9" * 4300, "2"], "exponent multiset must contain 1"),
+                              (["1", "9" * 4300, "1"], "expected 2 exponents")):
+            code, report = logclass(line, exps)
+            assert code == 1 and message in str(report)
 
 
 def test_lattice_cap_env(monkeypatch):
@@ -738,6 +776,17 @@ def test_curve_accepts_list_input(tmp_path):
     payload = json.loads(report)
     assert payload["pairs"] == [[0, 0], [-1, -1], [-1, -1]]
     assert payload["total"] == [-2, -2]
+
+
+def test_curve_repeated_linear_factor_is_refused_as_non_isolated(tmp_path):
+    # a homogeneous form with a repeated linear factor is not reduced: the
+    # colength loop refuses it before branch_count could
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"poly": "(x+y)^2*x"}))
+    code, report = run(RunConfig(command="curve", input_path=str(path), output_format="json"))
+    payload = json.loads(report)
+    assert code == 1 and payload["kind"] == "validation"
+    assert payload["error"].startswith("Milnor number did not stabilise")
 
 
 def test_curve_rejects_invalid_json(tmp_path):

@@ -86,6 +86,88 @@ def test_parse_refuses_deep_nesting():
             P(text)
 
 
+# points at which a generated expression is also evaluated with plain ints,
+# an oracle that shares no code with the term-dict product
+POINTS = ((2, 3), (-1, 5), (7, -2))
+
+
+def _expression(rng, depth, kind="expr"):
+    """A seeded expression as (text, LocalPolynomial built by the public
+    ``+``, ``-``, ``*`` and ``**``, values at POINTS, bound on its degree).
+
+    The bound keeps every product and power within MAX_PARSE_DEGREE, so the
+    parser refuses none of them."""
+    if kind == "expr":  # signed terms
+        text, value, at, degree = "", LocalPolynomial.zero(), (0,) * len(POINTS), 0
+        for n in range(rng.randint(1, 3)):
+            signs = "".join(rng.choice("+-") for _ in range(rng.randint(1 if n else 0, 2)))
+            t, v, a, d = _expression(rng, depth, "term")
+            if signs.count("-") % 2:
+                value, at = value - v, tuple(p - q for p, q in zip(at, a))
+            else:
+                value, at = value + v, tuple(p + q for p, q in zip(at, a))
+            text, degree = f"{text} {signs} {t}", max(degree, d)
+        return text, value, at, degree
+    if kind == "term":  # factors joined by *
+        text, value, at, degree = _expression(rng, depth, "factor")
+        for _ in range(rng.randint(0, 2)):
+            t, v, a, d = _expression(rng, depth, "factor")
+            if degree + d <= MAX_PARSE_DEGREE:
+                text, value, degree = f"{text}*{t}", value * v, degree + d
+                at = tuple(p * q for p, q in zip(at, a))
+        return text, value, at, degree
+    if kind == "factor":  # an atom, perhaps to a power
+        text, value, at, degree = _expression(rng, depth, "atom")
+        k = rng.randint(0, 4)
+        if rng.random() < 0.3 and degree * k <= MAX_PARSE_DEGREE:
+            return f"{text}^{k}", value ** k, tuple(p ** k for p in at), degree * k
+        return text, value, at, degree
+    if depth > 0 and rng.random() < 0.4:
+        text, value, at, degree = _expression(rng, depth - 1)
+        return f"({text})", value, at, degree
+    choice = rng.choice(["x", "y", "int", "int"])
+    if choice == "int":
+        c = rng.choice([0, 1, 2, 7, 10, rng.randint(0, 10 ** 30)])
+        return str(c), LocalPolynomial.constant(c), (c,) * len(POINTS), 0
+    index = "xy".index(choice)
+    return choice, LocalPolynomial.variable(choice), tuple(pt[index] for pt in POINTS), 1
+
+
+def test_parser_matches_the_public_arithmetic():
+    rng = random.Random(1971)
+    for _ in range(400):
+        text, value, at, _ = _expression(rng, 3)
+        f = P(text)
+        assert f.terms == value.terms, text
+        assert all(type(c) is int for c in f.terms.values())
+        assert [sum(c * x ** i * y ** j for (i, j), c in f.terms.items()) for x, y in POINTS] \
+            == list(at), text
+
+
+def test_parser_fuzz_raises_only_validation_errors():
+    # random strings over the token alphabet and characters int() or
+    # str.isdigit would take, plus one-character edits of valid expressions
+    rng = random.Random(2016)
+    alphabet = list("0123456789xy+-*^() ") + ["\u0663", "\u00b2", "_", "z"]
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+             for _ in range(2000)]
+    # nesting past MAX_PARSE_DEPTH, and past what the recursion limit
+    # allows without that bound
+    texts += ["".join(rng.choice(["(", "-(", "(+"]) for _ in range(rng.randint(90, 400)))
+              + "".join(rng.choice(alphabet) for _ in range(10)) for _ in range(50)]
+    for _ in range(1000):
+        text = _expression(rng, 3)[0]
+        i = rng.randrange(len(text) + 1)
+        texts.append(text[:i] + rng.choice(alphabet + [""]) + text[i + rng.randint(0, 2):])
+    refused = 0
+    for text in texts:
+        try:
+            P(text)
+        except ValidationError:
+            refused += 1
+    assert 0 < refused < len(texts)
+
+
 def test_polynomial_arithmetic():
     f = P("x^2 - y^2")
     assert f.diff("x") == P("2*x")
@@ -167,6 +249,44 @@ def test_invariance_under_unimodular_change(poly, p, q, swap):
     if swap:
         g = g.substitute_linear(0, 1, 1, 0)
     assert local_invariants(g) == local_invariants(f)
+
+
+def _moved(f, c, k):
+    """f(x + c*y^k, y), by the public operations."""
+    x, y = LocalPolynomial.variable("x"), LocalPolynomial.variable("y")
+    out = LocalPolynomial.zero()
+    for (i, j), coeff in f.terms.items():
+        out = out + (x + y ** k * c) ** i * y ** j * coeff
+    return out
+
+
+def _branches(f):
+    try:
+        return branch_count(f)
+    except BranchCountRequiredError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["x^2 + y^5", "x^2*y - y^4", "x^3 + y^4", "x^3 + x*y^3", "x^4 - y^5",
+                        "x*y*(x+y)", "x^3 + y^7 + {c}*x*y^5", "x^3 + x*y^5 + {c}*y^8",
+                        "x^4 + y^5 + {c}*x^2*y^3", "x^5 + y^7 + {c}*x^3*y^3"]),
+       st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 5), st.integers(-2, 2).filter(bool))
+def test_invariance_under_nonlinear_change(template, c, k, modulus):
+    # x -> x + c*y^k and the swap of x and y are invertible coordinate
+    # changes of the germ; the templates give tau = mu (ADE, ordinary triple
+    # point), tau = mu - 1 (E12, E13, W12 with a nonzero modulus) and
+    # tau = mu - 3 (x^5 + y^7 + c*x^3*y^3)
+    f = P(template.format(c=modulus))
+    g = _moved(f, c, k)
+    assert g.total_degree() <= MAX_PARSE_DEGREE
+    swapped = LocalPolynomial({(j, i): v for (i, j), v in f.terms.items()})
+    expected = local_invariants(f)
+    assert local_invariants(g) == local_invariants(swapped) == expected
+    assert (expected[0] == expected[1]) == ("{c}" not in template)
+    assert _branches(swapped) == _branches(f)
+    if _branches(g) is not None and _branches(f) is not None:
+        assert _branches(g) == _branches(f)
 
 
 # --- branch counts
@@ -606,6 +726,8 @@ def test_engine_matches_groebner_oracle():
     germs += [f"x^{a} {s} y^{b}" for a in range(2, 7) for b in (a, a + 1)
               for s in "+-"]
     germs += ["x^3 + y^7 + x*y^5", "x^4 + y^5 + x^2*y^3"]                  # E12, W12
+    # tau <= mu - 2: the rows m*f of J's standard monomials m add pivots
+    germs += ["x^4 + y^7 + x^2*y^4", "x^5 + y^7 + x^3*y^3"]
     for text in germs:
         f = P(text)
         # mu <= (d - 1)^2 by Bezout and m^mu lies in any ideal of colength
@@ -641,12 +763,15 @@ def test_non_isolated_degree_four_refused_early(text, monkeypatch):
 
 
 @pytest.mark.parametrize("text, bound, rows, invariants", [
-    ("x^10 - y^11", 19, 145, (90, 90)), ("x^3 + y^7 + x*y^5", 9, 59, (12, 11))])
+    ("x^10 - y^11", 19, 101, (90, 90)), ("x^3 + y^7 + x*y^5", 9, 47, (12, 11))])
 def test_mu_and_tau_share_one_echelon(text, bound, rows, invariants, monkeypatch):
     # J = (f_x, f_y) closes its staircase at ``bound`` (for x^10 - y^11,
-    # (x^9, y^10) holds every monomial of degree 18 but not x^8*y^9), and
-    # J + (f) is closed there too, so the rows are the products m*g, g in
-    # (f_x, f_y, f), of lowest degree below that bound and no others
+    # (x^9, y^10) holds every monomial of degree 18 but not x^8*y^9), so the
+    # rows of J are the products m*g, g in (f_x, f_y), of lowest degree below
+    # that bound.  The row of f follows.  x^10 - y^11 lies in J, so tau = mu
+    # with no other row; E12 does not, and the rows m*f follow for the
+    # standard monomials m != 1 of J of degree below bound - 1 - ord f = 5
+    # (m^(bound - 1) lies in J): x, y, x*y, y^2, x*y^2, y^3, x*y^3 and y^4
     calls = []
     add_row = curves._add_row
 
@@ -656,5 +781,7 @@ def test_mu_and_tau_share_one_echelon(text, bound, rows, invariants, monkeypatch
     monkeypatch.setattr(curves, "_add_row", counting)
     f = P(text)
     assert local_invariants(f) == invariants
-    orders = [g.order() for g in (f.diff("x"), f.diff("y"), f)]
-    assert len(calls) == rows == sum((bound - k) * (bound - k + 1) // 2 for k in orders)
+    orders = [g.order() for g in (f.diff("x"), f.diff("y"))]
+    standard = 0 if invariants[0] == invariants[1] else 8
+    assert len(calls) == rows == sum(
+        (bound - k) * (bound - k + 1) // 2 for k in orders) + 1 + standard
