@@ -275,12 +275,13 @@ def _refuse_unwritable_log_class(exps, n):
     C(sum e, n) is the s^n coefficient of the class's y^0 row and, up to
     sign, its (1-s)^n one, so the report holds it in either basis.  The
     exponents meet ``log_class_free``'s checks first, so its refusals come
-    first; q^n <= C(sum e, n) for q = (sum e - n + 1) // n decides most
-    cases by bit length before the exact binomial.
+    first.  C(sum e, n) <= (sum e)^n < 8^limit passes without forming
+    10^limit; q^n <= C(sum e, n) for q = (sum e - n + 1) // n decides most
+    other cases by bit length before the exact binomial.
     """
     total = sum(kring._validate_exponents(exps, n))
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit:
+    if limit and n * total.bit_length() > 3 * limit:
         least = 10 ** limit  # the least integer of limit + 1 digits
         q = (total - n + 1) // n
         if n * (q.bit_length() - 1) >= least.bit_length() or comb(total, n) >= least:
