@@ -201,17 +201,21 @@ class IntersectionLattice:
 
     ``build_lattice`` hands over the flats in closure order, rank by rank:
     ``_flats`` maps the bitmask of the hyperplanes containing a flat (bit k
-    for form k) to its integer rows, and ``_mu`` maps it to its Möbius
-    value.  ``len`` and ``dims_and_mobius`` read them unsorted.
+    for form k) to its link (rank, creator, row): its rank, the mask of the
+    flat that created it and its new row, a key of the creator's residual
+    table (``None`` twice for the ambient flat).  ``_mu`` maps the mask to
+    the flat's Möbius value.  ``len`` and ``dims_and_mobius`` read the ranks
+    unsorted, and no rows exist until node order is read.
 
     ``rows``, ``dims``, ``mobius`` and ``masks`` list the flats in node order:
     descending dimension, then the lexicographic order of their reduced row
-    echelon matrices (``Subspace.sort_key``).  ``_render`` sorts them on the
-    first read of any of them.  ``rows[i]`` is flat i's reduced row echelon
-    matrix on integers: primitive rows ordered by pivot column, each with a
-    positive pivot and zero in every other pivot column.  The masks turn the
-    order relation into a mask test.  (Two threads reading the node order
-    first at once may both sort it; the results are equal.)
+    echelon matrices (``Subspace.sort_key``).  ``_render`` derives the rows
+    from the links and sorts the flats on the first read of any of them.
+    ``rows[i]`` is flat i's reduced row echelon matrix on integers: primitive
+    rows ordered by pivot column, each with a positive pivot and zero in
+    every other pivot column.  The masks turn the order relation into a mask
+    test.  (Two threads reading the node order first at once may both sort
+    it; the results are equal.)
     """
 
     __slots__ = ("ambient_dim", "_flats", "_mu", "_order")
@@ -237,7 +241,7 @@ class IntersectionLattice:
     def dims_and_mobius(self):
         """(dimension, Möbius value) of every flat, in closure order."""
         width, mu = self.ambient_dim, self._mu
-        return [(width - len(rows), mu[mask]) for mask, rows in self._flats.items()]
+        return [(width - link[0], mu[mask]) for mask, link in self._flats.items()]
 
     def __len__(self):
         return len(self._flats)
@@ -254,17 +258,19 @@ class IntersectionLattice:
 def build_lattice(arr, max_nodes=None):
     """Intersection lattice of ``arr`` with Möbius values.
 
-    A flat is the set of hyperplanes containing it, kept as a bitmask with the
-    integer reduced rows of those forms (Orlik–Terao, §2.1).  The closure
-    runs rank by rank.  The covers of a flat F are the lines spanned by the
-    forms outside F modulo F's forms.  F's residual table maps each residual
-    (as ``IntEchelon.reduce`` gives it) to the bits of its forms, so each key
-    cuts out one cover, whose rows are F's rows stepped (``eliminate``)
-    against the key, plus the key.  The ambient flat's table maps each form
-    to its bit.  Any other flat, when visited, takes its creator's table,
-    drops the group keyed by its own new row (the forms it added), steps
-    every other key once against that row and merges keys that coincide.  A
-    table lives only until the last flat it created has been visited.
+    A flat is the set of hyperplanes containing it, kept as a bitmask with
+    its rank and a link to the flat that created it (Orlik–Terao, §2.1).
+    The closure runs rank by rank.  The covers of a flat F are the lines
+    spanned by the forms outside F modulo F's forms.  F's residual table maps
+    each residual (as ``IntEchelon.reduce`` gives it) to the bits of its
+    forms, so each key cuts out one cover, which links back to F and to the
+    key: its new row.  The ambient flat's table maps each form to its bit.
+    Any other flat, when visited, takes its creator's table, drops the group
+    keyed by its own new row (the forms it added), steps every other key once
+    against that row and merges keys that coincide.  A table lives only until
+    the last flat it created has been visited.  A line's one cover is the
+    origin: every form off it reduces to the unit row of the one column that
+    is no pivot of the new rows along its links.
 
     Möbius values follow Weisner's theorem for geometric lattices
     (Orlik–Terao, ch. 2): with a = lowbit(G) the lowest form on a flat G,
@@ -287,8 +293,9 @@ def build_lattice(arr, max_nodes=None):
     Then F walks the group holding a, whose cover is G, and F is not on
     form 0, so it is visited with a table.
 
-    The lattice keeps the flats in this closure order; they are sorted into
-    node order (``_render``) only when a node-order attribute is first read.
+    The lattice keeps the flats in this closure order.  Their rows are
+    derived from the links, and the flats sorted into node order
+    (``_render``), only when a node-order attribute is first read.
 
     ``max_nodes`` optionally caps the number of flats; the closure stops with
     a validation error as soon as one more flat would exceed it.
@@ -296,11 +303,11 @@ def build_lattice(arr, max_nodes=None):
     width = arr.ambient_dim
     forms = arr.forms
     every = (1 << len(forms)) - 1
-    flats = {0: ()}
+    flats = {0: (0, None, None)}
     mobius = {0: 1}
     _check_node_cap(flats, max_nodes)
-    # flat off form 0 -> (the residual table of the flat that created it, the
-    # flat's new row: a key of that table); it lives until the flat is visited
+    # flat off form 0 -> the residual table of the flat that created it; it
+    # lives until the flat is visited
     created = {}
     layer = [0]
     while layer:
@@ -309,28 +316,24 @@ def build_lattice(arr, max_nodes=None):
             below = every & ((mask & -mask) - 1)
             if not below:
                 continue  # on form 0: every cover has its lowest form on this flat
-            rows = flats[mask]
+            rank, _, row = flats[mask]
             origin = created.pop(mask, None)
-            if len(rows) == width - 1:
-                # the one cover of a line is the origin, on every hyperplane;
-                # each form outside reduces to the unit row of the free column
-                (free,) = set(range(width)) - {_first_nonzero(row) for row in rows}
+            if rank == width - 1:
+                (free,) = set(range(width)) - _pivot_columns(flats, mask)
                 table = {tuple(int(c == free) for c in range(width)): every & ~mask}
             elif origin is None:
                 table = {form: 1 << k for k, form in enumerate(forms)}
             else:
-                table = _residual_groups(*origin)
+                table = _residual_groups(origin, row)
             mu = mobius[mask]
             for residual, bits in table.items():
                 if not bits & below:
                     continue
                 cover = mask | bits
                 if cover not in flats:
-                    col = _first_nonzero(residual)
-                    flats[cover] = tuple(eliminate(row, residual, col) if row[col] else row
-                                         for row in rows) + (residual,)
+                    flats[cover] = (rank + 1, mask, residual)
                     if not cover & 1:
-                        created[cover] = (table, residual)
+                        created[cover] = table
                     mobius[cover] = -mu
                     next_layer.append(cover)
                     _check_node_cap(flats, max_nodes)
@@ -339,6 +342,16 @@ def build_lattice(arr, max_nodes=None):
         layer = next_layer
 
     return IntersectionLattice(width, flats, mobius)
+
+
+def _pivot_columns(flats, mask):
+    """The pivot columns of a flat's rows: those of the new rows along its
+    links, as each is zero in its creator's pivot columns."""
+    cols = set()
+    while mask:
+        _, mask, row = flats[mask]
+        cols.add(_first_nonzero(row))
+    return cols
 
 
 def _residual_groups(table, row):
@@ -367,15 +380,24 @@ def _render(width, flats, mobius):
     """(rows, dims, mobius, masks, quotients) of the flats in
     ``Subspace.sort_key`` order, without a Subspace.
 
-    That order is (descending dimension, Fraction RREF matrix): the flats
-    sort on ``quotient_rows`` of their integer rows, kept as ``quotients``
-    for ``logmc lattice``.  Rows are not scaled to a common denominator: the
-    lcm of all pivots of 26 random forms in dimension 5 (17903 flats) runs to
-    thousands of digits.
+    Each flat's rows are its creator's rows stepped (``eliminate``) against
+    its new row, plus that row; closure order puts every creator before the
+    flats it created.  The sort key is (descending dimension, Fraction RREF
+    matrix): the flats sort on ``quotient_rows`` of their integer rows, kept
+    as ``quotients`` for ``logmc lattice``.  Rows are not scaled to a common
+    denominator: the lcm of all pivots of 26 random forms in dimension 5
+    (17903 flats) runs to thousands of digits.
     """
+    derived = {}
     cache = {}
     entries = []
-    for mask, rows in flats.items():
+    for mask, (_, creator, new) in flats.items():
+        rows = ()
+        if creator is not None:
+            col = _first_nonzero(new)
+            rows = tuple(eliminate(row, new, col) if row[col] else row
+                         for row in derived[creator]) + (new,)
+        derived[mask] = rows
         rows = tuple(sorted(rows, reverse=True))  # pivot order on reduced rows
         entries.append((len(rows), quotient_rows(rows, cache), rows, mask))
     entries.sort()  # the first two fields tell any two flats apart

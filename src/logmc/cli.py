@@ -185,9 +185,10 @@ def _mc_routes(inp):
     route = inp.config.mc_route
     routes = {}
     if route in ("lattice", "all"):
-        routes["lattice"] = kring.mc_complement_lattice_sum(inp.lattice)
-    if route == "all":
         # the lattice sum, grouped by dimension, is the chi substitution
+        # (``kring.mc_complement_lattice_sum``): the run's chi serves both
+        routes["lattice"] = kring.mc_complement_charpoly(inp.chi, inp.n)
+    if route == "all":
         routes["charpoly"] = routes["lattice"]
     elif route == "charpoly":
         routes["charpoly"] = kring.mc_complement_charpoly(inp.chi, inp.n)

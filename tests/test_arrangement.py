@@ -381,8 +381,8 @@ def oracle_closure(arr, oracle=subset_flats):
 
 
 def closure_view(lat):
-    """The lattice as built: {mask: (rows as a set, Möbius value)}."""
-    return {mask: (frozenset(rows), lat._mu[mask]) for mask, rows in lat._flats.items()}
+    """The lattice's flats: {mask: (rows as a set, Möbius value)}."""
+    return {mask: (frozenset(rows), mu) for rows, mask, mu in zip(lat.rows, lat.masks, lat.mobius)}
 
 
 def relabelled(expected, order):
@@ -468,8 +468,8 @@ def test_flats_on_form_zero_derive_no_residual_table(monkeypatch):
         assert closure_view(lat) == relabelled(expected, range(arr.num_hyperplanes))
         assert not any(mask & 1 for mask in derived)
         assert sorted(derived) == sorted(
-            mask for mask, rows in lat._flats.items()
-            if mask and not mask & 1 and len(rows) < arr.ambient_dim - 1)
+            mask for mask, dim in zip(lat.masks, lat.dims)
+            if mask and not mask & 1 and dim > 1)
 
 
 def test_flats_on_form_zero_keep_no_creator_table(monkeypatch):
@@ -519,6 +519,42 @@ def test_lattice_rows_are_reduced_forms_of_their_hyperplanes():
     assert pivots - {1}
 
 
+EDGE_SHAPES = [
+    Arrangement(1, []), Arrangement(1, [(1,)]), Arrangement(2, []),
+    Arrangement(2, [(1, 0), (0, 1), (1, 1), (2, 3)]),
+    Arrangement(3, []),
+    # a pencil of planes through an axis: no flat of dimension 0
+    Arrangement(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -3, 0)]),
+    # the corpus's skew5 in a fourth dimension: non-unit pivots, no top flat
+    Arrangement(4, [(2, 1, 0, 0), (0, 3, 1, 0), (1, 0, 2, 0), (1, 1, 1, 0), (3, -2, 1, 0)]),
+]
+
+
+def test_rows_derived_from_links_on_edge_shapes():
+    # each flat's rows, derived from its links when node order is read, are
+    # plain Gauss-Jordan over Fraction on its forms, whatever the form order
+    rng = random.Random(1123)
+    pivots = set()
+    for arr in EDGE_SHAPES:
+        width, forms = arr.ambient_dim, list(arr.forms)
+        expected = {hyperplanes: dim
+                    for hyperplanes, (dim, _) in subset_flats(forms, width).items()}
+        for _ in range(8):
+            order = list(range(len(forms)))
+            rng.shuffle(order)
+            lat = build_lattice(Arrangement(width, [forms[k] for k in order]))
+            got = {}
+            for rows, dim, mask in zip(lat.rows, lat.dims, lat.masks):
+                hyperplanes = frozenset(k for i, k in enumerate(order) if mask >> i & 1)
+                assert quotient_rows(rows, {}) == fraction_rref(
+                    [forms[k] for k in sorted(hyperplanes)], width)
+                pivots.update(next(v for v in row if v) for row in rows)
+                got[hyperplanes] = dim
+            assert got == expected
+            assert (min(lat.dims) == 0) == (fraction_rank(forms, width) == width)
+    assert pivots - {1}
+
+
 NODE_ORDER = ("rows", "dims", "mobius", "masks")
 
 
@@ -564,7 +600,8 @@ def test_lazy_node_order_matches_the_eager_order(monkeypatch):
 
 
 def test_closure_readers_do_not_sort(monkeypatch):
-    # len, dims_and_mobius and chi read the closure order: no node order is built
+    # len, dims_and_mobius and chi read the ranks in closure order: no node
+    # order is built and no row is derived
     def forbidden(*args):
         raise AssertionError("node order built")
 
@@ -575,6 +612,7 @@ def test_closure_readers_do_not_sort(monkeypatch):
                 for lat in map(build_lattice, arrs)]
     monkeypatch.setattr(arrangement, "_render", forbidden)
     monkeypatch.setattr(arrangement, "quotient_rows", forbidden)
+    monkeypatch.setattr(arrangement, "eliminate", forbidden)
     for arr, (count, pairs) in zip(arrs, expected):
         lat = build_lattice(arr)
         assert repr(lat) == f"IntersectionLattice(ambient_dim={arr.ambient_dim}, nodes={count})"

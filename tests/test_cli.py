@@ -454,13 +454,20 @@ def test_no_command_builds_subspaces(monkeypatch):
 
 def test_only_the_lattice_command_sorts_the_flats(monkeypatch):
     """Every other command reads the lattice in closure order: neither the
-    node sort nor its quotient rows run, and each report is unchanged."""
+    node sort, its quotient rows nor the elimination steps that derive the
+    rows run, and each report is unchanged."""
     sorts = []
+    steps = []
     render = arrangement._render
+    eliminate = arrangement.eliminate
 
     def counting_render(*args):
         sorts.append(args)
         return render(*args)
+
+    def counting_eliminate(*args):
+        steps.append(args)
+        return eliminate(*args)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("node order built")
@@ -476,14 +483,17 @@ def test_only_the_lattice_command_sorts_the_flats(monkeypatch):
     monkeypatch.setattr(arrangement, "_render", forbidden)
     monkeypatch.setattr(arrangement, "quotient_rows", forbidden)
     monkeypatch.setattr(linalg, "quotient_rows", forbidden)
+    monkeypatch.setattr(arrangement, "eliminate", forbidden)
     assert [run(config) for config in runs] == expected
     monkeypatch.undo()
     monkeypatch.setattr(arrangement, "_render", counting_render)
+    monkeypatch.setattr(arrangement, "eliminate", counting_eliminate)
     for stem in ("braid", "skew5"):
         for fmt in ("text", "json"):
             sorts.clear()
             assert run(RunConfig("lattice", corpus_path(stem), fmt))[0] == 0
             assert len(sorts) == 1
+    assert steps  # skew5's rows take elimination steps; braid's need none
 
 
 def test_json_runs_format_no_text(monkeypatch):
@@ -684,6 +694,8 @@ def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
     names = ("build_lattice", "characteristic_polynomial", "exponents_via_terao")
     for name in names:
         counted(name)
+    # chi is counted wherever it is built, ``kring``'s lattice sum included
+    monkeypatch.setattr(kring, "characteristic_polynomial", arrangement.characteristic_polynomial)
     seen = {}
     for command in ("lattice", "charpoly", "exponents", "mc", "logclass", "diff", "csm",
                     "euler"):
@@ -697,10 +709,10 @@ def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
                 if override is not None and command != "exponents":
                     assert calls["exponents_via_terao"] == 0, (command, route)
                 seen[command, route, override] = tuple(calls[name] for name in names)
-    # (lattice, chi, Terao): the lattice route reads neither chi nor exponents
-    assert seen["mc", "lattice", None] == (1, 0, 0)
+    # (lattice, chi, Terao): the lattice route reads chi but not the exponents
+    assert seen["mc", "lattice", None] == (1, 1, 0)
     assert seen["mc", "charpoly", None] == (1, 1, 0)
-    assert seen["euler", "lattice", None] == (1, 0, 0)
+    assert seen["euler", "lattice", None] == (1, 1, 0)
     assert seen["mc", "exponents", (3, 1, 2)] == (0, 0, 0)
     assert seen["mc", "all", None] == (1, 1, 1)
     assert seen["csm", "lattice", None] == (1, 1, 1)
