@@ -20,8 +20,7 @@ All arithmetic is exact; no floating point is used anywhere.
 
 from collections import namedtuple
 
-from ._linalg import (IntEchelon, _first_nonzero, _strip_content, eliminate, int_row,
-                      quotient_rows, rref)
+from ._linalg import _first_nonzero, _strip_content, eliminate, quotient_rows, rref
 from ._poly import MAX_LITERAL_DIGITS, deflate, exact_scalar, int_literals, power, render
 from .errors import InconsistencyError, ValidationError
 
@@ -142,12 +141,11 @@ class Subspace:
     vanishing on it, so equality of subspaces is equality of matrices.
     """
 
-    __slots__ = ("ambient_dim", "matrix", "_ech")
+    __slots__ = ("ambient_dim", "matrix")
 
     def __init__(self, ambient_dim, matrix):
         self.ambient_dim = ambient_dim
         self.matrix = matrix
-        self._ech = None
 
     @classmethod
     def ambient(cls, ambient_dim):
@@ -161,25 +159,16 @@ class Subspace:
     def dim(self):
         return self.ambient_dim - len(self.matrix)
 
-    def _echelon(self):
-        # lazily cached; the accumulated rows never change afterwards
-        if self._ech is None:
-            ech = IntEchelon(self.ambient_dim)
-            for row in self.matrix:
-                ech.add(int_row(row))
-            self._ech = ech
-        return self._ech
-
     def intersect_form(self, form):
-        """The subspace cut out here by one more linear form."""
-        if self._echelon().contains(int_row(form)):
-            return self
-        return Subspace(self.ambient_dim,
-                        rref(self.matrix + (tuple(form),), self.ambient_dim))
+        """The subspace cut out here by one more linear form; ``self`` if the
+        form already vanishes on it (the rank does not grow)."""
+        matrix = rref(self.matrix + (tuple(form),), self.ambient_dim)
+        return self if len(matrix) == len(self.matrix) else Subspace(self.ambient_dim, matrix)
 
     def contains(self, other):
-        """Point-set containment: self is a superset of other."""
-        return all(other._echelon().contains(int_row(row)) for row in self.matrix)
+        """Point-set containment: self is a superset of other, that is, self's
+        forms add nothing to the rank of other's."""
+        return len(rref(other.matrix + self.matrix, self.ambient_dim)) == len(other.matrix)
 
     def sort_key(self):
         return (-self.dim, self.matrix)
@@ -203,7 +192,8 @@ class IntersectionLattice:
     ``_flats`` maps the bitmask of the hyperplanes containing a flat (bit k
     for form k) to its link (rank, creator, row): its rank, the mask of the
     flat that created it and its new row, a key of the creator's residual
-    table (``None`` twice for the ambient flat).  ``_mu`` maps the mask to
+    table.  The ambient flat has ``None`` for both, and the origin, which a
+    line creates, has the row ``None``.  ``_mu`` maps the mask to
     the flat's Möbius value.  ``len`` and ``dims_and_mobius`` read the ranks
     unsorted, and no rows exist until node order is read.
 
@@ -269,8 +259,8 @@ def build_lattice(arr, max_nodes=None):
     keyed by its own new row (the forms it added), steps every other key once
     against that row and merges keys that coincide.  A table lives only until
     the last flat it created has been visited.  A line's one cover is the
-    origin: every form off it reduces to the unit row of the one column that
-    is no pivot of the new rows along its links.
+    origin, so a line's table is one group, every form off it, under the key
+    ``None``: the origin's rows are the unit rows, so its link needs no row.
 
     Möbius values follow Weisner's theorem for geometric lattices
     (Orlik–Terao, ch. 2): with a = lowbit(G) the lowest form on a flat G,
@@ -317,14 +307,13 @@ def build_lattice(arr, max_nodes=None):
             if not below:
                 continue  # on form 0: every cover has its lowest form on this flat
             rank, _, row = flats[mask]
-            origin = created.pop(mask, None)
+            source = created.pop(mask, None)
             if rank == width - 1:
-                (free,) = set(range(width)) - _pivot_columns(flats, mask)
-                table = {tuple(int(c == free) for c in range(width)): every & ~mask}
-            elif origin is None:
+                table = {None: every & ~mask}  # one cover, the origin
+            elif source is None:
                 table = {form: 1 << k for k, form in enumerate(forms)}
             else:
-                table = _residual_groups(origin, row)
+                table = _residual_groups(source, row)
             mu = mobius[mask]
             for residual, bits in table.items():
                 if not bits & below:
@@ -342,16 +331,6 @@ def build_lattice(arr, max_nodes=None):
         layer = next_layer
 
     return IntersectionLattice(width, flats, mobius)
-
-
-def _pivot_columns(flats, mask):
-    """The pivot columns of a flat's rows: those of the new rows along its
-    links, as each is zero in its creator's pivot columns."""
-    cols = set()
-    while mask:
-        _, mask, row = flats[mask]
-        cols.add(_first_nonzero(row))
-    return cols
 
 
 def _residual_groups(table, row):
@@ -382,18 +361,21 @@ def _render(width, flats, mobius):
 
     Each flat's rows are its creator's rows stepped (``eliminate``) against
     its new row, plus that row; closure order puts every creator before the
-    flats it created.  The sort key is (descending dimension, Fraction RREF
-    matrix): the flats sort on ``quotient_rows`` of their integer rows, kept
-    as ``quotients`` for ``logmc lattice``.  Rows are not scaled to a common
-    denominator: the lcm of all pivots of 26 random forms in dimension 5
-    (17903 flats) runs to thousands of digits.
+    flats it created.  A flat whose new row is ``None`` has its rank's unit
+    rows: none for the ambient flat, the identity for the origin.  The sort
+    key is (descending dimension, Fraction RREF matrix): the flats sort on
+    ``quotient_rows`` of their integer rows, kept as ``quotients`` for
+    ``logmc lattice``.  Rows are not scaled to a common denominator: the lcm
+    of all pivots of 26 random forms in dimension 5 (17903 flats) runs to
+    thousands of digits.
     """
     derived = {}
     cache = {}
     entries = []
-    for mask, (_, creator, new) in flats.items():
-        rows = ()
-        if creator is not None:
+    for mask, (rank, creator, new) in flats.items():
+        if new is None:
+            rows = tuple(tuple(int(c == r) for c in range(width)) for r in range(rank))
+        else:
             col = _first_nonzero(new)
             rows = tuple(eliminate(row, new, col) if row[col] else row
                          for row in derived[creator]) + (new,)

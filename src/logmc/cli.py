@@ -176,22 +176,27 @@ class _Input:
         return self.exponents
 
 
+def _mc_route(inp):
+    """The requested route, checked: a RunConfig built in code skips argparse."""
+    if inp.config.mc_route not in _ROUTE[1]["choices"]:
+        raise ValidationError("mc route must be one of lattice, charpoly, exponents, all")
+    return inp.config.mc_route
+
+
 def _mc_routes(inp):
     """Requested motivic Chern class routes, cross-checked for agreement.
 
     The dict is filled in the order lattice, charpoly, exponents, so its
-    first value is the preferred one.
+    first value is the preferred one.  The lattice sum, grouped by
+    dimension, is the chi substitution (``kring.mc_complement_lattice_sum``),
+    so the ``lattice`` and ``charpoly`` routes requested share one class,
+    computed once from the run's chi.
     """
-    route = inp.config.mc_route
+    route = _mc_route(inp)
+    names = [name for name in ("lattice", "charpoly") if route in (name, "all")]
     routes = {}
-    if route in ("lattice", "all"):
-        # the lattice sum, grouped by dimension, is the chi substitution
-        # (``kring.mc_complement_lattice_sum``): the run's chi serves both
-        routes["lattice"] = kring.mc_complement_charpoly(inp.chi, inp.n)
-    if route == "all":
-        routes["charpoly"] = routes["lattice"]
-    elif route == "charpoly":
-        routes["charpoly"] = kring.mc_complement_charpoly(inp.chi, inp.n)
+    if names:
+        routes = dict.fromkeys(names, kring.mc_complement_charpoly(inp.chi, inp.n))
     if route in ("exponents", "all"):
         if inp.exponents is not None:
             routes["exponents"] = kring.mc_free_exponents(inp.exponents, inp.n)
@@ -254,11 +259,9 @@ def _cmd_exponents(inp):
 
 def _cmd_mc(inp):
     routes = _mc_routes(inp)
-    # one report per distinct value: under --route all the charpoly route
-    # is the lattice route's object
-    distinct = {id(v): v for v in routes.values()}
-    reports = {i: kring.kpoly_to_json(v, basis=inp.basis) for i, v in distinct.items()}
-    routes = {k: reports[id(v)] for k, v in routes.items()}
+    # the routes agree, so one report serves them all
+    report = kring.kpoly_to_json(next(iter(routes.values())), basis=inp.basis)
+    routes = dict.fromkeys(routes, report)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "routes": routes}
     if len(routes) > 1:
         payload["agree"] = True
@@ -304,7 +307,7 @@ def _cmd_logclass(inp):
 
 def _cmd_diff(inp):
     exps = inp.required_exponents()
-    route = inp.config.mc_route
+    route = _mc_route(inp)
     if route == "all":
         _mc_routes(inp)  # the cross-check; the difference takes chi's route
     # both classes' packed rows are subtracted and divided by 1+y once; the
@@ -430,8 +433,9 @@ def _to_json(obj, newline="\n"):
     that ``indent`` selects.  ``test_json_writer_matches_json_dumps`` in
     ``tests/test_cli.py`` compares the two.
 
-    The exact type is tested first, as reports hold only those; a subclass
-    is written as ``json.dumps`` writes its base type."""
+    The exact type is tested first, as reports hold only those; any other
+    value, a subclass say, goes to ``json.dumps`` itself, with the indent
+    of the level it sits at, so it is written or refused as there."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -444,16 +448,7 @@ def _to_json(obj, newline="\n"):
             return "true"
         if obj is False:
             return "false"
-        if isinstance(obj, str):
-            return _encode_str(obj)
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, (list, tuple)):
-            kind = list
-        elif isinstance(obj, dict):
-            kind = dict
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return json.dumps(obj, indent=2).replace("\n", newline)
     if not obj:
         return "{}" if kind is dict else "[]"
     inner = newline + "  "

@@ -45,7 +45,6 @@ homogenised form; the nilpotent 1-s is never inverted.
 All values are immutable and all functions are pure.
 """
 
-from functools import lru_cache
 from math import comb
 from operator import sub
 
@@ -57,7 +56,6 @@ from .arrangement import (IntersectionLattice, IntPolynomial,
 from .errors import DivisionRemainderError, ValidationError
 
 
-@lru_cache(maxsize=64)
 def _relation_row(n):
     """Coefficients of (s-1)^{n+1} in ascending degree."""
     return tuple(comb(n + 1, k) * (-1) ** (n + 1 - k) for k in range(n + 2))
@@ -65,14 +63,15 @@ def _relation_row(n):
 
 def _reduce_mod_relation(coeffs, n):
     """Remainder of an integer polynomial in s modulo (s-1)^{n+1}."""
-    rel = _relation_row(n)
     c = [v if type(v) is int else exact_scalar(v) for v in coeffs]
-    for d in range(len(c) - 1, n, -1):
-        lead = c[d]
-        if lead:
-            base = d - (n + 1)
-            c[base:d + 1] = [a - lead * b for a, b in zip(c[base:d + 1], rel)]
-    c = c[:n + 1]
+    if len(c) > n + 1:
+        rel = _relation_row(n)
+        for d in range(len(c) - 1, n, -1):
+            lead = c[d]
+            if lead:
+                base = d - (n + 1)
+                c[base:d + 1] = [a - lead * b for a, b in zip(c[base:d + 1], rel)]
+        del c[n + 1:]
     c.extend([0] * (n + 1 - len(c)))
     return tuple(c)
 

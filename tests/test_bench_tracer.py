@@ -10,7 +10,7 @@ command.
 import sys
 from pathlib import Path
 
-from logmc import cli, hirzebruch, kring
+from logmc import arrangement, cli, hirzebruch, kring
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -47,6 +47,12 @@ def test_tracer_records_and_restores():
         hirzebruch.todd_class(2)
         one = kring.KClass.one(2)
         kring.exact_div_one_plus_y(kring.KPoly(2, (one, one)))
+        # no command builds a Subspace or an IntEchelon of the lattice layer
+        plane = arrangement.Subspace.ambient(3).intersect_form((1, 0, 0))
+        plane.contains(plane.intersect_form((0, 1, 0)))
+        ech = tracing._linalg.IntEchelon(3)
+        ech.add((1, 2, 3))
+        ech.contains((2, 4, 6))
     finally:
         tracer.uninstall()
     assert code == 0
@@ -56,6 +62,10 @@ def test_tracer_records_and_restores():
     assert all(span[2] >= span[1] for span in tracer.spans)
     assert tracer.counts["kring.div_one_plus_y_calls"] > 0
     assert tracer.counts["hirzebruch.todd_calls"] > 0
+    assert tracer.counts["arrangement.intersect_form_calls"] > 0
+    assert tracer.counts["arrangement.contains_calls"] > 0
+    assert tracer.counts["linalg.echelon_add_calls.none"] > 0
+    assert tracer.counts["linalg.echelon_contains_calls.none"] > 0
     after = _bindings()
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]

@@ -517,9 +517,9 @@ def test_json_runs_format_no_text(monkeypatch):
         run(RunConfig("mc", corpus_path("braid")))
 
 
-def test_mc_serialises_each_distinct_route_value_once(monkeypatch):
-    """Under --route all the charpoly route is the lattice route's object, so
-    braid's three routes hold two values and are serialised twice."""
+def test_mc_serialises_its_agreeing_routes_once(monkeypatch):
+    """The routes of a report agree, so braid's three routes under
+    --route all share one serialised class."""
     to_json = kring.kpoly_to_json
     calls = []
 
@@ -532,8 +532,17 @@ def test_mc_serialises_each_distinct_route_value_once(monkeypatch):
         monkeypatch.setattr(kring, "kpoly_to_json", counting_to_json)
         calls.clear()
         assert run(RunConfig("mc", corpus_path("braid"), fmt)) == expected
-        assert len(calls) == 2
+        assert len(calls) == 1
         monkeypatch.undo()
+
+
+def test_commands_on_mc_routes_refuse_an_unknown_route():
+    """A RunConfig built in code bypasses argparse's choices."""
+    for command in ("mc", "diff", "csm", "euler"):
+        code, report = run(RunConfig(command, corpus_path("braid"), "json", "bogus"))
+        assert code == 1, command
+        assert json.loads(report)["error"] == (
+            "mc route must be one of lattice, charpoly, exponents, all")
 
 
 def golden_config(path):
@@ -696,18 +705,28 @@ def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
         counted(name)
     # chi is counted wherever it is built, ``kring``'s lattice sum included
     monkeypatch.setattr(kring, "characteristic_polynomial", arrangement.characteristic_polynomial)
+    # the chi substitution, which the lattice and charpoly routes share
+    substitute = kring.mc_complement_charpoly
+
+    def counted_substitute(*args):
+        calls["mc_complement_charpoly"] += 1
+        return substitute(*args)
+    monkeypatch.setattr(kring, "mc_complement_charpoly", counted_substitute)
     seen = {}
     for command in ("lattice", "charpoly", "exponents", "mc", "logclass", "diff", "csm",
                     "euler"):
         for route in ("lattice", "charpoly", "exponents", "all"):
             for override in (None, (3, 1, 2)):
-                calls.update(dict.fromkeys(names, 0))
+                calls.update(dict.fromkeys(names, 0), mc_complement_charpoly=0)
                 code, _ = run_json(command, "braid", mc_route=route,
                                    exponents_override=override)
                 assert code == 0, (command, route, override)
                 assert max(calls.values()) <= 1, (command, route, override, calls)
                 if override is not None and command != "exponents":
                     assert calls["exponents_via_terao"] == 0, (command, route)
+                routed = command in ("mc", "csm", "euler") or (command, route) == ("diff", "all")
+                substituted = int(routed and route != "exponents")
+                assert calls["mc_complement_charpoly"] == substituted, (command, route, override)
                 seen[command, route, override] = tuple(calls[name] for name in names)
     # (lattice, chi, Terao): the lattice route reads chi but not the exponents
     assert seen["mc", "lattice", None] == (1, 1, 0)
