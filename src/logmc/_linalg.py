@@ -97,27 +97,17 @@ class IntEchelon:
                 row = eliminate(row, piv, col)
         return row
 
-    def reduced_rows(self):
-        """The rows by pivot column, which on reduced rows is descending order."""
-        return sorted(self.pivots.values(), reverse=True)
 
-
-def quotient_rows(matrix, cache):
+def quotient_rows(matrix):
     """Entries v / pivot of integer reduced rows (pivot: the first nonzero
     entry): an int where the pivot divides v, else a Fraction, so ``str`` of
     one is ``str(Fraction(v, pivot))``.  A row with pivot 1 is returned as it
-    is; equal entries are shared through the caller's dict ``cache``."""
+    is."""
     out = []
     for row in matrix:
         lead = row[_first_nonzero(row)]
         if lead != 1:
-            entries = []
-            for v in row:
-                value = cache.get((v, lead))
-                if value is None:
-                    value = cache[v, lead] = v // lead if v % lead == 0 else Fraction(v, lead)
-                entries.append(value)
-            row = tuple(entries)
+            row = tuple(v // lead if v % lead == 0 else Fraction(v, lead) for v in row)
         out.append(row)
     return tuple(out)
 
@@ -127,9 +117,12 @@ def rref(rows, width):
 
     Rows are ordered by pivot column, every leading entry is 1 and pivot
     columns are cleared above and below; equality of row spaces is equality
-    of the returned matrices.
+    of the returned matrices.  Pivots are divided out here, not by
+    ``quotient_rows``, so the tests' oracle ``Subspace`` shares no code with
+    the lattice's sort.
     """
     ech = IntEchelon(width)
     for row in rows:
         ech.add(int_row(row))
-    return tuple(tuple(map(Fraction, row)) for row in quotient_rows(ech.reduced_rows(), {}))
+    return tuple(tuple(Fraction(v, row[col]) for v in row)
+                 for col, row in sorted(ech.pivots.items()))

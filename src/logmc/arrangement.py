@@ -190,12 +190,12 @@ class IntersectionLattice:
 
     ``build_lattice`` hands over the flats in closure order, rank by rank:
     ``_flats`` maps the bitmask of the hyperplanes containing a flat (bit k
-    for form k) to its link (rank, creator, row): its rank, the mask of the
-    flat that created it and its new row, a key of the creator's residual
-    table.  The ambient flat has ``None`` for both, and the origin, which a
-    line creates, has the row ``None``.  ``_mu`` maps the mask to
-    the flat's Möbius value.  ``len`` and ``dims_and_mobius`` read the ranks
-    unsorted, and no rows exist until node order is read.
+    for form k) to its link [rank, creator, row, mu]: its rank, the mask of
+    the flat that created it, its new row, a key of the creator's residual
+    table, and its Möbius value.  The ambient flat has ``None`` for creator
+    and row, and the origin, which a line creates, has the row ``None``.
+    ``len`` and ``dims_and_mobius`` read the links unsorted, and no rows
+    exist until node order is read.
 
     ``rows``, ``dims``, ``mobius`` and ``masks`` list the flats in node order:
     descending dimension, then the lexicographic order of their reduced row
@@ -208,19 +208,18 @@ class IntersectionLattice:
     it; the results are equal.)
     """
 
-    __slots__ = ("ambient_dim", "_flats", "_mu", "_order")
+    __slots__ = ("ambient_dim", "_flats", "_order")
 
-    def __init__(self, ambient_dim, flats, mobius):
+    def __init__(self, ambient_dim, flats):
         self.ambient_dim = ambient_dim
         self._flats = flats
-        self._mu = mobius
         self._order = None
 
     def _node_order(self):
         """``_render`` of the flats, sorted on the first call: (rows, dims,
         mobius, masks, quotients) in node order."""
         if self._order is None:
-            self._order = _render(self.ambient_dim, self._flats, self._mu)
+            self._order = _render(self.ambient_dim, self._flats)
         return self._order
 
     rows = property(lambda self: self._node_order()[0])
@@ -230,8 +229,8 @@ class IntersectionLattice:
 
     def dims_and_mobius(self):
         """(dimension, Möbius value) of every flat, in closure order."""
-        width, mu = self.ambient_dim, self._mu
-        return [(width - link[0], mu[mask]) for mask, link in self._flats.items()]
+        width = self.ambient_dim
+        return [(width - rank, mu) for rank, _, _, mu in self._flats.values()]
 
     def __len__(self):
         return len(self._flats)
@@ -266,16 +265,17 @@ def build_lattice(arr, max_nodes=None):
     (Orlik–Terao, ch. 2): with a = lowbit(G) the lowest form on a flat G,
     mu(G) is minus the sum of mu(F) over the flats F covered by G with a not
     on F.  Every F of a rank is visited before any G of the next, and adds
-    -mu(F) to each such G: the F that creates G sets mu(G) to it, any other
-    subtracts it.  For F covered by G, a is not on F exactly when
-    a < lowbit(F), since every form on F is on G.  So a visited flat F walks
-    only the groups of its table that hold a form of ``below``, the forms
-    below lowbit(F) (all forms for the ambient flat): the cover G of such a
-    group has lowbit(G) below lowbit(F), hence not on F, and the cover of
-    any other group has lowbit(G) = lowbit(F).  The pairs (F, G) walked are
-    exactly Weisner's.  A flat on form 0, the top flat among them, has
-    ``below`` empty and is skipped when visited: it derives no table, and
-    none is kept for it when it is created.
+    -mu(F) to each such G: mu(G) is the last field of G's link, which the F
+    that creates G sets to -mu(F) and any other F lowers by mu(F).  For F
+    covered by G, a is not on F exactly when a < lowbit(F), since every
+    form on F is on G.  So a visited flat F walks only the groups of its
+    table that hold a form of ``below``, the forms below lowbit(F) (all
+    forms for the ambient flat): the cover G of such a group has lowbit(G)
+    below lowbit(F), hence not on F, and the cover of any other group has
+    lowbit(G) = lowbit(F).  The pairs (F, G) walked are exactly Weisner's.
+    A flat on form 0, the top flat among them, has ``below`` empty and is
+    skipped when visited: it derives no table, and none is kept for it when
+    it is created.
 
     Every flat is still created.  Let G be a flat other than the ambient one
     and a = lowbit(G).  Extend {a} to a basis of G's forms and drop a: the
@@ -293,8 +293,7 @@ def build_lattice(arr, max_nodes=None):
     width = arr.ambient_dim
     forms = arr.forms
     every = (1 << len(forms)) - 1
-    flats = {0: (0, None, None)}
-    mobius = {0: 1}
+    flats = {0: [0, None, None, 1]}
     _check_node_cap(flats, max_nodes)
     # flat off form 0 -> the residual table of the flat that created it; it
     # lives until the flat is visited
@@ -306,7 +305,7 @@ def build_lattice(arr, max_nodes=None):
             below = every & ((mask & -mask) - 1)
             if not below:
                 continue  # on form 0: every cover has its lowest form on this flat
-            rank, _, row = flats[mask]
+            rank, _, row, mu = flats[mask]
             source = created.pop(mask, None)
             if rank == width - 1:
                 table = {None: every & ~mask}  # one cover, the origin
@@ -314,23 +313,22 @@ def build_lattice(arr, max_nodes=None):
                 table = {form: 1 << k for k, form in enumerate(forms)}
             else:
                 table = _residual_groups(source, row)
-            mu = mobius[mask]
             for residual, bits in table.items():
                 if not bits & below:
                     continue
                 cover = mask | bits
-                if cover not in flats:
-                    flats[cover] = (rank + 1, mask, residual)
+                link = flats.get(cover)
+                if link is None:
+                    flats[cover] = [rank + 1, mask, residual, -mu]
                     if not cover & 1:
                         created[cover] = table
-                    mobius[cover] = -mu
                     next_layer.append(cover)
                     _check_node_cap(flats, max_nodes)
                 else:
-                    mobius[cover] -= mu
+                    link[3] -= mu
         layer = next_layer
 
-    return IntersectionLattice(width, flats, mobius)
+    return IntersectionLattice(width, flats)
 
 
 def _residual_groups(table, row):
@@ -355,37 +353,34 @@ def _residual_groups(table, row):
     return out
 
 
-def _render(width, flats, mobius):
+def _render(width, flats):
     """(rows, dims, mobius, masks, quotients) of the flats in
     ``Subspace.sort_key`` order, without a Subspace.
 
-    Each flat's rows are its creator's rows stepped (``eliminate``) against
-    its new row, plus that row; closure order puts every creator before the
-    flats it created.  A flat whose new row is ``None`` has its rank's unit
-    rows: none for the ambient flat, the identity for the origin.  The sort
-    key is (descending dimension, Fraction RREF matrix): the flats sort on
-    ``quotient_rows`` of their integer rows, kept as ``quotients`` for
-    ``logmc lattice``.  Rows are not scaled to a common denominator: the lcm
-    of all pivots of 26 random forms in dimension 5 (17903 flats) runs to
-    thousands of digits.
+    Each flat's rows, one tuple in pivot order, are its creator's rows
+    stepped (``eliminate``) against its new row, plus that row; closure
+    order puts every creator before the flats it created.  A flat whose new
+    row is ``None`` has its rank's unit rows: none for the ambient flat,
+    the identity for the origin.  The sort key is (descending dimension,
+    Fraction RREF matrix): the flats sort on ``quotient_rows`` of their
+    integer rows, kept as ``quotients`` for ``logmc lattice``.  Rows are not
+    scaled to a common denominator: the lcm of all pivots of 26 random
+    forms in dimension 5 (17903 flats) runs to thousands of digits.
     """
     derived = {}
-    cache = {}
     entries = []
-    for mask, (rank, creator, new) in flats.items():
+    for mask, (rank, creator, new, mu) in flats.items():
         if new is None:
             rows = tuple(tuple(int(c == r) for c in range(width)) for r in range(rank))
         else:
             col = _first_nonzero(new)
-            rows = tuple(eliminate(row, new, col) if row[col] else row
-                         for row in derived[creator]) + (new,)
+            rows = [eliminate(row, new, col) if row[col] else row for row in derived[creator]]
+            rows = tuple(sorted(rows + [new], reverse=True))  # pivot order on reduced rows
         derived[mask] = rows
-        rows = tuple(sorted(rows, reverse=True))  # pivot order on reduced rows
-        entries.append((len(rows), quotient_rows(rows, cache), rows, mask))
+        entries.append((rank, quotient_rows(rows), rows, mask, mu))
     entries.sort()  # the first two fields tell any two flats apart
-    _, quotients, rows, masks = zip(*entries)
-    return (rows, tuple(width - len(matrix) for matrix in rows),
-            tuple(mobius[mask] for mask in masks), masks, quotients)
+    ranks, quotients, rows, masks, mobius = zip(*entries)
+    return rows, tuple(width - rank for rank in ranks), mobius, masks, quotients
 
 
 def _check_node_cap(flats, max_nodes):

@@ -41,7 +41,7 @@ from . import arrangement as arrmod
 from . import curves as curvemod
 from . import hirzebruch as hzmod
 from . import kring
-from ._poly import int_literals, power, render
+from ._poly import exact_scalar, int_literals, power, render
 from .errors import InconsistencyError, ValidationError
 
 TERAO_NOTE = ("candidate exponents only: a split characteristic polynomial does not "
@@ -159,8 +159,11 @@ class _Input:
         "no usable exponent data" here; the ``exponents`` command itself still
         reports it.
         """
-        if self.config.exponents_override is not None:
-            return tuple(sorted(self.config.exponents_override))
+        override = self.config.exponents_override
+        if override is not None:
+            if not isinstance(override, (list, tuple)):
+                raise ValidationError("exponents override must be a list or tuple of integers")
+            return tuple(sorted(map(exact_scalar, override)))
         try:
             result = arrmod.exponents_via_terao(self.chi)
         except InconsistencyError:
@@ -417,6 +420,12 @@ COMMANDS = {
 
 
 def _dispatch(config):
+    # a RunConfig built in code skips argparse and the environment's check
+    if type(config.command) is not str or config.command not in COMMANDS:
+        raise ValidationError(f"command must be one of {', '.join(COMMANDS)}")
+    cap = config.max_lattice_nodes
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ValidationError("LOGMC_MAX_LATTICE must be a positive integer")
     handler = COMMANDS[config.command][0]
     if config.command == "curve":
         return handler(config)

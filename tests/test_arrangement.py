@@ -288,7 +288,7 @@ def test_node_order_dims_and_masks_on_random():
                                              if mask >> k & 1])
                  for mask in lat.masks]
         assert nodes == sorted(nodes, key=Subspace.sort_key)
-        assert [quotient_rows(rows, {}) for rows in lat.rows] == [n.matrix for n in nodes]
+        assert [quotient_rows(rows) for rows in lat.rows] == [n.matrix for n in nodes]
         assert lat.dims == tuple(node.dim for node in nodes)
         got = {}
         for node, mask, mu in zip(nodes, lat.masks, lat.mobius):
@@ -297,6 +297,38 @@ def test_node_order_dims_and_masks_on_random():
                        for k, form in enumerate(forms))
             got[hyperplanes] = (node.dim, mu)
         assert got == subset_flats(list(forms), width)
+
+
+def test_subspace_oracle_shares_no_quotient_code_with_the_lattice(monkeypatch):
+    # Subspace, the node-order oracle, divides its own pivots: it runs with
+    # the lattice's quotient_rows broken, on skew5's non-unit pivots
+    from logmc import _linalg
+
+    def broken(*args):
+        raise AssertionError("quotient_rows called")
+
+    monkeypatch.setattr(_linalg, "quotient_rows", broken)
+    arr = load_arrangement(CORPUS / "skew5.arr")
+    width, forms = arr.ambient_dim, list(arr.forms)
+    subsets = [subset for k in range(len(forms) + 1) for subset in combinations(forms, k)]
+    spaces = []
+    for subset in subsets:
+        space = Subspace.from_forms(width, subset)
+        assert space.matrix == _linalg.rref(subset, width) == fraction_rref(subset, width)
+        step = Subspace.ambient(width)
+        for form in subset:
+            step = step.intersect_form(form)
+        assert step == space
+        spaces.append(space)
+    assert any(v.denominator > 1 for space in spaces for row in space.matrix for v in row)
+    for a in spaces:
+        for b in spaces:
+            rank = fraction_rank(b.matrix + a.matrix, width)
+            assert a.contains(b) == (rank == len(b.matrix))
+    order = sorted(spaces, key=Subspace.sort_key)
+    assert [space.sort_key() for space in order] == sorted(
+        (fraction_rank(subset, width) - width, fraction_rref(subset, width))
+        for subset in subsets)
 
 
 def test_residual_tables_are_echelon_reductions():
@@ -514,7 +546,7 @@ def test_lattice_rows_are_reduced_forms_of_their_hyperplanes():
         lat = build_lattice(arr)
         for rows, mask in zip(lat.rows, lat.masks):
             forms = [form for k, form in enumerate(arr.forms) if mask >> k & 1]
-            assert quotient_rows(rows, {}) == fraction_rref(forms, width)
+            assert quotient_rows(rows) == fraction_rref(forms, width)
             pivots.update(next(v for v in row if v) for row in rows)
     assert pivots - {1}
 
@@ -546,7 +578,7 @@ def test_rows_derived_from_links_on_edge_shapes():
             got = {}
             for rows, dim, mask in zip(lat.rows, lat.dims, lat.masks):
                 hyperplanes = frozenset(k for i, k in enumerate(order) if mask >> i & 1)
-                assert quotient_rows(rows, {}) == fraction_rref(
+                assert quotient_rows(rows) == fraction_rref(
                     [forms[k] for k in sorted(hyperplanes)], width)
                 pivots.update(next(v for v in row if v) for row in rows)
                 got[hyperplanes] = dim
@@ -593,7 +625,7 @@ def test_lazy_node_order_matches_the_eager_order(monkeypatch):
             assert renders == [] and len(lat) == len(expected["dims"])
             getattr(lat, first)
             assert len(renders) == 1
-            assert [quotient_rows(rows, {}) for rows in lat.rows] == expected["matrices"]
+            assert [quotient_rows(rows) for rows in lat.rows] == expected["matrices"]
             assert (lat.dims, lat.masks, lat.mobius) == (
                 expected["dims"], expected["masks"], expected["mobius"])
             assert len(renders) == 1

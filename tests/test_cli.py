@@ -545,6 +545,60 @@ def test_commands_on_mc_routes_refuse_an_unknown_route():
             "mc route must be one of lattice, charpoly, exponents, all")
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"command": "nope"}, "command must be one of lattice, charpoly,"),
+    ({"command": None}, "command must be one of lattice, charpoly,"),
+    ({"max_lattice_nodes": "5"}, "LOGMC_MAX_LATTICE must be a positive integer"),
+    ({"max_lattice_nodes": True}, "LOGMC_MAX_LATTICE must be a positive integer"),
+    ({"max_lattice_nodes": 0}, "LOGMC_MAX_LATTICE must be a positive integer"),
+    ({"exponents_override": (1, 2, "3")}, "'3' is not an integer"),
+    ({"exponents_override": 5}, "exponents override must be a list or tuple of integers"),
+    ({"exponents_override": "123"}, "exponents override must be a list or tuple of integers"),
+])
+def test_run_refuses_bad_fields_of_a_config_built_in_code(fields, message):
+    """A RunConfig built in code skips argparse and the environment's checks."""
+    for fmt in ("json", "text"):
+        config = RunConfig(**{"command": "mc", "input_path": corpus_path("braid"),
+                              "output_format": fmt, **fields})
+        code, report = run(config)
+        assert code == 1
+        error = json.loads(report)["error"] if fmt == "json" else report
+        assert message in error
+
+
+def test_run_config_exponents_are_read_as_ints_and_a_cap_of_none_is_uncapped():
+    expected = run_json("logclass", "braid", exponents_override=(3, 1, 2))
+    assert expected[0] == 0
+    for override in ([3, 1, 2], (Fraction(3), 1, 2), [Fraction(6, 2), 1, 2]):
+        assert run_json("logclass", "braid", exponents_override=override) == expected
+    code, report = run_json("lattice", "braid", max_lattice_nodes=None)
+    assert code == 0 and json.loads(report)["node_count"] == 15
+
+
+_field_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=4),
+    st.tuples(st.one_of(st.integers(-3, 4), st.text(max_size=2), st.booleans())),
+    st.lists(st.integers(-3, 4), max_size=4).map(tuple))
+
+
+# input_path stays a corpus file: ``open`` takes an int as a file descriptor
+@settings(max_examples=150, deadline=None)
+@given(command=st.one_of(st.sampled_from(sorted(cli.COMMANDS)), _field_values),
+       stem=st.sampled_from(["braid", "boolean3", "skew5", "cusp"]),
+       output_format=st.one_of(st.sampled_from(["json", "text"]), _field_values),
+       mc_route=st.one_of(st.sampled_from(["lattice", "charpoly", "exponents", "all"]),
+                          _field_values),
+       exponents_override=_field_values,
+       basis=st.one_of(st.sampled_from(["s", "one_minus_s"]), _field_values),
+       max_lattice_nodes=_field_values)
+def test_run_returns_a_payload_for_any_config_field_values(
+        command, stem, output_format, mc_route, exponents_override, basis, max_lattice_nodes):
+    config = RunConfig(command, corpus_path(stem), output_format, mc_route,
+                       exponents_override, basis, max_lattice_nodes)
+    code, report = run(config)
+    assert code in (0, 1, 2) and type(report) is str
+
+
 def golden_config(path):
     """The run a golden JSON file records: ``<stem>_<command>[_override].json``,
     the override being the exponents 3,1,2 with the route its test uses."""
