@@ -121,12 +121,12 @@ def _integer_lines(text):
 
 
 def read_file(path):
-    """The UTF-8 text of ``path``; a file that cannot be read or decoded is
-    a ValidationError."""
+    """The UTF-8 text of ``path``; a file that cannot be read or decoded, or
+    a path with a NUL character, is a ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # UnicodeDecodeError is a ValueError
         raise ValidationError(f"cannot read {path}: {e}") from None
 
 

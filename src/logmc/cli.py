@@ -190,24 +190,24 @@ def _mc_routes(inp):
     """Requested motivic Chern class routes, cross-checked for agreement.
 
     The dict is filled in the order lattice, charpoly, exponents, so its
-    first value is the preferred one.  The lattice sum, grouped by
-    dimension, is the chi substitution (``kring.mc_complement_lattice_sum``),
-    so the ``lattice`` and ``charpoly`` routes requested share one class,
-    computed once from the run's chi.
+    first value is the preferred one.  Each route is the chi substitution
+    (``kring.mc_complement_charpoly``) at its chi: the lattice sum grouped by
+    dimension at the run's, the exponent product at prod_i (t - e_i).  It
+    runs once per distinct chi, after every refusal.
     """
     route = _mc_route(inp)
-    names = [name for name in ("lattice", "charpoly") if route in (name, "all")]
-    routes = {}
-    if names:
-        routes = dict.fromkeys(names, kring.mc_complement_charpoly(inp.chi, inp.n))
+    chis = {name: inp.chi for name in ("lattice", "charpoly") if route in (name, "all")}
     if route in ("exponents", "all"):
         if inp.exponents is not None:
-            routes["exponents"] = kring.mc_free_exponents(inp.exponents, inp.n)
+            exps = kring._validate_exponents(inp.exponents, inp.n)
+            chis["exponents"] = arrmod.IntPolynomial(kring._exponents_chi(exps))
         elif route == "exponents":
             raise ValidationError(
                 "mc route 'exponents' needs exponent data: the characteristic "
                 "polynomial does not split usably and no --exponents override was given")
-    values = list(routes.values())
+    classes = {chi: kring.mc_complement_charpoly(chi, inp.n) for chi in set(chis.values())}
+    routes = {name: classes[chi] for name, chi in chis.items()}
+    values = list(classes.values())
     if any(v != values[0] for v in values[1:]):
         raise InconsistencyError(
             "motivic Chern class routes disagree",
@@ -312,9 +312,7 @@ def _cmd_diff(inp):
     exps = inp.required_exponents()
     route = _mc_route(inp)
     if route == "all":
-        _mc_routes(inp)  # the cross-check; the difference takes chi's route
-    # both classes' packed rows are subtracted and divided by 1+y once; the
-    # lattice route's chi is the lattice's own
+        _mc_routes(inp)  # the cross-check; the difference takes the run's chi
     source = None if route == "exponents" else inp.chi
     value = kring.difference_class_arrangement(exps, source, inp.n)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "exponents": list(exps),
@@ -426,6 +424,11 @@ def _dispatch(config):
     cap = config.max_lattice_nodes
     if cap is not None and (type(cap) is not int or cap < 1):
         raise ValidationError("LOGMC_MAX_LATTICE must be a positive integer")
+    if config.output_format not in ("text", "json"):
+        raise ValidationError("output format must be text or json")
+    # ``open`` would take an int or a bool as a file descriptor, and close it
+    if not isinstance(config.input_path, (str, os.PathLike)):
+        raise ValidationError("input path must be a str or os.PathLike")
     handler = COMMANDS[config.command][0]
     if config.command == "curve":
         return handler(config)

@@ -10,12 +10,12 @@ Every class below is built as the packed y-rows of its numerator over
 (1+y).  In tau = s - 1 the relation is tau^{n+1} = 0, plain truncation, so
 each y-row is one int, tau -> 2^w, truncated by a mask:
 
-  * the exponent products, and (1+sy)^{n+1}, have factors with nonnegative
-    tau-coefficients (s^e = (1+tau)^e, 1 - e + e s = 1 + e tau): a factor
-    costs one int product and mask per row, and no digit carries;
-  * the chi substitution, with 1 - s = -tau, is Horner's rule in
-    1 + s y = 1 + (1+tau) y: one shift-add per row and step, with signed
-    digits;
+  * every motivic Chern class is the chi substitution, with 1 - s = -tau,
+    by Horner's rule in 1 + s y = 1 + (1+tau) y: one shift-add per row and
+    step, with signed digits (``_chi_rows``);
+  * the log class is a product of factors s^e + s y, whose heads
+    s^e = (1+tau)^e have nonnegative tau-coefficients: a factor costs one
+    int product and mask per row, and no digit carries (``_product_rows``);
   * the difference packs both numerators at one width and subtracts them.
 
 All of them end in one tail: ``_poly.deflate`` divides the packed rows by
@@ -28,10 +28,10 @@ computed.  The change between the s and 1-s bases is the Taylor shift
 On top of this the module computes, for a central arrangement with
 intersection lattice L and characteristic polynomial chi:
 
-  * the motivic Chern class of the arrangement complement, via the lattice
-    sum  sum_x mobius(x) (1-s)^{n-dim(x)+1} (1+sy)^{dim(x)} / (1+y),
-    the substitution  sum_j chi_j (1+sy)^j (1-s)^{n+1-j} / (1+y),
-    or the exponent product  prod_i (1-e_i + (e_i+y)s) / (1+y);
+  * the motivic Chern class of the arrangement complement, the substitution
+    sum_j chi_j (1+sy)^j (1-s)^{n+1-j} / (1+y): grouped by dimension, the
+    lattice sum of mobius(x) (1-s)^{n-dim(x)+1} (1+sy)^{dim(x)} / (1+y), and
+    at chi = prod_i (t - e_i) the exponent product prod_i (1-e_i + (e_i+y)s) / (1+y);
   * the twisted total logarithmic-form class
     prod_i (s^{e_i} + s y) / (1+y)  from a splitting with exponents e_i;
   * the difference of the two.
@@ -46,7 +46,6 @@ All values are immutable and all functions are pure.
 """
 
 from math import comb
-from operator import sub
 
 from ._poly import (_Truncated, _YPoly, check_dimension, check_type, deflate,
                     exact_scalar, json_fields, json_list, pack_minus_one,
@@ -196,12 +195,10 @@ def exact_div_one_plus_y(num):
 def omega_log_trivial(n):
     """Total form class sum_p [Omega^p] y^p of P^n itself.
 
-    Computed as the exact quotient (1 + s y)^{n+1} / (1+y); the division
-    must leave no remainder.  Each head 1 is at most (1+tau)^1, so the
-    packed product's width bound holds with total n + 1.
+    (1 + s y)^{n+1} / (1+y), the chi substitution at chi = t^{n+1} (mC of P^n).
     """
     check_dimension(n)
-    return _product_over_one_plus_y([(1,)] * (n + 1), n, n + 1)
+    return _mc_from_chi((0,) * (n + 1) + (1,), n)
 
 
 def mc_complement_lattice_sum(lat):
@@ -230,11 +227,15 @@ def mc_complement_charpoly(chi, n):
     (``_chi_rows``), then divides exactly by (1+y).
     """
     _check_chi(chi, n)
-    width = _chi_width(chi, n)
-    return _over_one_plus_y(_chi_rows(chi, n, width), n, width)
+    return _mc_from_chi(chi.coeffs, n)
 
 
-def _chi_width(chi, n):
+def _mc_from_chi(coeffs, n):
+    width = _chi_width(coeffs, n)
+    return _over_one_plus_y(_chi_rows(coeffs, n, width), n, width)
+
+
+def _chi_width(coeffs, n):
     """A digit width for ``_chi_rows``, their quotients by (1+y) and remainder.
 
     Each of those tau^m digits (m <= n) is a signed sum of the rows' tau^m
@@ -245,10 +246,10 @@ def _chi_width(chi, n):
     for M = max_{j>=1} |chi_j| (hockey stick, then one term of (1+2)^{n+2}),
     so with w = bitlen M + bitlen 3^{n+2} every digit is below 2^(w-1) in size.
     """
-    return max(map(abs, chi.coeffs[1:])).bit_length() + (3 ** (n + 2)).bit_length()
+    return max(map(abs, coeffs[1:])).bit_length() + (3 ** (n + 2)).bit_length()
 
 
-def _chi_rows(chi, n, width):
+def _chi_rows(coeffs, n, width):
     """The y-rows of sum_j chi_j (1+sy)^j (1-s)^{n+1-j}, packed by tau -> 2^width.
 
     Horner's rule in j, homogenised: with A = 1 + s y and B = 1 - s = -tau
@@ -261,7 +262,7 @@ def _chi_rows(chi, n, width):
     """
     mask = (1 << width * (n + 1)) - 1
     rows = []
-    for k, c in enumerate(reversed(chi.coeffs)):
+    for k, c in enumerate(reversed(coeffs)):
         shifted = 0
         out = []
         for r in rows:
@@ -286,8 +287,38 @@ def _validate_exponents(exps, n):
     return exps
 
 
+def _exponents_chi(exps):
+    """The coefficients of prod_i (t - e_i), lowest degree first."""
+    chi = [1]
+    for e in exps:
+        lower = 0
+        for k, c in enumerate(chi):  # t^k in (t - e) chi: chi_{k-1} - e chi_k
+            chi[k], lower = lower - e * c, c
+        chi.append(lower)
+    return chi
+
+
+def mc_free_exponents(exps, n):
+    """Motivic Chern class of the complement from candidate exponents.
+
+    prod_i (1 - e_i + (e_i + y) s) / (1+y), exact since the factor for e = 1
+    is (1+y) s.  It is the chi substitution at chi = prod_i (t - e_i), as
+    homogenised t - e is (1+sy) - e (1-s).
+    """
+    return _mc_from_chi(_exponents_chi(_validate_exponents(exps, n)), n)
+
+
 def _product_width(n, total):
-    """The digit width of ``_product_rows`` (see ``_product_over_one_plus_y``)."""
+    """A digit width for ``_product_rows`` of heads (1+tau)^{e_i}, total = sum e_i.
+
+    Each factor (1+tau)^{e_i} + (1+tau) y has nonnegative coefficients and,
+    as e_i >= 1, is at most (1+tau)^{e_i} (1+y), so no digit carries: every
+    partial product is at most (1+tau)^total (1+y)^{n+1}, whose tau^j y^k
+    coefficient is C(n+1, k) C(total, j) < 2^{n+1} C(total, min(n, total // 2))
+    <= 2^{w-1} for j <= n.  A quotient or remainder digit is a signed sum of
+    the product's tau^j digits, which add up to at most 2^{n+1} C(total, j) <
+    2^{w-1}, as ``_over_one_plus_y`` requires.
+    """
     return n + 2 + comb(total, min(n, total // 2)).bit_length()
 
 
@@ -308,28 +339,6 @@ def _product_rows(heads, n, width):
         out.append(shifted)
         rows = out
     return rows
-
-
-def _product_over_one_plus_y(heads, n, total):
-    """prod_i (head_i + s y) / (1+y), each head given by its tau-coefficients.
-
-    In tau = s - 1 the relation is truncation after tau^n.  ``heads[i]``
-    lists the nonnegative tau-coefficients of a head at most (1+tau)^{e_i}
-    coefficientwise, and ``total`` = sum e_i.  Each y-row is one int, packed
-    by tau -> 2^w; a factor costs per row one masked int product, plus the
-    packed s * (previous row) = (1+tau) * (previous row).
-
-    No digit carries: coefficients are nonnegative and every factor has
-    constant term 1, so partial products are at most the whole product,
-    which is at most (1+tau)^total (1+y)^{n+1} since s <= (1+tau)^{e_i}
-    too.  Its tau^j y^k coefficient is at most C(n+1, k) C(total, j) <
-    2^{n+1} C(total, min(n, total // 2)) <= 2^{w-1} for j <= n.  A quotient
-    or remainder digit is a signed sum of the product's tau^j digits, which
-    add up to at most 2^{n+1} C(total, j) < 2^{w-1}, as ``_over_one_plus_y``
-    requires.
-    """
-    width = _product_width(n, total)
-    return _over_one_plus_y(_product_rows(heads, n, width), n, width)
 
 
 def _over_one_plus_y(rows, n, width):
@@ -364,17 +373,6 @@ def _over_one_plus_y(rows, n, width):
     return KPoly(n, [s_class(q) for q in quotients])
 
 
-def mc_free_exponents(exps, n):
-    """Motivic Chern class of the complement from candidate exponents.
-
-    prod_i (1 - e_i + (e_i + y) s) / (1+y); the factor for e = 1 is
-    (1+y) s, so the division is always exact.  In tau = s - 1 the head
-    1 - e + e s is 1 + e tau.
-    """
-    exps = _validate_exponents(exps, n)
-    return _product_over_one_plus_y([(1, e) for e in exps], n, sum(exps))
-
-
 def _binomial_row(e, n):
     """C(e, j) for j = 0..min(e, n): s^e = (1 + tau)^e truncated."""
     row = [1]
@@ -391,16 +389,18 @@ def log_class_free(exps, n):
     given exponents.
     """
     exps = _validate_exponents(exps, n)
-    return _product_over_one_plus_y([_binomial_row(e, n) for e in exps], n, sum(exps))
+    width = _product_width(n, sum(exps))
+    return _over_one_plus_y(_product_rows([_binomial_row(e, n) for e in exps], n, width),
+                            n, width)
 
 
 def difference_class_arrangement(exps, lat_or_chi, n):
     """Motivic Chern class minus the twisted logarithmic-form class.
 
-    The first argument fixes the log side (and the exponent route); the
-    second selects the motivic route: an IntersectionLattice, a
-    characteristic IntPolynomial, or None to use the exponent product.
-    The result is zero exactly when all exponents are 1.
+    The first argument fixes the log side; the second gives the motivic
+    side's chi: an IntersectionLattice's own, a characteristic
+    IntPolynomial, or None for prod_i (t - e_i) of the exponents.  The
+    result is zero exactly when all exponents are 1.
 
     Both numerators are packed at one width, a bit wider than either
     needs: their digits, and those of their quotients and remainders, are
@@ -409,26 +409,23 @@ def difference_class_arrangement(exps, lat_or_chi, n):
     """
     if exps is None:
         raise ValidationError("no exponent data: the logarithmic side needs exponents")
-    if lat_or_chi is None:
-        exps = _validate_exponents(exps, n)
-        width = _product_width(n, sum(exps)) + 1
-        mc = _product_rows([(1, e) for e in exps], n, width)
-    elif isinstance(lat_or_chi, (IntersectionLattice, IntPolynomial)):
-        chi, m = lat_or_chi, n
-        if isinstance(lat_or_chi, IntersectionLattice):
-            chi, m = characteristic_polynomial(lat_or_chi), lat_or_chi.ambient_dim - 1
+    chi, m = lat_or_chi, n
+    if isinstance(chi, IntersectionLattice):
+        chi, m = characteristic_polynomial(chi), chi.ambient_dim - 1
+    if isinstance(chi, IntPolynomial):
         _check_chi(chi, m)
-        exps = _validate_exponents(exps, n)
-        if m != n:
-            # the lattice's class lives on its own P^m: KPoly subtraction's refusal
-            raise ValidationError("KPoly operands live on different projective spaces")
-        width = max(_chi_width(chi, n), _product_width(n, sum(exps))) + 1
-        mc = _chi_rows(chi, n, width)
-    else:
+    elif chi is not None:
         raise ValidationError(
             "second argument must be an IntersectionLattice, IntPolynomial or None")
+    exps = _validate_exponents(exps, n)
+    if m != n:
+        # the lattice's class lives on its own P^m: KPoly subtraction's refusal
+        raise ValidationError("KPoly operands live on different projective spaces")
+    coeffs = _exponents_chi(exps) if chi is None else chi.coeffs
+    width = max(_chi_width(coeffs, n), _product_width(n, sum(exps))) + 1
+    mc = _chi_rows(coeffs, n, width)
     log = _product_rows([_binomial_row(e, n) for e in exps], n, width)
-    return _over_one_plus_y(list(map(sub, mc, log)), n, width)
+    return _over_one_plus_y([a - b for a, b in zip(mc, log)], n, width)
 
 
 def kpoly_to_json(p, basis="s"):

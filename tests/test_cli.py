@@ -154,6 +154,18 @@ def test_exponent_override_disagreement_is_exit_2():
     assert "routes" in payload["details"]
 
 
+def test_an_override_with_another_chi_gets_its_own_class():
+    # braid's chi is (t-1)(t-2)(t-3); (1, 1, 4) is not its split
+    code, report = run_json("mc", "braid", exponents_override=(1, 1, 4), mc_route="all")
+    routes = json.loads(report)["details"]["routes"]
+    lattice_class = kring.mc_complement_lattice_sum(build_lattice(load_arrangement(
+        corpus_path("braid"))))
+    assert code == 2 and list(routes) == ["lattice", "charpoly", "exponents"]
+    assert routes["lattice"] == routes["charpoly"] == kring.kpoly_to_json(lattice_class)
+    assert routes["exponents"] == kring.kpoly_to_json(kring.mc_free_exponents((1, 1, 4), 2))
+    assert routes["exponents"] != routes["lattice"]
+
+
 def test_nonessential_exponents_is_exit_2(tmp_path):
     path = tmp_path / "nonessential.arr"
     path.write_text("3\n1 0 0\n0 1 0\n1 -1 0\n")
@@ -581,10 +593,11 @@ _field_values = st.one_of(
     st.lists(st.integers(-3, 4), max_size=4).map(tuple))
 
 
-# input_path stays a corpus file: ``open`` takes an int as a file descriptor
 @settings(max_examples=150, deadline=None)
 @given(command=st.one_of(st.sampled_from(sorted(cli.COMMANDS)), _field_values),
-       stem=st.sampled_from(["braid", "boolean3", "skew5", "cusp"]),
+       input_path=st.one_of(
+           st.sampled_from(["braid", "boolean3", "skew5", "cusp"]).map(corpus_path),
+           _field_values),
        output_format=st.one_of(st.sampled_from(["json", "text"]), _field_values),
        mc_route=st.one_of(st.sampled_from(["lattice", "charpoly", "exponents", "all"]),
                           _field_values),
@@ -592,11 +605,24 @@ _field_values = st.one_of(
        basis=st.one_of(st.sampled_from(["s", "one_minus_s"]), _field_values),
        max_lattice_nodes=_field_values)
 def test_run_returns_a_payload_for_any_config_field_values(
-        command, stem, output_format, mc_route, exponents_override, basis, max_lattice_nodes):
-    config = RunConfig(command, corpus_path(stem), output_format, mc_route,
+        command, input_path, output_format, mc_route, exponents_override, basis,
+        max_lattice_nodes):
+    config = RunConfig(command, input_path, output_format, mc_route,
                        exponents_override, basis, max_lattice_nodes)
     code, report = run(config)
     assert code in (0, 1, 2) and type(report) is str
+    if output_format not in ("text", "json"):
+        assert code == 1
+
+
+def test_run_refuses_a_file_descriptor_as_input_path_and_leaves_it_open():
+    for path in (0, 1, True, None, b"corpus/braid.arr"):
+        code, report = run(RunConfig("charpoly", path, "json"))
+        assert code == 1
+        assert json.loads(report) == {"error": "input path must be a str or os.PathLike",
+                                      "kind": "validation"}
+    os.fstat(0)
+    os.fstat(1)
 
 
 def golden_config(path):
@@ -759,7 +785,8 @@ def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
         counted(name)
     # chi is counted wherever it is built, ``kring``'s lattice sum included
     monkeypatch.setattr(kring, "characteristic_polynomial", arrangement.characteristic_polynomial)
-    # the chi substitution, which the lattice and charpoly routes share
+    # the chi substitution, which every route shares: braid's chi is that of
+    # its exponents (1, 2, 3), so it runs once per routed run, override or not
     substitute = kring.mc_complement_charpoly
 
     def counted_substitute(*args):
@@ -779,8 +806,7 @@ def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
                 if override is not None and command != "exponents":
                     assert calls["exponents_via_terao"] == 0, (command, route)
                 routed = command in ("mc", "csm", "euler") or (command, route) == ("diff", "all")
-                substituted = int(routed and route != "exponents")
-                assert calls["mc_complement_charpoly"] == substituted, (command, route, override)
+                assert calls["mc_complement_charpoly"] == routed, (command, route, override)
                 seen[command, route, override] = tuple(calls[name] for name in names)
     # (lattice, chi, Terao): the lattice route reads chi but not the exponents
     assert seen["mc", "lattice", None] == (1, 1, 0)

@@ -29,7 +29,8 @@ from logmc import (CohClass, CohPoly, DivisionRemainderError, IntPolynomial,
 from logmc._linalg import _strip_content
 from logmc._poly import deflate, shift_minus_one, unpack
 from logmc.arrangement import MAX_AMBIENT_DIM
-from logmc.kring import _binomial_row, _product_over_one_plus_y, _swap_s_basis
+from logmc.kring import (_binomial_row, _over_one_plus_y, _product_rows, _product_width,
+                         _swap_s_basis)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -325,7 +326,9 @@ def test_product_remainder_matches_exact_division():
         except DivisionRemainderError as err:
             want = ("error", str(err), err.remainder, err.details)
         try:
-            got = ("ok", _product_over_one_plus_y(heads, n, sum(exps)))
+            # 1 + e tau <= (1+tau)^e coefficientwise, so the width holds for both
+            width = _product_width(n, sum(exps))
+            got = ("ok", _over_one_plus_y(_product_rows(heads, n, width), n, width))
         except DivisionRemainderError as err:
             got = ("error", str(err), err.remainder, err.details)
         assert got == want

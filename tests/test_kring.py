@@ -253,6 +253,22 @@ def test_mc_free_exponents_all_ones():
         assert value == expected
 
 
+def test_mc_free_exponents_of_a_1000_digit_exponent_is_the_chi_substitution():
+    # its cost is set by chi = (t - 1)^31 (t - e), whose coefficients have
+    # about 1000 digits, not by the 31000-digit binomial C(sum e, n)
+    n, e = 31, 10 ** 999 + 7
+    ones = [comb(31, k) * (-1) ** (31 - k) for k in range(32)]
+    chi = IntPolynomial([a - e * b for a, b in zip([0] + ones, ones + [0])])
+    exps = [1] * 31 + [e]
+    assert mc_free_exponents(exps, n) == mc_complement_charpoly(chi, n)
+    best = float("inf")
+    for _ in range(3):  # the best of three, against a busy machine
+        start = time.perf_counter()
+        mc_free_exponents(exps, n)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5
+
+
 def test_mc_route_agreement_random():
     rng = random.Random(424242)
     checked = 0
