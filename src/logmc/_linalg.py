@@ -98,28 +98,14 @@ class IntEchelon:
         return row
 
 
-def quotient_rows(matrix):
-    """Entries v / pivot of integer reduced rows (pivot: the first nonzero
-    entry): an int where the pivot divides v, else a Fraction, so ``str`` of
-    one is ``str(Fraction(v, pivot))``.  A row with pivot 1 is returned as it
-    is."""
-    out = []
-    for row in matrix:
-        lead = row[_first_nonzero(row)]
-        if lead != 1:
-            row = tuple(v // lead if v % lead == 0 else Fraction(v, lead) for v in row)
-        out.append(row)
-    return tuple(out)
-
-
 def rref(rows, width):
     """Canonical reduced row echelon form as a tuple of Fraction tuples.
 
     Rows are ordered by pivot column, every leading entry is 1 and pivot
     columns are cleared above and below; equality of row spaces is equality
-    of the returned matrices.  Pivots are divided out here, not by
-    ``quotient_rows``, so the tests' oracle ``Subspace`` shares no code with
-    the lattice's sort.
+    of the returned matrices.  Pivots are divided out here, into Fractions,
+    so the tests' oracle ``Subspace`` shares no code with the lattice's
+    integer sort or the entries ``logmc lattice`` prints.
     """
     ech = IntEchelon(width)
     for row in rows:

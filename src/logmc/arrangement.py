@@ -20,7 +20,7 @@ All arithmetic is exact; no floating point is used anywhere.
 
 from collections import namedtuple
 
-from ._linalg import _first_nonzero, _strip_content, eliminate, quotient_rows, rref
+from ._linalg import _first_nonzero, _strip_content, eliminate, rref
 from ._poly import MAX_LITERAL_DIGITS, deflate, exact_scalar, int_literals, power, render
 from .errors import InconsistencyError, ValidationError
 
@@ -200,10 +200,11 @@ class IntersectionLattice:
     ``rows``, ``dims``, ``mobius`` and ``masks`` list the flats in node order:
     descending dimension, then the lexicographic order of their reduced row
     echelon matrices (``Subspace.sort_key``).  ``_render`` derives the rows
-    from the links and sorts the flats on the first read of any of them.
-    ``rows[i]`` is flat i's reduced row echelon matrix on integers: primitive
-    rows ordered by pivot column, each with a positive pivot and zero in
-    every other pivot column.  The masks turn the order relation into a mask
+    from the links and sorts the flats, on exact integer keys, on the first
+    read of any of them.  ``rows[i]`` is flat i's reduced row echelon matrix
+    on integers: primitive rows ordered by pivot column, each with a positive
+    pivot and zero in every other pivot column; its entries v / pivot are
+    the Fraction matrix's.  The masks turn the order relation into a mask
     test.  (Two threads reading the node order first at once may both sort
     it; the results are equal.)
     """
@@ -217,7 +218,7 @@ class IntersectionLattice:
 
     def _node_order(self):
         """``_render`` of the flats, sorted on the first call: (rows, dims,
-        mobius, masks, quotients) in node order."""
+        mobius, masks) in node order."""
         if self._order is None:
             self._order = _render(self.ambient_dim, self._flats)
         return self._order
@@ -354,33 +355,57 @@ def _residual_groups(table, row):
 
 
 def _render(width, flats):
-    """(rows, dims, mobius, masks, quotients) of the flats in
-    ``Subspace.sort_key`` order, without a Subspace.
+    """(rows, dims, mobius, masks) of the flats in ``Subspace.sort_key``
+    order, without a Subspace or a Fraction.
 
     Each flat's rows, one tuple in pivot order, are its creator's rows
     stepped (``eliminate``) against its new row, plus that row; closure
     order puts every creator before the flats it created.  A flat whose new
     row is ``None`` has its rank's unit rows: none for the ambient flat,
-    the identity for the origin.  The sort key is (descending dimension,
-    Fraction RREF matrix): the flats sort on ``quotient_rows`` of their
-    integer rows, kept as ``quotients`` for ``logmc lattice``.  Rows are not
-    scaled to a common denominator: the lcm of all pivots of 26 random
-    forms in dimension 5 (17903 flats) runs to thousands of digits.
+    the identity for the origin.
+
+    The sort key is (descending dimension, Fraction RREF matrix), compared
+    on exact integers: with P the largest pivot of any flat and 2^k > P^2,
+    an entry v / pivot becomes (v << k) // pivot.  Two distinct entries
+    a/p < b/q differ by at least 1/(p*q) >= 1/P^2, so their scaled values
+    differ by more than 1 and keep their order under the floor; equal
+    entries reached through different pivots scale to the same integer.
+    When every pivot is 1, k = 0 and the rows are their own key.  No common
+    denominator is formed: the lcm of all pivots of 26 random forms in
+    dimension 5 (17903 flats) runs to thousands of digits.
     """
     derived = {}
     entries = []
+    top = 1  # the largest pivot
     for mask, (rank, creator, new, mu) in flats.items():
         if new is None:
             rows = tuple(tuple(int(c == r) for c in range(width)) for r in range(rank))
         else:
             col = _first_nonzero(new)
-            rows = [eliminate(row, new, col) if row[col] else row for row in derived[creator]]
-            rows = tuple(sorted(rows + [new], reverse=True))  # pivot order on reduced rows
+            rows = [new]
+            top = max(top, new[col])
+            for row in derived[creator]:
+                if row[col]:
+                    row = eliminate(row, new, col)
+                    top = max(top, next(filter(None, row)))
+                rows.append(row)
+            rows = tuple(sorted(rows, reverse=True))  # pivot order on reduced rows
         derived[mask] = rows
-        entries.append((rank, quotient_rows(rows), rows, mask, mu))
+        entries.append((rank, rows, mask, mu))
+    if top > 1:  # else the rows are their own key
+        shift = (top * top).bit_length()
+        entries = [(rank, tuple(_scaled(row, shift) for row in rows), rows, mask, mu)
+                   for rank, rows, mask, mu in entries]
     entries.sort()  # the first two fields tell any two flats apart
-    ranks, quotients, rows, masks, mobius = zip(*entries)
-    return rows, tuple(width - rank for rank in ranks), mobius, masks, quotients
+    ranks, *_, rows, masks, mobius = zip(*entries)
+    return rows, tuple(width - rank for rank in ranks), mobius, masks
+
+
+def _scaled(row, shift):
+    """The entries v / pivot of an integer reduced row, times 2^shift and
+    rounded down."""
+    lead = next(filter(None, row))
+    return tuple((v << shift) // lead for v in row)
 
 
 def _check_node_cap(flats, max_nodes):

@@ -35,7 +35,7 @@ import os
 import sys
 from collections import namedtuple
 from functools import cached_property
-from math import comb
+from math import comb, gcd
 
 from . import arrangement as arrmod
 from . import curves as curvemod
@@ -225,18 +225,67 @@ def _mc_value(inp):
 # agreement, the Euler cross-check, required exponents, curve validation)
 # comes before the first yield, and nothing after it may raise but writing an
 # integer too long for text, which ``run`` refuses wherever it happens.
-# ``run`` resumes the generator only for text, so a JSON run formats no text.
+# ``run`` resumes the generator only for text, so a JSON run formats no text;
+# the ``lattice`` report's nodes are a ``_Written`` value, whose JSON text
+# only a JSON run writes.
 
 def _cmd_lattice(inp):
     lat = inp.lattice
-    _, dims, mobius, _, quotients = lat._node_order()
-    nodes = [{"dim": dim, "mobius": mu, "matrix": [[str(v) for v in row] for row in rows]}
-             for dim, rows, mu in zip(dims, quotients, mobius)]
+    matrices, dims, mobius = lat.rows, lat.dims, lat.mobius
+    nodes = _Written(lambda newline: _nodes_json(matrices, dims, mobius, newline))
     yield {"ambient_dim": lat.ambient_dim, "node_count": len(lat), "nodes": nodes}
     yield f"ambient_dim {lat.ambient_dim}, {len(lat)} nodes"
-    for node in nodes:
-        rendered = "; ".join(" ".join(row) for row in node["matrix"]) or "(ambient)"
-        yield f"dim {node['dim']}  mobius {node['mobius']:3d}  [{rendered}]"
+    yield from map(_node_line, dims, mobius, matrices)
+
+
+def _node_line(dim, mu, matrix):
+    """One node's line of the ``lattice`` text report."""
+    rendered = "; ".join([" ".join(_entry_texts(row)) for row in matrix]) or "(ambient)"
+    return f"dim {dim}  mobius {mu:3d}  [{rendered}]"
+
+
+def _entry_texts(row):
+    """``str`` of each entry v / pivot of an integer reduced row, as that of
+    ``Fraction(v, pivot)``: ``str(v)`` under a pivot 1, else one gcd each."""
+    lead = next(filter(None, row))
+    if lead == 1:
+        return [str(v) for v in row]
+    texts = []
+    for v in row:
+        g = gcd(v, lead)
+        texts.append(str(v // g) if g == lead else f"{v // g}/{lead // g}")
+    return texts
+
+
+def _nodes_json(matrices, dims, mobius, newline):
+    """The text ``_to_json`` gives the ``lattice`` report's list of node
+    dicts {"dim", "mobius", "matrix"} at the level of ``newline``, the
+    matrix entries as their ``_entry_texts``, built in one pass of joins."""
+    node = newline + "  "
+    field = node + "  "
+    row = field + "  "
+    entry = row + "  "
+    head = "{" + field + '"dim": '
+    mobius_key = "," + field + '"mobius": '
+    matrix_key = "," + field + '"matrix": '
+    tail = node + "}"
+    rows_open, rows_sep, rows_close = "[" + row, "," + row, field + "]"
+    opening, separator, closing = "[" + entry + '"', '",' + entry + '"', '"' + row + "]"
+    nodes = []
+    written = {}  # row -> its text; flats share rows
+    for matrix, dim, mu in zip(matrices, dims, mobius):
+        if matrix:
+            texts = []
+            for r in matrix:
+                text = written.get(r)
+                if text is None:
+                    text = written[r] = opening + separator.join(_entry_texts(r)) + closing
+                texts.append(text)
+            rows = rows_open + rows_sep.join(texts) + rows_close
+        else:
+            rows = "[]"
+        nodes.append(f"{head}{dim}{mobius_key}{mu}{matrix_key}{rows}{tail}")
+    return "[" + node + ("," + node).join(nodes) + newline + "]"
 
 
 def _cmd_charpoly(inp):
@@ -439,11 +488,24 @@ def _dispatch(config):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _Written:
+    """A report value that writes its own JSON: ``write(newline)`` is the
+    text ``_to_json`` gives the value at the level of ``newline``.  It is
+    called only when a JSON report is written."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write):
+        self.write = write
+
+
 def _to_json(obj, newline="\n"):
     """The bytes of ``json.dumps(obj, indent=2)`` for a report (str-keyed
     dicts, lists, strs, ints, bools, None), without the pure-Python encoder
     that ``indent`` selects.  ``test_json_writer_matches_json_dumps`` in
-    ``tests/test_cli.py`` compares the two.
+    ``tests/test_cli.py`` compares the two.  A ``_Written`` value, the
+    ``lattice`` report's nodes, is embedded as the text it writes at its
+    level.
 
     The exact type is tested first, as reports hold only those; any other
     value, a subclass say, goes to ``json.dumps`` itself, with the indent
@@ -460,6 +522,8 @@ def _to_json(obj, newline="\n"):
             return "true"
         if obj is False:
             return "false"
+        if kind is _Written:
+            return obj.write(newline)
         return json.dumps(obj, indent=2).replace("\n", newline)
     if not obj:
         return "{}" if kind is dict else "[]"

@@ -18,7 +18,7 @@ from logmc import (Arrangement, IntPolynomial, Subspace, TeraoResult, Validation
                    build_lattice, characteristic_polynomial, exponents_via_terao,
                    parse_arrangement)
 from logmc import arrangement
-from logmc._linalg import IntEchelon, quotient_rows
+from logmc._linalg import IntEchelon
 from logmc.arrangement import MAX_AMBIENT_DIM, _residual_groups, load_arrangement
 from logmc.errors import InconsistencyError
 
@@ -288,7 +288,7 @@ def test_node_order_dims_and_masks_on_random():
                                              if mask >> k & 1])
                  for mask in lat.masks]
         assert nodes == sorted(nodes, key=Subspace.sort_key)
-        assert [quotient_rows(rows) for rows in lat.rows] == [n.matrix for n in nodes]
+        assert [fraction_rows(rows) for rows in lat.rows] == [n.matrix for n in nodes]
         assert lat.dims == tuple(node.dim for node in nodes)
         got = {}
         for node, mask, mu in zip(nodes, lat.masks, lat.mobius):
@@ -301,13 +301,15 @@ def test_node_order_dims_and_masks_on_random():
 
 def test_subspace_oracle_shares_no_quotient_code_with_the_lattice(monkeypatch):
     # Subspace, the node-order oracle, divides its own pivots: it runs with
-    # the lattice's quotient_rows broken, on skew5's non-unit pivots
-    from logmc import _linalg
+    # the lattice's integer sort key and printed entries broken, on skew5's
+    # non-unit pivots
+    from logmc import _linalg, cli
 
     def broken(*args):
-        raise AssertionError("quotient_rows called")
+        raise AssertionError("lattice entry code called")
 
-    monkeypatch.setattr(_linalg, "quotient_rows", broken)
+    monkeypatch.setattr(arrangement, "_scaled", broken)
+    monkeypatch.setattr(cli, "_entry_texts", broken)
     arr = load_arrangement(CORPUS / "skew5.arr")
     width, forms = arr.ambient_dim, list(arr.forms)
     subsets = [subset for k in range(len(forms) + 1) for subset in combinations(forms, k)]
@@ -546,7 +548,7 @@ def test_lattice_rows_are_reduced_forms_of_their_hyperplanes():
         lat = build_lattice(arr)
         for rows, mask in zip(lat.rows, lat.masks):
             forms = [form for k, form in enumerate(arr.forms) if mask >> k & 1]
-            assert quotient_rows(rows) == fraction_rref(forms, width)
+            assert fraction_rows(rows) == fraction_rref(forms, width)
             pivots.update(next(v for v in row if v) for row in rows)
     assert pivots - {1}
 
@@ -578,7 +580,7 @@ def test_rows_derived_from_links_on_edge_shapes():
             got = {}
             for rows, dim, mask in zip(lat.rows, lat.dims, lat.masks):
                 hyperplanes = frozenset(k for i, k in enumerate(order) if mask >> i & 1)
-                assert quotient_rows(rows) == fraction_rref(
+                assert fraction_rows(rows) == fraction_rref(
                     [forms[k] for k in sorted(hyperplanes)], width)
                 pivots.update(next(v for v in row if v) for row in rows)
                 got[hyperplanes] = dim
@@ -604,6 +606,58 @@ def eager_node_order(arr):
             "mobius": tuple(mu for _, _, _, mu in entries)}
 
 
+def tight_pair(p, q):
+    """(x, y) with x*q - y*p = 1: x/p - y/q = 1/(p*q), the least gap two
+    entries with pivots p and q can have."""
+    x = pow(q, -1, p)
+    return x, (x * q - 1) // p
+
+
+def test_node_sort_is_exact_at_the_key_edge():
+    # entries 1/(p*q) apart under pivots p, q >= 2^40, and equal entries
+    # under pivots p and 2p, in the first row and in a second one: the
+    # integer key keeps Subspace.sort_key's order.  Each tight pair is
+    # followed by entries ordered the other way, so a key that rounded the
+    # pair to one value would misorder the two flats.
+    tight, equal = [], []
+    for p, q in ((2**40 + 1, 2**40 + 2), (2**41 + 3, 2**40 + 15), (3**26, 2**42 + 1),
+                 (2**41 - 1, 2**41 - 3)):
+        for lo, hi in ((q, p), (p, q)):
+            x, y = tight_pair(hi, lo)
+            for x, y in ((x, y), (x - hi, y - lo), (-x, -y)):
+                # small: the entry 1/(lo*hi) below large's, then 1 where large has 0
+                if x * lo > y * hi:
+                    tight.append(((lo, y, lo), (hi, x, 0)))
+                else:
+                    tight.append(((hi, x, hi), (lo, y, 0)))
+        x, _ = tight_pair(p, q)
+        equal.append(Arrangement(3, [(p, x, 1), (2 * p, 2 * x, 1), (0, 1, 0)]))
+        equal.append(Arrangement(4, [(0, p, x, 1), (0, 2 * p, 2 * x, 1), (1, 0, 0, 0),
+                                     (0, 0, 1, 0)]))
+    arrs = []
+    for small, large in tight:
+        for arr in (Arrangement(3, [large, small]),
+                    Arrangement(4, [(1, 0, 0, 0), (0, *large), (0, *small)])):
+            # the largest pivot P is lo or hi, and a shift of bitlen(P)
+            # alone gives the pair one key
+            top = max(next(filter(None, row)) for rows in build_lattice(arr).rows
+                      for row in rows)
+            shift = top.bit_length()
+            assert top == max(small[0], large[0])
+            assert (small[1] << shift) // small[0] == (large[1] << shift) // large[0]
+            arrs.append(arr)
+    for arr in arrs + equal:
+        width, forms = arr.ambient_dim, arr.forms
+        lat = build_lattice(arr)
+        expected = eager_node_order(arr)
+        assert lat.masks == expected["masks"]
+        assert [fraction_rows(rows) for rows in lat.rows] == expected["matrices"]
+        nodes = [Subspace.from_forms(width, [form for k, form in enumerate(forms)
+                                             if mask >> k & 1])
+                 for mask in lat.masks]
+        assert nodes == sorted(nodes, key=Subspace.sort_key)
+
+
 def test_lazy_node_order_matches_the_eager_order(monkeypatch):
     # whichever node-order attribute is read first sorts the flats once, and
     # every attribute then reads as a sort of the subset oracle's flats does
@@ -625,7 +679,7 @@ def test_lazy_node_order_matches_the_eager_order(monkeypatch):
             assert renders == [] and len(lat) == len(expected["dims"])
             getattr(lat, first)
             assert len(renders) == 1
-            assert [quotient_rows(rows) for rows in lat.rows] == expected["matrices"]
+            assert [fraction_rows(rows) for rows in lat.rows] == expected["matrices"]
             assert (lat.dims, lat.masks, lat.mobius) == (
                 expected["dims"], expected["masks"], expected["mobius"])
             assert len(renders) == 1
@@ -643,7 +697,7 @@ def test_closure_readers_do_not_sort(monkeypatch):
     expected = [(len(lat), sorted(zip(lat.dims, lat.mobius)))
                 for lat in map(build_lattice, arrs)]
     monkeypatch.setattr(arrangement, "_render", forbidden)
-    monkeypatch.setattr(arrangement, "quotient_rows", forbidden)
+    monkeypatch.setattr(arrangement, "_scaled", forbidden)
     monkeypatch.setattr(arrangement, "eliminate", forbidden)
     for arr, (count, pairs) in zip(arrs, expected):
         lat = build_lattice(arr)
@@ -865,6 +919,12 @@ def test_load_arrangement_refuses_undecodable_file(tmp_path):
     for bad in (tmp_path / "missing.arr", tmp_path):
         with pytest.raises(ValidationError, match=re.escape(f"cannot read {bad}:")):
             load_arrangement(bad)
+
+
+def fraction_rows(matrix):
+    """Entries v / pivot of integer reduced rows, as Fractions (the pivot is
+    a row's first nonzero entry)."""
+    return tuple(tuple(Fraction(v, next(filter(None, row))) for v in row) for row in matrix)
 
 
 def fraction_rref(rows, width):

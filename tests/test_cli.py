@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmc import _linalg as linalg
 from logmc import arrangement, cli, kring
 from logmc import hirzebruch as hzmod
 from logmc import (Arrangement, KPoly, ValidationError, build_lattice,
@@ -242,9 +241,10 @@ def test_ambient_dimension_above_the_limit_refused(tmp_path):
 
 def test_a_report_too_long_to_write_is_refused(tmp_path, monkeypatch):
     # CPython writes no int of more than 4300 digits as text: the log class
-    # of exponent 10^2200 - 1, and the lattice's quotient matrices of
-    # 3000-digit forms, are refused whether the int is written before the
-    # report (a lattice matrix) or in it (JSON or text)
+    # of exponent 10^2200 - 1, and the lattice's matrix entries of
+    # 3000-digit forms, are refused whether the int is written by the
+    # handler (a lattice entry, in the nodes' JSON text or a text line) or
+    # by the writer (JSON or text)
     nines = "9" * 2200
     path = tmp_path / "wide.arr"
     big = 10 ** 3000
@@ -466,8 +466,8 @@ def test_no_command_builds_subspaces(monkeypatch):
 
 def test_only_the_lattice_command_sorts_the_flats(monkeypatch):
     """Every other command reads the lattice in closure order: neither the
-    node sort, its quotient rows nor the elimination steps that derive the
-    rows run, and each report is unchanged."""
+    node sort, the entry texts ``lattice`` prints nor the elimination steps
+    that derive the rows run, and each report is unchanged."""
     sorts = []
     steps = []
     render = arrangement._render
@@ -493,8 +493,7 @@ def test_only_the_lattice_command_sorts_the_flats(monkeypatch):
     expected = [run(config) for config in runs]
     assert sum(code == 0 for code, _ in expected) > len(runs) // 2
     monkeypatch.setattr(arrangement, "_render", forbidden)
-    monkeypatch.setattr(arrangement, "quotient_rows", forbidden)
-    monkeypatch.setattr(linalg, "quotient_rows", forbidden)
+    monkeypatch.setattr(cli, "_entry_texts", forbidden)
     monkeypatch.setattr(arrangement, "eliminate", forbidden)
     assert [run(config) for config in runs] == expected
     monkeypatch.undo()
@@ -522,11 +521,29 @@ def test_json_runs_format_no_text(monkeypatch):
     runs += [RunConfig("curve", str(path), "json") for path in sorted(CORPUS.glob("*.json"))]
     expected = [run(config) for config in runs]
     assert sum(code == 0 for code, _ in expected) > len(runs) // 2
-    for name in ("_kpoly_lines", "_cohclass_str", "_exponents_str"):
+    assert any(config.command == "lattice" and code == 0
+               for config, (code, _) in zip(runs, expected))
+    for name in ("_kpoly_lines", "_cohclass_str", "_exponents_str", "_node_line"):
         monkeypatch.setattr(cli, name, forbidden)
     assert [run(config) for config in runs] == expected
-    with pytest.raises(AssertionError, match="text formatted"):
-        run(RunConfig("mc", corpus_path("braid")))
+    for command in ("mc", "lattice"):
+        with pytest.raises(AssertionError, match="text formatted"):
+            run(RunConfig(command, corpus_path("braid")))
+
+
+def test_text_runs_write_no_json_nodes(monkeypatch):
+    """A text ``lattice`` run resumes its handler past the report: the
+    nodes' JSON text, which only the JSON writer asks for, is never built."""
+    def forbidden(*args):
+        raise AssertionError("JSON nodes written")
+
+    runs = [RunConfig("lattice", str(path), "text") for path in sorted(CORPUS.glob("*.arr"))]
+    expected = [run(config) for config in runs]
+    assert sum(code == 0 for code, _ in expected) > len(runs) // 2
+    monkeypatch.setattr(cli, "_nodes_json", forbidden)
+    assert [run(config) for config in runs] == expected
+    with pytest.raises(AssertionError, match="JSON nodes written"):
+        run(RunConfig("lattice", corpus_path("braid"), "json"))
 
 
 def test_mc_serialises_its_agreeing_routes_once(monkeypatch):
@@ -766,6 +783,50 @@ def test_lattice_matrices_match_fraction_nodes_on_random(tmp_path):
         assert payload["nodes"] == expected
         fractions += sum("/" in v for node in expected for row in node["matrix"] for v in row)
     assert fractions > 0
+
+
+def lattice_report_oracle(arr):
+    """The ``lattice`` report's JSON and text, from the subset oracle's
+    Fraction matrices: ``json.dumps`` of the payload, and the text lines."""
+    order = eager_node_order(arr)
+    nodes = [{"dim": dim, "mobius": mu, "matrix": [[str(v) for v in row] for row in matrix]}
+             for dim, mu, matrix in zip(order["dims"], order["mobius"], order["matrices"])]
+    payload = {"ambient_dim": arr.ambient_dim, "node_count": len(nodes), "nodes": nodes}
+    lines = [f"ambient_dim {arr.ambient_dim}, {len(nodes)} nodes"]
+    for node in nodes:
+        rendered = "; ".join(" ".join(row) for row in node["matrix"]) or "(ambient)"
+        lines.append(f"dim {node['dim']}  mobius {node['mobius']:3d}  [{rendered}]")
+    return json.dumps(payload, indent=2), "\n".join(lines)
+
+
+def test_lattice_report_bytes_match_the_fraction_oracle(tmp_path):
+    """Both ``lattice`` reports, written from the integer rows, are byte for
+    byte those of the Fraction matrices, with pivots other than 1 and
+    negative entries, on the empty arrangement and at the largest ambient
+    dimension."""
+    rng = random.Random(6174)
+    arrs = [Arrangement(3, []),
+            Arrangement(MAX_AMBIENT_DIM,
+                        [[rng.randint(-30, 30) for _ in range(MAX_AMBIENT_DIM - 1)] + [7]])]
+    for _ in range(60):
+        width = rng.randint(1, 5)
+        forms = {}
+        for _ in range(rng.randint(0, 6)):
+            form = tuple(rng.randint(-30, 30) for _ in range(width))
+            if any(form):
+                forms[Arrangement(width, [form]).forms[0]] = None
+        arrs.append(Arrangement(width, forms))
+    path = tmp_path / "random.arr"
+    seen = set()
+    for arr in arrs:
+        path.write_text(f"{arr.ambient_dim}\n"
+                        + "".join(" ".join(map(str, f)) + "\n" for f in arr.forms))
+        expected = lattice_report_oracle(arr)
+        for fmt, want in zip(("json", "text"), expected):
+            assert run(RunConfig("lattice", str(path), fmt)) == (0, want)
+        seen.update(v for node in json.loads(expected[0])["nodes"]
+                    for row in node["matrix"] for v in row if "/" in v)
+    assert any(v.startswith("-") for v in seen) and any(not v.startswith("-") for v in seen)
 
 
 def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
