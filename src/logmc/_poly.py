@@ -1,10 +1,10 @@
 """Code shared by the truncated rings, their y-polynomials and the renderers.
 
 ``_Element`` is what every ring value on projective n-space shares: the
-dimension n, the coefficient tuple, equality, hashing and the ring relation
-as its one normalising hook.  ``_Truncated`` is the arithmetic of a ring of
-classes stored as n+1 coefficients in a fixed basis; a subclass supplies
-the ring's relation.  ``_YPoly`` is a polynomial in y over such a ring.
+dimension n, the coefficient tuple, equality, hashing, the repr and the ring
+relation as its one normalising hook.  ``_Truncated`` is the arithmetic of a
+ring of classes stored as n+1 coefficients in a fixed basis; a subclass
+supplies the ring's relation.  ``_YPoly`` is a polynomial in y over such a ring.
 ``deflate`` is the one synthetic division in the package, ``render`` the
 one renderer of polynomial text and ``exact_scalar`` the one check that an
 input number is exact; ``check_dimension`` is the one check that a
@@ -148,6 +148,9 @@ class _Element:
 
     def __hash__(self):
         return hash((self.n, self.coeffs))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, coeffs={list(self.coeffs)})"
 
 
 class _Truncated(_Element):

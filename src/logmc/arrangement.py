@@ -433,10 +433,7 @@ class IntPolynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __call__(self, x):
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
+        return deflate(self.coeffs, x)[1]
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs

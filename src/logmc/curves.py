@@ -414,9 +414,7 @@ def branch_count(f):
     _require_local_equation(f)
     keys = sorted(f.terms)
     if len(keys) == 2:
-        (i1, j1), (i2, j2) = keys
-        if j1 == 0 and i2 == 0 and i1 >= 1 and j2 >= 1:
-            return gcd(i1, j2)
+        (i1, j1), (i2, j2) = keys  # sorted: a pure power of y comes first
         if i1 == 0 and j2 == 0 and j1 >= 1 and i2 >= 1:
             return gcd(j1, i2)
     degrees = {i + j for i, j in f.terms}

@@ -107,9 +107,6 @@ class KClass(_Truncated):
         check_dimension(n)
         return cls(n, _swap_s_basis(coeffs, n))
 
-    def __repr__(self):
-        return f"KClass(n={self.n}, coeffs={list(self.coeffs)})"
-
 
 class KPoly(_YPoly):
     """Polynomial in y with KClass coefficients; trailing zeros trimmed."""
@@ -146,34 +143,29 @@ class KPoly(_YPoly):
 
     __rmul__ = __mul__
 
-    def __repr__(self):
-        return f"KPoly(n={self.n}, coeffs={list(self.coeffs)})"
-
 
 def kclass_O(k, n):
-    """Class of the twisting sheaf O(k), i.e. s^{-k} reduced.
-
-    With t = 1-s nilpotent, s^{-k} = (1-t)^{-k} = sum_{j<=n} c_j t^j, with
-    c_j = k(k+1)...(k+j-1)/j! for every integer k: O(n^2) for any |k|.
-    """
-    check_dimension(n)
-    if type(k) is not int:
-        k = exact_scalar(k)
-    coeffs = [1]
-    for j in range(1, n + 1):
-        coeffs.append(coeffs[-1] * (k + j - 1) // j)
-    return KClass.from_one_minus_s_basis(n, coeffs)
+    """Class of the twisting sheaf O(k), i.e. s^{-k} reduced: O(k) on P^n
+    pushed forward to itself."""
+    return kclass_linear_subspace(n, k, n)
 
 
 def kclass_linear_subspace(m, k, n):
     """Pushforward class of O(k) on a linear P^m inside P^n.
 
-    Koszul resolution of the subspace gives (1 - s)^{n-m} * s^{-k}.
+    Koszul resolution of the subspace gives (1 - s)^{n-m} * s^{-k}, that is
+    (-tau)^{n-m} (1+tau)^{-k}: the tau-row C(-k, j), j <= m, of
+    ``_binomial_row`` for every integer k, shifted by n-m places, signed, and
+    read into the s basis by one Taylor shift.
     """
     check_dimension(n)
     if type(m) is not int or not 0 <= m <= n:
         raise ValidationError(f"subspace dimension must be an integer in [0, {n}], got {m!r}")
-    return KClass(n, (1, -1)) ** (n - m) * kclass_O(k, n)
+    if type(k) is not int:
+        k = exact_scalar(k)
+    sign = (-1) ** (n - m)
+    row = [0] * (n - m) + [sign * c for c in _binomial_row(-k, m)]
+    return KClass._from_normal(n, tuple(shift_minus_one(row, n + 1)))
 
 
 def exact_div_one_plus_y(num):
@@ -374,9 +366,10 @@ def _over_one_plus_y(rows, n, width):
 
 
 def _binomial_row(e, n):
-    """C(e, j) for j = 0..min(e, n): s^e = (1 + tau)^e truncated."""
+    """C(e, j) for j = 0..n, stopping at j = e when 0 <= e < n: s^e = (1 + tau)^e
+    truncated, for any integer e."""
     row = [1]
-    for j in range(1, min(e, n) + 1):
+    for j in range(1, (n if e < 0 else min(e, n)) + 1):
         row.append(row[-1] * (e - j + 1) // j)
     return row
 

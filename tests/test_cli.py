@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from logmc import arrangement, cli, kring
 from logmc import hirzebruch as hzmod
-from logmc import (Arrangement, KPoly, ValidationError, build_lattice,
+from logmc import (Arrangement, KClass, KPoly, ValidationError, build_lattice,
                    characteristic_polynomial, cohclass_from_json, csm_at_minus_one,
                    kpoly_from_json, log_class_free, mc_complement_lattice_sum)
+from logmc._poly import _Truncated
 from logmc.arrangement import MAX_AMBIENT_DIM, load_arrangement
 from logmc.cli import RunConfig, config_from_args, main, run
 from test_arrangement import eager_node_order
@@ -188,6 +189,15 @@ def test_bad_exponent_flag_rejected(capsys):
             config_from_args(["logclass", corpus_path("braid"), "--exponents", value])
         assert len(str(refusal.value)) < 100
     assert main(["nonsense-command", "x"]) == 1
+
+
+def test_empty_exponent_flag_rejected(capsys):
+    for value in (",", " , ,"):
+        with pytest.raises(ValidationError) as refusal:
+            config_from_args(["logclass", corpus_path("braid"), "--exponents", value])
+        assert str(refusal.value) == "--exponents is empty"
+        assert main(["logclass", corpus_path("braid"), "--exponents", value]) == 1
+        assert "--exponents is empty" in capsys.readouterr().err
 
 
 # the options each command accepts, besides the input and --format
@@ -738,14 +748,41 @@ def test_json_writer_refuses_what_json_dumps_refuses(value):
 
 def test_commands_run_no_staged_pipeline_or_kpoly_product(monkeypatch):
     """Every command reaches the CSM class through ``csm_at_minus_one`` and
-    its K-classes through the packed and charpoly kernels."""
+    its K-classes through the packed and charpoly kernels, and no K-class
+    constructor multiplies two ring elements or takes a power."""
     def forbidden(*args, **kwargs):
         raise AssertionError("called off the command path")
+
+    ring_mul = _Truncated.__mul__
+
+    def scalar_mul(self, other):
+        if type(other) not in self._scalars:
+            raise AssertionError("ring product called off the command path")
+        return ring_mul(self, other)
 
     monkeypatch.setattr(hzmod, "normalize", forbidden)
     monkeypatch.setattr(hzmod, "clear_denominator", forbidden)
     monkeypatch.setattr(KPoly, "__mul__", forbidden)
     monkeypatch.setattr(KPoly, "__rmul__", forbidden)
+    monkeypatch.setattr(_Truncated, "__pow__", forbidden)
+    monkeypatch.setattr(_Truncated, "__mul__", scalar_mul)
+    monkeypatch.setattr(_Truncated, "__rmul__", scalar_mul)
+    with pytest.raises(AssertionError):
+        KClass.one(2) * KClass.one(2)
+    lat = build_lattice(load_arrangement(corpus_path("braid")))
+    chi = characteristic_polynomial(lat)
+    for n in range(0, 5):
+        for k in (-3, 0, 2, 10 ** 6):
+            kring.kclass_O(k, n)
+            for m in range(0, n + 1):
+                kring.kclass_linear_subspace(m, k, n)
+        kring.omega_log_trivial(n)
+    kring.mc_complement_lattice_sum(lat)
+    kring.mc_complement_charpoly(chi, 2)
+    kring.mc_free_exponents((1, 2, 3), 2)
+    kring.log_class_free((1, 2, 3), 2)
+    for lat_or_chi in (lat, chi, None):
+        kring.difference_class_arrangement((1, 2, 3), lat_or_chi, 2)
     for command in ("lattice", "charpoly", "exponents", "mc", "logclass", "diff",
                     "csm", "euler"):
         routes = (("all", "lattice", "charpoly", "exponents")

@@ -10,6 +10,7 @@ the dense truncation loop that rebuilds one matrix per bound.
 import json
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -18,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmc import (BranchCountRequiredError, CurveSingularity, LocalPolynomial,
-                   NonIsolatedSingularityError, ValidationError, branch_count,
-                   csm_minus_chern_curve, delta_from_milnor,
+from logmc import (BranchCountRequiredError, CurveSingularity, InconsistencyError,
+                   LocalPolynomial, NonIsolatedSingularityError, ValidationError,
+                   branch_count, csm_minus_chern_curve, delta_from_milnor,
                    difference_class_curve, genus_defect, local_invariants,
                    singularity_from_json, singularity_from_poly)
 from logmc import _linalg, _poly, curves
@@ -374,6 +375,18 @@ def test_singularity_type_invariants():
         CurveSingularity(mu=0, tau=0, r=2, delta=0)
     with pytest.raises(ValidationError):
         CurveSingularity(mu=1, tau=1, r=0, delta=1)
+    with pytest.raises(ValidationError) as info:
+        CurveSingularity(mu=-1, tau=0, r=1, delta=0)
+    assert str(info.value) == "mu, tau and delta must be nonnegative"
+
+
+def test_csm_minus_chern_refuses_records_that_break_milnor():
+    """A record built without ``CurveSingularity``'s checks is re-checked."""
+    Record = namedtuple("Record", "mu tau r delta")
+    assert csm_minus_chern_curve([Record(2, 2, 1, 1), Record(4, 3, 1, 2)]) == [0, -1]
+    with pytest.raises(InconsistencyError) as info:
+        csm_minus_chern_curve([Record(mu=3, tau=2, r=1, delta=1)])
+    assert str(info.value) == "difference class at y=-1 gives 0, but tau - mu = -1"
 
 
 def test_singularity_records_are_immutable_tuples():
@@ -420,6 +433,12 @@ def test_inexact_curve_inputs_refused():
     for bad in (1.5, True, Fraction(2)):
         with pytest.raises(ValidationError, match="'power' must be an integer"):
             LocalPolynomial.variable("x") ** bad
+    with pytest.raises(ValidationError) as info:
+        LocalPolynomial.variable("x") ** -1
+    assert str(info.value) == "negative powers are not polynomials"
+    with pytest.raises(ValidationError) as info:
+        LocalPolynomial.variable("z")
+    assert str(info.value) == "unknown variable 'z'"
     for mu, r, name in ((2.0, 1, "mu"), (True, 1, "mu"), (1, 2.0, "r"), (2, True, "r")):
         with pytest.raises(ValidationError, match=f"'{name}' must be an integer"):
             delta_from_milnor(mu, r)

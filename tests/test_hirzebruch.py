@@ -388,6 +388,14 @@ def test_cohpoly_denominator_exponent_must_be_a_nonnegative_int():
     assert CohPoly(1, (), delta=2).delta == 2
 
 
+def test_cohpoly_at_y_needs_a_cleared_denominator():
+    p = CohPoly(1, (CohClass(1, (1, 0)), CohClass(1, (0, 1))), delta=1)
+    with pytest.raises(ValidationError) as info:
+        p.at_y(-1)
+    assert str(info.value) == "clear the denominator before evaluating"
+    assert CohPoly(1, p.coeffs).at_y(2) == CohClass(1, (1, 2))
+
+
 def test_cohpoly_json_roundtrip():
     p = normalize(grr_transform(omega_log_trivial(2)))
     data = cohpoly_to_json(p)

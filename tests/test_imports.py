@@ -48,3 +48,19 @@ def test_src_imports_only_the_standard_library():
                 assert top == "logmc" or top in sys.stdlib_module_names, (path.name, name)
                 seen.add(top)
     assert {"argparse", "fractions", "json"} <= seen
+
+
+def test_readme_layout_table_names_every_public_name():
+    """README's "Library layout" table names each name in ``logmc.__all__``
+    that is not a submodule, in backquotes."""
+    import logmc
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library layout", 1)[1]
+    table = "\n".join(line for line in section.split("\n\n", 2)[1].splitlines()
+                      if line.startswith("|"))
+    assert table.startswith("| module")
+    names = [name for name in logmc.__all__
+             if not isinstance(getattr(logmc, name), type(logmc))]
+    assert len(names) == 54
+    assert [name for name in names if f"`{name}`" not in table] == []

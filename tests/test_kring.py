@@ -115,9 +115,37 @@ def test_kclass_linear_subspace():
     for bad in (0.5, True, "1"):
         with pytest.raises(ValidationError, match="subspace dimension must be an integer in"):
             kclass_linear_subspace(bad, 0, 2)
+    # a bad n is refused before a bad m, and a bad m before a bad k
+    for call, message in (
+            (lambda: kclass_linear_subspace(0, 1.0, -1), "projective dimension must be >= 0"),
+            (lambda: kclass_O(1.0, -1), "projective dimension must be >= 0"),
+            (lambda: kclass_O(1.0, None), "projective dimension must be an integer, got None"),
+            (lambda: kclass_linear_subspace(5, 1.0, 2),
+             "subspace dimension must be an integer in [0, 2], got 5"),
+            (lambda: kclass_linear_subspace(1, 1.0, 2),
+             "inexact number 1.0: floats are not accepted"),
+            (lambda: kclass_linear_subspace(1, Fraction(1, 2), 2),
+             "Fraction(1, 2) is not an integer")):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
     for bad in (1.5, True, Fraction(2)):
         with pytest.raises(ValidationError, match="powers must be integers"):
             KClass(2, (1, 1)) ** bad
+    for value in (KClass(2, (1, 1)), CohClass(2, (1, 1))):
+        with pytest.raises(ValidationError) as info:
+            value ** -1
+        assert str(info.value) == (
+            f"negative {type(value).__name__} powers are not defined in general")
+
+
+def test_kclass_linear_subspace_matches_koszul_product():
+    """(1-s)^{n-m} s^{-k} by ring powers and products, against the one row."""
+    for n in range(0, 7):
+        for m in range(0, n + 1):
+            for k in range(-2 * n - 2, 2 * n + 3):
+                expected = KClass(n, (1, -1)) ** (n - m) * _twist_reference(k, n)
+                assert kclass_linear_subspace(m, k, n) == expected, (m, k, n)
 
 
 def test_basis_conversion_roundtrip():
@@ -159,6 +187,22 @@ def test_operands_on_different_spaces_refused():
     for poly, bad in ((CohPoly, KClass(2, (1,))), (KPoly, CohClass(2, (1,))), (KPoly, 1)):
         with pytest.raises(ValidationError, match=f"{poly.__name__} coefficients must be"):
             poly(2, [bad])
+    with pytest.raises(ValidationError) as info:
+        KPoly(2, [KClass.one(2), KClass.one(1)])
+    assert str(info.value) == "KPoly coefficients live on different projective spaces"
+
+
+def test_kpoly_negation_and_scalar_products_are_coefficientwise():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(0, 4)
+        p = KPoly(n, [KClass(n, [rng.randint(-9, 9) for _ in range(n + 1)])
+                      for _ in range(rng.randint(0, 4))])
+        c = KClass(n, [rng.randint(-9, 9) for _ in range(n + 1)])
+        k = rng.randint(-5, 5)
+        assert -p == KPoly(n, [-a for a in p.coeffs])
+        assert p * k == k * p == KPoly(n, [a * k for a in p.coeffs])
+        assert p * c == KPoly(n, [a * c for a in p.coeffs])
 
 
 # --- division by 1+y

@@ -7,8 +7,8 @@ move when the rendering code is reorganised.
 
 from fractions import Fraction
 
-from logmc import (Arrangement, CohClass, IntPolynomial, KClass, KPoly,
-                   LocalPolynomial, build_lattice, characteristic_polynomial,
+from logmc import (Arrangement, CohClass, CohPoly, IntPolynomial, KClass, KPoly,
+                   LocalPolynomial, Subspace, build_lattice, characteristic_polynomial,
                    difference_class_arrangement, mc_free_exponents, todd_class)
 from logmc.cli import _cohclass_str, _kpoly_lines
 from logmc.kring import kpoly_to_json
@@ -74,3 +74,22 @@ def test_local_polynomial_mixed_monomial_order():
     g = LocalPolynomial({(1, 2): -1, (2, 1): F(-3, 4)})
     assert str(g) == "-3/4*x^2*y - x*y^2"
     assert repr(g) == "LocalPolynomial(-3/4*x^2*y - x*y^2)"
+
+
+def test_reprs():
+    """The reprs of the value types.  A division refusal's details carry
+    ``repr`` of its remainder, so the KClass and KPoly bytes are pinned."""
+    assert repr(KClass(2, (1, -2, 1))) == "KClass(n=2, coeffs=[1, -2, 1])"
+    assert repr(KPoly(1, [KClass(1, (2, -1)), KClass.one(1)])) == (
+        "KPoly(n=1, coeffs=[KClass(n=1, coeffs=[2, -1]), KClass(n=1, coeffs=[1, 0])])")
+    assert repr(KPoly.zero(2)) == "KPoly(n=2, coeffs=[])"
+    assert repr(CohClass(2, [1, F(1, 2)])) == "CohClass(n=2, coeffs=['1', '1/2', '0'])"
+    assert repr(CohPoly(2, [CohClass.one(2), CohClass(2, [0, 1])], delta=1)) == (
+        "CohPoly(n=2, y_degree=1, delta=1)")
+    assert repr(Arrangement(3, [(2, 0, 0), (1, -1, 0)])) == (
+        "Arrangement(ambient_dim=3, forms=[(1, 0, 0), (1, -1, 0)])")
+    flat = Subspace.from_forms(3, [(2, 0, 0), (1, -1, 0)])
+    assert repr(flat) == ("Subspace(dim=1, matrix=((Fraction(1, 1), Fraction(0, 1), "
+                          "Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1))))")
+    assert hash(flat) == hash(Subspace.from_forms(3, [(0, 1, 0), (1, 0, 0)]))
+    assert flat == Subspace.from_forms(3, [(0, 1, 0), (1, 0, 0)])
