@@ -185,6 +185,8 @@ class _Truncated(_Element):
     def __mul__(self, other):
         if type(other) in self._scalars:
             return self._from_normal(self.n, tuple([a * other for a in self.coeffs]))
+        if getattr(other, "_ring", None) is type(self) and hasattr(other, "__rmul__"):
+            return NotImplemented  # a polynomial over this ring has its own product
         self._check(other)
         return type(self)(self.n, self._product(self.coeffs, other.coeffs))
 

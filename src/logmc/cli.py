@@ -7,9 +7,9 @@ dimension, then one integer linear form per line, ``#`` for comments):
   charpoly   characteristic polynomial of the lattice
   exponents  candidate exponents via integer factorisation of charpoly
   mc         motivic Chern class of the complement; routes: lattice,
-             charpoly, exponents, or all (computed and cross-checked)
+             charpoly, exponents, or all (routes of different chi compared)
   logclass   twisted total logarithmic-form class from exponents
-  diff       difference of the motivic and logarithmic classes + is_zero
+  diff       mc at the first route's chi minus the log class, + is_zero
   csm        CSM class from both sides plus the exponent product, compared
   euler      Euler characteristic (degree-0 CSM coefficient), cross-checked
              against the Möbius-dimension sum of the lattice
@@ -19,9 +19,9 @@ and on a singularity JSON file ({"poly": "x^2 - y^3"} or
 
   curve      per-singularity difference-class weights (a, b)
 
-Exit codes: 0 success; 1 parse/validation error; 2 detected mathematical
-inconsistency (route disagreement, failed exact division) with a diagnostic
-payload.
+Exit codes: 0 success; 1 parse/validation error (a route, basis or override
+container before the file is read); 2 detected mathematical inconsistency
+(route disagreement, failed exact division) with a diagnostic payload.
 
 Note on exponents: a split characteristic polynomial yields *candidate*
 exponents only; splitting does not certify that the cone is free; a
@@ -131,10 +131,10 @@ class _Input:
     """One arrangement, its run configuration and the K-class basis of its report.
 
     ``basis`` is ``--basis`` if given, else ``s`` for JSON and ``one_minus_s``
-    for text.  The lattice, chi and candidate exponents are derived on first
-    use and kept, so each is computed at most once per run and only when
-    read.  A derivation that raises (the node cap, say) keeps nothing, so
-    the next read raises again.
+    for text.  The lattice, chi, candidate exponents, mc routes and mc class
+    are derived on first use and kept, so each is computed at most once per
+    run and only when read.  A derivation that raises (the node cap, say)
+    keeps nothing, so the next read raises again.
     """
 
     def __init__(self, arr, config):
@@ -161,8 +161,6 @@ class _Input:
         """
         override = self.config.exponents_override
         if override is not None:
-            if not isinstance(override, (list, tuple)):
-                raise ValidationError("exponents override must be a list or tuple of integers")
             return tuple(sorted(map(exact_scalar, override)))
         try:
             result = arrmod.exponents_via_terao(self.chi)
@@ -178,46 +176,39 @@ class _Input:
                                   "split usably and no --exponents override was given")
         return self.exponents
 
+    @cached_property
+    def routes(self):
+        """Each requested mc route -> the chi it substitutes (the run's, or
+        prod_i (t - e_i) for exponents), in the order lattice, charpoly,
+        exponents, after every refusal.  Only routes of different chi are
+        compared: their classes are computed, the first kept as ``mc``.
+        """
+        route = self.config.mc_route
+        chis = {name: self.chi for name in ("lattice", "charpoly") if route in (name, "all")}
+        if route in ("exponents", "all"):
+            if self.exponents is not None:
+                exps = kring._validate_exponents(self.exponents, self.n)
+                chis["exponents"] = arrmod.IntPolynomial(kring._exponents_chi(exps))
+            elif route == "exponents":
+                raise ValidationError(
+                    "mc route 'exponents' needs exponent data: the characteristic "
+                    "polynomial does not split usably and no --exponents override was given")
+        distinct = dict.fromkeys(chis.values())
+        if len(distinct) > 1:
+            classes = {chi: kring.mc_complement_charpoly(chi, self.n) for chi in distinct}
+            first, *others = classes.values()
+            if any(v != first for v in others):
+                raise InconsistencyError(
+                    "motivic Chern class routes disagree",
+                    details={"routes": {name: kring.kpoly_to_json(classes[chi])
+                                        for name, chi in chis.items()}})
+            self.mc = first  # the classes agree: ``mc`` substitutes nothing again
+        return chis
 
-def _mc_route(inp):
-    """The requested route, checked: a RunConfig built in code skips argparse."""
-    if inp.config.mc_route not in _ROUTE[1]["choices"]:
-        raise ValidationError("mc route must be one of lattice, charpoly, exponents, all")
-    return inp.config.mc_route
-
-
-def _mc_routes(inp):
-    """Requested motivic Chern class routes, cross-checked for agreement.
-
-    The dict is filled in the order lattice, charpoly, exponents, so its
-    first value is the preferred one.  Each route is the chi substitution
-    (``kring.mc_complement_charpoly``) at its chi: the lattice sum grouped by
-    dimension at the run's, the exponent product at prod_i (t - e_i).  It
-    runs once per distinct chi, after every refusal.
-    """
-    route = _mc_route(inp)
-    chis = {name: inp.chi for name in ("lattice", "charpoly") if route in (name, "all")}
-    if route in ("exponents", "all"):
-        if inp.exponents is not None:
-            exps = kring._validate_exponents(inp.exponents, inp.n)
-            chis["exponents"] = arrmod.IntPolynomial(kring._exponents_chi(exps))
-        elif route == "exponents":
-            raise ValidationError(
-                "mc route 'exponents' needs exponent data: the characteristic "
-                "polynomial does not split usably and no --exponents override was given")
-    classes = {chi: kring.mc_complement_charpoly(chi, inp.n) for chi in set(chis.values())}
-    routes = {name: classes[chi] for name, chi in chis.items()}
-    values = list(classes.values())
-    if any(v != values[0] for v in values[1:]):
-        raise InconsistencyError(
-            "motivic Chern class routes disagree",
-            details={"routes": {k: kring.kpoly_to_json(v) for k, v in routes.items()}})
-    return routes
-
-
-def _mc_value(inp):
-    """The motivic Chern class from the first requested route."""
-    return next(iter(_mc_routes(inp).values()))
+    @cached_property
+    def mc(self):
+        """The motivic Chern class of the complement: the first route's chi substituted."""
+        return kring.mc_complement_charpoly(next(iter(self.routes.values())), self.n)
 
 
 # Each handler is a generator that yields its JSON report first and its text
@@ -310,10 +301,9 @@ def _cmd_exponents(inp):
 
 
 def _cmd_mc(inp):
-    routes = _mc_routes(inp)
     # the routes agree, so one report serves them all
-    report = kring.kpoly_to_json(next(iter(routes.values())), basis=inp.basis)
-    routes = dict.fromkeys(routes, report)
+    report = kring.kpoly_to_json(inp.mc, basis=inp.basis)
+    routes = dict.fromkeys(inp.routes, report)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "routes": routes}
     if len(routes) > 1:
         payload["agree"] = True
@@ -359,11 +349,7 @@ def _cmd_logclass(inp):
 
 def _cmd_diff(inp):
     exps = inp.required_exponents()
-    route = _mc_route(inp)
-    if route == "all":
-        _mc_routes(inp)  # the cross-check; the difference takes the run's chi
-    source = None if route == "exponents" else inp.chi
-    value = kring.difference_class_arrangement(exps, source, inp.n)
+    value = kring.difference_class_arrangement(exps, next(iter(inp.routes.values())), inp.n)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "exponents": list(exps),
                "difference": kring.kpoly_to_json(value, basis=inp.basis),
                "is_zero": value.is_zero()}
@@ -374,7 +360,7 @@ def _cmd_diff(inp):
 
 def _cmd_csm(inp):
     n = inp.n
-    csm_mc = hzmod.csm_at_minus_one(_mc_value(inp))
+    csm_mc = hzmod.csm_at_minus_one(inp.mc)
     payload = {"n": n, "csm_mc": hzmod.cohclass_to_json(csm_mc)}
     exps = inp.exponents
     if exps is not None:
@@ -404,7 +390,7 @@ def _cmd_euler(inp):
     # the lattice before any route, so a node-cap refusal precedes exponent errors
     lat = inp.lattice
     mobius_sum = sum(mu * dim for dim, mu in lat.dims_and_mobius())
-    csm_mc = hzmod.csm_at_minus_one(_mc_value(inp))
+    csm_mc = hzmod.csm_at_minus_one(inp.mc)
     euler = hzmod.euler_characteristic(csm_mc)
     if euler != mobius_sum:
         raise InconsistencyError(
@@ -478,7 +464,14 @@ def _dispatch(config):
     # ``open`` would take an int or a bool as a file descriptor, and close it
     if not isinstance(config.input_path, (str, os.PathLike)):
         raise ValidationError("input path must be a str or os.PathLike")
-    handler = COMMANDS[config.command][0]
+    handler, _, options = COMMANDS[config.command]
+    if _ROUTE in options and config.mc_route not in _ROUTE[1]["choices"]:
+        raise ValidationError("mc route must be one of lattice, charpoly, exponents, all")
+    basis, override = config.basis, config.exponents_override
+    if _BASIS in options and basis is not None and basis not in _BASIS[1]["choices"]:
+        raise ValidationError(f"unknown basis {basis!r}")
+    if _EXPONENTS in options and override is not None and not isinstance(override, (list, tuple)):
+        raise ValidationError("exponents override must be a list or tuple of integers")
     if config.command == "curve":
         return handler(config)
     arr = arrmod.load_arrangement(config.input_path)

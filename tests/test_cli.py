@@ -342,9 +342,9 @@ def test_node_cap_refusal_precedes_exponent_errors():
 
 
 def test_diff_on_one_route_divides_by_one_plus_y_once(monkeypatch):
-    # one requested route subtracts the packed rows of both classes and
-    # divides once; the report is the one --route all gives, in both formats
-    # and both bases
+    # every route, all included, subtracts the packed rows of both classes
+    # and divides once; the report is the one --route all gives, in both
+    # formats and both bases
     divisions = []
     divide = kring._over_one_plus_y
 
@@ -356,7 +356,9 @@ def test_diff_on_one_route_divides_by_one_plus_y_once(monkeypatch):
     for stem in ("braid", "boolean3", "concurrent3"):
         for fmt in ("json", "text"):
             for basis in ("s", "one_minus_s"):
+                divisions.clear()
                 expected = run(RunConfig("diff", corpus_path(stem), fmt, "all", basis=basis))
+                assert expected[0] == 0 and len(divisions) == 1, stem
                 for route in ("lattice", "charpoly", "exponents"):
                     divisions.clear()
                     code, report = run(RunConfig("diff", corpus_path(stem), fmt, route,
@@ -576,12 +578,34 @@ def test_mc_serialises_its_agreeing_routes_once(monkeypatch):
 
 
 def test_commands_on_mc_routes_refuse_an_unknown_route():
-    """A RunConfig built in code bypasses argparse's choices."""
+    """A RunConfig built in code bypasses argparse's choices: the route is
+    refused before the file is read, and only by a command taking --route."""
     for command in ("mc", "diff", "csm", "euler"):
-        code, report = run(RunConfig(command, corpus_path("braid"), "json", "bogus"))
-        assert code == 1, command
-        assert json.loads(report)["error"] == (
-            "mc route must be one of lattice, charpoly, exponents, all")
+        for path in (corpus_path("braid"), str(CORPUS / "missing.arr")):
+            code, report = run(RunConfig(command, path, "json", "bogus"))
+            assert code == 1, command
+            assert json.loads(report)["error"] == (
+                "mc route must be one of lattice, charpoly, exponents, all")
+    for command in ("logclass", "lattice"):
+        assert run(RunConfig(command, corpus_path("braid"), "json", "bogus"))[0] == 0, command
+
+
+def test_basis_and_override_container_are_refused_before_the_file_is_read():
+    missing = str(CORPUS / "missing.arr")
+    for command in ("mc", "logclass", "diff"):
+        for basis in ("", "S"):
+            for path in (corpus_path("braid"), missing):
+                code, report = run(RunConfig(command, path, "json", basis=basis))
+                assert code == 1 and json.loads(report)["error"] == (
+                    f"unknown basis {basis!r}"), (command, basis, path)
+    for command in ("mc", "logclass", "diff", "csm", "euler"):
+        code, report = run(RunConfig(command, missing, "json", "lattice", exponents_override=5))
+        assert code == 1 and json.loads(report)["error"] == (
+            "exponents override must be a list or tuple of integers"), command
+    # commands taking no --basis or --exponents ignore those fields
+    for command in ("lattice", "charpoly", "exponents"):
+        config = RunConfig(command, corpus_path("braid"), "json", basis="S", exponents_override=5)
+        assert run(config)[0] == 0, command
 
 
 @pytest.mark.parametrize("fields,message", [
@@ -593,6 +617,9 @@ def test_commands_on_mc_routes_refuse_an_unknown_route():
     ({"exponents_override": (1, 2, "3")}, "'3' is not an integer"),
     ({"exponents_override": 5}, "exponents override must be a list or tuple of integers"),
     ({"exponents_override": "123"}, "exponents override must be a list or tuple of integers"),
+    ({"exponents_override": 5, "mc_route": "lattice"},
+     "exponents override must be a list or tuple of integers"),
+    ({"basis": ""}, "unknown basis ''"),
 ])
 def test_run_refuses_bad_fields_of_a_config_built_in_code(fields, message):
     """A RunConfig built in code skips argparse and the environment's checks."""
@@ -884,7 +911,8 @@ def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
     # chi is counted wherever it is built, ``kring``'s lattice sum included
     monkeypatch.setattr(kring, "characteristic_polynomial", arrangement.characteristic_polynomial)
     # the chi substitution, which every route shares: braid's chi is that of
-    # its exponents (1, 2, 3), so it runs once per routed run, override or not
+    # its exponents (1, 2, 3), so it runs once per mc, csm or euler run,
+    # override or not; diff packs chi's rows itself on every route
     substitute = kring.mc_complement_charpoly
 
     def counted_substitute(*args):
@@ -903,7 +931,7 @@ def test_each_input_is_derived_at_most_once_and_only_when_read(monkeypatch):
                 assert max(calls.values()) <= 1, (command, route, override, calls)
                 if override is not None and command != "exponents":
                     assert calls["exponents_via_terao"] == 0, (command, route)
-                routed = command in ("mc", "csm", "euler") or (command, route) == ("diff", "all")
+                routed = command in ("mc", "csm", "euler")
                 assert calls["mc_complement_charpoly"] == routed, (command, route, override)
                 seen[command, route, override] = tuple(calls[name] for name in names)
     # (lattice, chi, Terao): the lattice route reads chi but not the exponents

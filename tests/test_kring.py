@@ -178,7 +178,7 @@ def test_operands_on_different_spaces_refused():
                  (KPoly.one(1), cohpoly),
                  (KClass.one(1), KPoly.one(1)), (KClass.one(1), 3), (KPoly.one(1), 3)):
         ops = [lambda: a + b, lambda: a - b]
-        if not isinstance(b, int):
+        if not isinstance(b, (int, KPoly)):  # KClass * KPoly is KPoly * KClass
             ops.append(lambda: a * b)
         for op in ops:
             with pytest.raises(ValidationError,
@@ -190,6 +190,21 @@ def test_operands_on_different_spaces_refused():
     with pytest.raises(ValidationError) as info:
         KPoly(2, [KClass.one(2), KClass.one(1)])
     assert str(info.value) == "KPoly coefficients live on different projective spaces"
+
+
+def test_class_times_polynomial_commutes_where_the_product_exists():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(0, 3)
+        c = KClass(n, [rng.randint(-5, 5) for _ in range(n + 1)])
+        p = KPoly(n, [KClass(n, [rng.randint(-5, 5) for _ in range(n + 1)])
+                      for _ in range(rng.randint(0, 3))])
+        assert c * p == p * c == KPoly(n, [c * q for q in p.coeffs])
+    # no CohPoly product exists: refused in both orders, not a TypeError
+    c, p = CohClass.one(1), CohPoly(1, [CohClass.one(1)])
+    for op in (lambda: c * p, lambda: p * c):
+        with pytest.raises(ValidationError, match="cannot combine CohClass with CohPoly"):
+            op()
 
 
 def test_kpoly_negation_and_scalar_products_are_coefficientwise():
