@@ -6,8 +6,7 @@ happens until the final normalisation of a reduced row echelon form to
 Fraction entries.  Row spaces, ranks and membership tests are exact.
 """
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _strip_content(row):
@@ -26,19 +25,15 @@ def _strip_content(row):
 def int_row(row):
     """Primitive integer vector spanning the same line as ``row``.
 
-    Entries may be ints or Fractions; denominators are cleared first.
+    Entries may be ints or Fractions; the Fractions' denominators are
+    cleared first.  An int entry is read as it is, so a row of ints needs
+    no ``fractions``.
     """
     den = 1
     for v in row:
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    ints = []
-    for v in row:
-        if isinstance(v, Fraction):
-            ints.append(int(v * den))
-        else:
-            ints.append(int(v) * den)
-    return _strip_content(ints)
+        if type(v) is not int:
+            den = lcm(den, v.denominator)
+    return _strip_content([v * den if type(v) is int else int(v * den) for v in row])
 
 
 def _first_nonzero(row):
@@ -107,6 +102,7 @@ def rref(rows, width):
     so the tests' oracle ``Subspace`` shares no code with the lattice's
     integer sort or the entries ``logmc lattice`` prints.
     """
+    from fractions import Fraction  # here, as no command builds a Subspace
     ech = IntEchelon(width)
     for row in rows:
         ech.add(int_row(row))

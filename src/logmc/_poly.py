@@ -6,9 +6,10 @@ relation as its one normalising hook.  ``_Truncated`` is the arithmetic of a
 ring of classes stored as n+1 coefficients in a fixed basis; a subclass
 supplies the ring's relation.  ``_YPoly`` is a polynomial in y over such a ring.
 ``deflate`` is the one synthetic division in the package, ``render`` the
-one renderer of polynomial text and ``exact_scalar`` the one check that an
-input number is exact; ``check_dimension`` is the one check that a
-projective dimension is one, ``check_type`` that an argument is a value of
+one renderer of polynomial text, ``exact_scalar`` the one check that an
+input number is exact and ``read_file`` the one file reader, for the CLI
+too; ``check_dimension`` is the one check that a projective dimension is
+one, ``check_type`` that an argument is a value of
 the expected class, ``json_fields`` reads the keys of a JSON object and
 ``json_list`` checks that a value in one is a list.  ``MAX_LITERAL_DIGITS``
 bounds the integer literals that both text parsers read, and
@@ -19,7 +20,6 @@ Horner pass and ``unpack`` reads the balanced digits of a packed
 polynomial.
 """
 
-from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import ValidationError
@@ -42,6 +42,25 @@ def int_literals(tokens):
     return [int(tok) for tok in tokens]
 
 
+def read_file(path):
+    """The UTF-8 text of ``path``; a file that cannot be read or decoded, or
+    a path with a NUL character, is a ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise ValidationError(f"cannot read {path}: {e}") from None
+
+
+def _fraction(v):
+    """``Fraction(v)``.  The first call imports ``fractions`` and rebinds this
+    name to the class, so a process that makes no Fraction never loads the
+    module, and no later call runs an import."""
+    global _fraction
+    from fractions import Fraction as _fraction
+    return _fraction(v)
+
+
 def exact_scalar(v, rational=False):
     """``v`` as an int, or as a Fraction when ``rational`` is true.
 
@@ -52,7 +71,7 @@ def exact_scalar(v, rational=False):
     is not a number, although it is an int.
     """
     if type(v) is int:
-        return Fraction(v) if rational else v
+        return _fraction(v) if rational else v
     if isinstance(v, bool):
         raise ValidationError(f"not a number: {v!r}")
     if isinstance(v, float):
@@ -60,7 +79,7 @@ def exact_scalar(v, rational=False):
     if rational and isinstance(v, str):
         raise ValidationError(f"not a number: {v!r}")
     try:
-        exact = Fraction(v) if rational else int(v)
+        exact = _fraction(v) if rational else int(v)
     except (TypeError, ValueError):
         raise ValidationError(f"not a number: {v!r}") from None
     if not rational and exact != v:

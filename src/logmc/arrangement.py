@@ -21,7 +21,8 @@ All arithmetic is exact; no floating point is used anywhere.
 from collections import namedtuple
 
 from ._linalg import _first_nonzero, _strip_content, eliminate, rref
-from ._poly import MAX_LITERAL_DIGITS, deflate, exact_scalar, int_literals, power, render
+from ._poly import (MAX_LITERAL_DIGITS, deflate, exact_scalar, int_literals, power, read_file,
+                    render)
 from .errors import InconsistencyError, ValidationError
 
 
@@ -118,16 +119,6 @@ def _integer_lines(text):
             quoted = repr(line[:40]) + ("..." if len(line) > 40 else "")
             raise ValidationError(f"line {lineno}: expected integers, got {quoted}") from None
         yield lineno, values
-
-
-def read_file(path):
-    """The UTF-8 text of ``path``; a file that cannot be read or decoded, or
-    a path with a NUL character, is a ValidationError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, ValueError) as e:  # UnicodeDecodeError is a ValueError
-        raise ValidationError(f"cannot read {path}: {e}") from None
 
 
 def load_arrangement(path):

@@ -27,6 +27,9 @@ Note on exponents: a split characteristic polynomial yields *candidate*
 exponents only; splitting does not certify that the cone is free; a
 non-split polynomial does certify that it is not free with integer
 exponents.
+
+A process imports only the modules its commands call (``_modules``); the
+"Start-up" section of README.md lists them per command.
 """
 
 import argparse
@@ -35,18 +38,33 @@ import os
 import sys
 from collections import namedtuple
 from functools import cached_property
+from importlib import import_module
 from math import comb, gcd
 
-from . import arrangement as arrmod
-from . import curves as curvemod
-from . import hirzebruch as hzmod
-from . import kring
-from ._poly import exact_scalar, int_literals, power, render
+from ._poly import exact_scalar, int_literals, power, read_file, render
 from .errors import InconsistencyError, ValidationError
 
 TERAO_NOTE = ("candidate exponents only: a split characteristic polynomial does not "
               "certify freeness; a non-split one certifies the cone is not free "
               "with integer exponents")
+
+
+class _Modules:
+    """The modules ``arrangement``, ``kring``, ``hirzebruch`` and ``curves``
+    as attributes, each imported on its first read and then kept, so a
+    process loads only those its commands call and a later read costs an
+    attribute lookup.  Callers look a function up on its module when they
+    call it, so a patched one is the one that runs."""
+
+    def __getattr__(self, name):  # the first read of each module only
+        if name not in ("arrangement", "kring", "hirzebruch", "curves"):
+            raise AttributeError(name)
+        module = import_module(f"{__package__}.{name}")
+        setattr(self, name, module)
+        return module
+
+
+_modules = _Modules()
 
 # Default of LOGMC_MAX_LATTICE: admits the braid arrangement on 9 points
 # (21147 flats); README.md records the measured build time at the cap.
@@ -142,14 +160,16 @@ class _Input:
         self.config = config
         self.n = arr.ambient_dim - 1
         self.basis = config.basis or ("s" if config.output_format == "json" else "one_minus_s")
+        self._checked = None
 
     @cached_property
     def lattice(self):
-        return arrmod.build_lattice(self.arr, max_nodes=self.config.max_lattice_nodes)
+        return _modules.arrangement.build_lattice(self.arr,
+                                                  max_nodes=self.config.max_lattice_nodes)
 
     @cached_property
     def chi(self):
-        return arrmod.characteristic_polynomial(self.lattice)
+        return _modules.arrangement.characteristic_polynomial(self.lattice)
 
     @cached_property
     def exponents(self):
@@ -163,7 +183,7 @@ class _Input:
         if override is not None:
             return tuple(sorted(map(exact_scalar, override)))
         try:
-            result = arrmod.exponents_via_terao(self.chi)
+            result = _modules.arrangement.exponents_via_terao(self.chi)
         except InconsistencyError:
             return None
         if result.splits and result.exponents and 1 in result.exponents:
@@ -176,39 +196,56 @@ class _Input:
                                   "split usably and no --exponents override was given")
         return self.exponents
 
+    def checked_exponents(self):
+        """The required exponents past the exponent checks, which a run makes
+        once.  Kept by hand: a ``cached_property`` costs about 2 µs more on
+        a refused override."""
+        if self._checked is None:
+            self._checked = _modules.kring._validate_exponents(self.required_exponents(), self.n)
+        return self._checked
+
     @cached_property
     def routes(self):
-        """Each requested mc route -> the chi it substitutes (the run's, or
-        prod_i (t - e_i) for exponents), in the order lattice, charpoly,
-        exponents, after every refusal.  Only routes of different chi are
-        compared: their classes are computed, the first kept as ``mc``.
+        """Each requested mc route -> the coefficients of the chi it
+        substitutes (the run's, or prod_i (t - e_i) for exponents), in the
+        order lattice, charpoly, exponents, after every refusal.  Only routes
+        of different chi are compared: their classes are computed, the first
+        kept as ``mc``.
         """
         route = self.config.mc_route
-        chis = {name: self.chi for name in ("lattice", "charpoly") if route in (name, "all")}
+        chis = {name: self.chi.coeffs for name in ("lattice", "charpoly")
+                if route in (name, "all")}
         if route in ("exponents", "all"):
             if self.exponents is not None:
-                exps = kring._validate_exponents(self.exponents, self.n)
-                chis["exponents"] = arrmod.IntPolynomial(kring._exponents_chi(exps))
+                chis["exponents"] = tuple(_modules.kring._exponents_chi(self.checked_exponents()))
             elif route == "exponents":
                 raise ValidationError(
                     "mc route 'exponents' needs exponent data: the characteristic "
                     "polynomial does not split usably and no --exponents override was given")
-        distinct = dict.fromkeys(chis.values())
+        distinct = {}  # chi -> its first route
+        for name, coeffs in chis.items():
+            distinct.setdefault(coeffs, name)
         if len(distinct) > 1:
-            classes = {chi: kring.mc_complement_charpoly(chi, self.n) for chi in distinct}
+            classes = {coeffs: self._substitute(name, coeffs) for coeffs, name in distinct.items()}
             first, *others = classes.values()
             if any(v != first for v in others):
                 raise InconsistencyError(
                     "motivic Chern class routes disagree",
-                    details={"routes": {name: kring.kpoly_to_json(classes[chi])
-                                        for name, chi in chis.items()}})
+                    details={"routes": {name: _modules.kring.kpoly_to_json(classes[coeffs])
+                                        for name, coeffs in chis.items()}})
             self.mc = first  # the classes agree: ``mc`` substitutes nothing again
         return chis
 
     @cached_property
     def mc(self):
         """The motivic Chern class of the complement: the first route's chi substituted."""
-        return kring.mc_complement_charpoly(next(iter(self.routes.values())), self.n)
+        return self._substitute(*next(iter(self.routes.items())))
+
+    def _substitute(self, route, coeffs):
+        """mc at the chi of ``route``, whose coefficients are ``coeffs``; only
+        the exponents' chi is made a polynomial here."""
+        chi = _modules.arrangement.IntPolynomial(coeffs) if route == "exponents" else self.chi
+        return _modules.kring.mc_complement_charpoly(chi, self.n)
 
 
 # Each handler is a generator that yields its JSON report first and its text
@@ -287,7 +324,7 @@ def _cmd_charpoly(inp):
 
 
 def _cmd_exponents(inp):
-    result = arrmod.exponents_via_terao(inp.chi)
+    result = _modules.arrangement.exponents_via_terao(inp.chi)
     if result.splits:
         yield {"splits": True, "exponents": list(result.exponents)}
         yield _exponents_str(result.exponents)
@@ -302,7 +339,7 @@ def _cmd_exponents(inp):
 
 def _cmd_mc(inp):
     # the routes agree, so one report serves them all
-    report = kring.kpoly_to_json(inp.mc, basis=inp.basis)
+    report = _modules.kring.kpoly_to_json(inp.mc, basis=inp.basis)
     routes = dict.fromkeys(inp.routes, report)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "routes": routes}
     if len(routes) > 1:
@@ -320,12 +357,13 @@ def _refuse_unwritable_log_class(exps, n):
 
     C(sum e, n) is the s^n coefficient of the class's y^0 row and, up to
     sign, its (1-s)^n one, so the report holds it in either basis.  The
-    exponents meet ``log_class_free``'s checks first, so its refusals come
-    first.  C(sum e, n) <= (sum e)^n < 8^limit passes without forming
-    10^limit; q^n <= C(sum e, n) for q = (sum e - n + 1) // n decides most
-    other cases by bit length before the exact binomial.
+    exponents are checked ones (``_Input.checked_exponents``), so the
+    refusals of those checks come first.  C(sum e, n) <= (sum e)^n <
+    8^limit passes without forming 10^limit; q^n <= C(sum e, n) for
+    q = (sum e - n + 1) // n decides most other cases by bit length before
+    the exact binomial.
     """
-    total = sum(kring._validate_exponents(exps, n))
+    total = sum(exps)
     limit = sys.get_int_max_str_digits()  # 0: no limit
     if limit and n * total.bit_length() > 3 * limit:
         least = 10 ** limit  # the least integer of limit + 1 digits
@@ -339,8 +377,9 @@ def _too_large():
 
 
 def _cmd_logclass(inp):
-    exps = inp.required_exponents()
+    exps = inp.checked_exponents()
     _refuse_unwritable_log_class(exps, inp.n)
+    kring = _modules.kring
     value = kring.kpoly_to_json(kring.log_class_free(exps, inp.n), basis=inp.basis)
     yield {"n": inp.n, "exponents": list(exps), "log_class": value}
     yield f"exponents {_exponents_str(exps)}"
@@ -348,8 +387,13 @@ def _cmd_logclass(inp):
 
 
 def _cmd_diff(inp):
-    exps = inp.required_exponents()
-    value = kring.difference_class_arrangement(exps, next(iter(inp.routes.values())), inp.n)
+    # no exponent data, then the routes' refusals, then the exponent checks;
+    # each chi has degree n + 1, so the difference is taken past its checks
+    inp.required_exponents()
+    chi = next(iter(inp.routes.values()))
+    exps = inp.checked_exponents()
+    kring = _modules.kring
+    value = kring._difference(exps, chi, inp.n)
     payload = {"n": inp.n, "mc_route": inp.config.mc_route, "exponents": list(exps),
                "difference": kring.kpoly_to_json(value, basis=inp.basis),
                "is_zero": value.is_zero()}
@@ -359,12 +403,13 @@ def _cmd_diff(inp):
 
 
 def _cmd_csm(inp):
+    hzmod = _modules.hirzebruch
     n = inp.n
     csm_mc = hzmod.csm_at_minus_one(inp.mc)
     payload = {"n": n, "csm_mc": hzmod.cohclass_to_json(csm_mc)}
     exps = inp.exponents
     if exps is not None:
-        csm_log = hzmod.csm_at_minus_one(kring.log_class_free(exps, n))
+        csm_log = hzmod.csm_at_minus_one(_modules.kring.log_class_free(exps, n))
         product = hzmod.chern_class_free_exponents(exps, n)
         payload["csm_log"] = hzmod.cohclass_to_json(csm_log)
         payload["chern_product"] = hzmod.cohclass_to_json(product)
@@ -387,6 +432,7 @@ def _cmd_csm(inp):
 
 
 def _cmd_euler(inp):
+    hzmod = _modules.hirzebruch
     # the lattice before any route, so a node-cap refusal precedes exponent errors
     lat = inp.lattice
     mobius_sum = sum(mu * dim for dim, mu in lat.dims_and_mobius())
@@ -403,7 +449,8 @@ def _cmd_euler(inp):
 
 
 def _cmd_curve(config):
-    text = arrmod.read_file(config.input_path)
+    curvemod = _modules.curves
+    text = read_file(config.input_path)
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as e:  # malformed, an over-long integer, too deep
@@ -474,8 +521,7 @@ def _dispatch(config):
         raise ValidationError("exponents override must be a list or tuple of integers")
     if config.command == "curve":
         return handler(config)
-    arr = arrmod.load_arrangement(config.input_path)
-    return handler(_Input(arr, config))
+    return handler(_Input(_modules.arrangement.load_arrangement(config.input_path), config))
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -414,7 +414,13 @@ def difference_class_arrangement(exps, lat_or_chi, n):
     if m != n:
         # the lattice's class lives on its own P^m: KPoly subtraction's refusal
         raise ValidationError("KPoly operands live on different projective spaces")
-    coeffs = _exponents_chi(exps) if chi is None else chi.coeffs
+    return _difference(exps, _exponents_chi(exps) if chi is None else chi.coeffs, n)
+
+
+def _difference(exps, coeffs, n):
+    """``difference_class_arrangement`` past its checks: the exponents as
+    ``_validate_exponents`` returns them, and the coefficients of a chi of
+    degree n + 1."""
     width = max(_chi_width(coeffs, n), _product_width(n, sum(exps))) + 1
     mc = _chi_rows(coeffs, n, width)
     log = _product_rows([_binomial_row(e, n) for e in exps], n, width)

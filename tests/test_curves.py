@@ -24,10 +24,11 @@ from logmc import (BranchCountRequiredError, CurveSingularity, InconsistencyErro
                    branch_count, csm_minus_chern_curve, delta_from_milnor,
                    difference_class_curve, genus_defect, local_invariants,
                    singularity_from_json, singularity_from_poly)
-from logmc import _linalg, _poly, curves
+from logmc import _poly, curves
 from logmc.cli import RunConfig, run
 from logmc.curves import MAX_PARSE_DEGREE, MAX_PARSE_DEPTH
 from test_arrangement import int_digit_limit_lifted
+from test_imports import python
 
 P = LocalPolynomial.from_string
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -499,23 +500,27 @@ def test_sums_refuse_scalar_operands():
     assert f - f == LocalPolynomial.zero()
 
 
-def test_curve_command_makes_no_fraction(monkeypatch, tmp_path):
-    # every corpus germ and a squarefree binary form run on ints alone
-    class NoFraction(Fraction):
-        def __new__(cls, *args, **kwargs):
-            raise AssertionError("a Fraction was made on the curve path")
-
-    monkeypatch.setattr(_poly, "Fraction", NoFraction)
-    monkeypatch.setattr(_linalg, "Fraction", NoFraction)
+def test_curve_command_makes_no_fraction(tmp_path):
+    # every corpus germ and a squarefree binary form run on ints alone: one
+    # fresh process runs them all in both formats and never loads fractions
     extra = tmp_path / "forms.json"
     extra.write_text(json.dumps([{"poly": "x*y*(x+y)*(x-2*y)"},
                                  {"poly": "y^2 - x^3 - x^2", "r": 2}]))
     paths = sorted(CORPUS.glob("*.json")) + [extra]
     assert len(paths) > 4
-    for path in paths:
-        for fmt in ("text", "json"):
-            code, report = run(RunConfig("curve", str(path), fmt))
-            assert code == 0, (path, fmt, report)
+    done = python("-c", RUN_CURVES, *map(str, paths))
+    assert done.stdout.split() == ["False"]
+
+
+RUN_CURVES = """
+import sys
+from logmc.cli import RunConfig, run
+for path in sys.argv[1:]:
+    for fmt in ("text", "json"):
+        code, report = run(RunConfig("curve", path, fmt))
+        assert code == 0, (path, fmt, report)
+print("fractions" in sys.modules)
+"""
 
 
 # --- difference class
